@@ -40,7 +40,6 @@ from .eigen import (
     EIGEN_N_CAP,
     AsymptoticRecord,
     EigenSystem,
-    LimitEigenData,
     asymptotic_report,
     compute_eigensystem,
     dual_coefficients,
@@ -90,7 +89,7 @@ __all__ = [
     "apply_U_poly", "bernstein", "bernstein_basis", "build_u_matrix",
     "central_moment", "default_quad_size", "functional_moment",
     "u_matrix_from_moments", "u_matrix_leading_block", "u_norm0",
-    "EIGEN_N_CAP", "AsymptoticRecord", "EigenSystem", "LimitEigenData",
+    "EIGEN_N_CAP", "AsymptoticRecord", "EigenSystem",
     "asymptotic_report", "compute_eigensystem", "dual_coefficients",
     "eigenvalue", "limit_dual", "limit_eigenvalue",
     "SeriesConfig", "SeriesResult", "apply_series",

@@ -43,7 +43,6 @@ from .operators import (
 __all__ = [
     "EIGEN_N_CAP",
     "EigenSystem",
-    "LimitEigenData",
     "AsymptoticRecord",
     "eigenvalue",
     "compute_eigensystem",
@@ -209,27 +208,6 @@ def limit_dual(j: int, f: FunctionHandle,
     return 0.5 * math.comb(2 * j, j) * (
         (-1.0) ** j * f(0.0) + f(1.0) - j * integral
     )
-
-
-@dataclass(frozen=True)
-class LimitEigenData:
-    """Bundle of the limiting eigensystem evaluators at a fixed rho."""
-
-    rho: float
-
-    def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-
-    def limit_lambda(self, j: int) -> float:
-        return limit_eigenvalue(self.rho, j)
-
-    def limit_poly(self, j: int) -> Polynomial:
-        return limit_eigenpoly(j)
-
-    def limit_dual(self, j: int, f: FunctionHandle,
-                   quad: Optional[QuadratureRule] = None) -> float:
-        return limit_dual(j, f, quad)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import betaln
 
 from .polyfun import (
     DEGREE_CAP,
@@ -75,7 +74,7 @@ class QuadratureRule:
     The raw weight mass, the Beta function value at (alpha+1, beta+1),
     underflows or overflows float64 for the extreme exponents the
     operator family needs, which is why it is kept out of the stored
-    weights; ``mass`` exposes it where it is representable.
+    weights.
     """
 
     nodes: np.ndarray
@@ -108,10 +107,6 @@ class QuadratureRule:
     @property
     def size(self) -> int:
         return self.nodes.size
-
-    def mass(self) -> float:
-        """Total raw weight, the Beta function at (alpha+1, beta+1)."""
-        return float(math.exp(betaln(self.alpha + 1.0, self.beta + 1.0)))
 
     def integrate(self, f) -> float:
         """Expectation of f against the normalized weight."""

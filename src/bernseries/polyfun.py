@@ -33,6 +33,7 @@ __all__ = [
     "poly_eval",
     "poly_calculus",
     "deflate_by_psi",
+    "require_pinned",
     "jacobi11",
     "limit_eigenpoly",
     "sup_norm",
@@ -305,23 +306,29 @@ def poly_calculus(p: Polynomial):
     return deriv, anti
 
 
-def deflate_by_psi(p: Polynomial, tol: float = ENDPOINT_TOL) -> Polynomial:
-    """Divide out the weight x(1-x) from a polynomial vanishing at 0 and 1.
+def require_pinned(p: Polynomial) -> None:
+    """Reject a polynomial that does not vanish at both endpoints.
 
-    Synthetic division by x and then by (1-x). The endpoint values must
-    vanish to within ``tol`` scaled by the coefficient magnitude,
-    otherwise the input is rejected.
+    Both endpoint values must stay within ENDPOINT_TOL times the
+    coefficient magnitude.
     """
-    if p.is_zero:
-        return Polynomial.zero()
     scale = max(1.0, float(np.max(np.abs(p.coeffs))))
     v0 = float(p.coeffs[0])
     v1 = float(np.sum(p.coeffs))
-    if abs(v0) > tol * scale or abs(v1) > tol * scale:
+    if abs(v0) > ENDPOINT_TOL * scale or abs(v1) > ENDPOINT_TOL * scale:
         raise ValueError(
             f"polynomial does not vanish at the endpoints "
             f"(p(0)={v0:.3e}, p(1)={v1:.3e})"
         )
+
+
+def deflate_by_psi(p: Polynomial) -> Polynomial:
+    """Divide out the weight x(1-x) from a polynomial vanishing at 0 and 1.
+
+    Synthetic division by x and then by (1-x); inputs that fail
+    ``require_pinned`` are rejected.
+    """
+    require_pinned(p)
     if p.degree < 2:
         # Only the zero polynomial vanishes at both endpoints below degree 2.
         return Polynomial.zero()

@@ -2,23 +2,27 @@
 
 On functions vanishing at both endpoints the operator is a contraction
 with norm q = (n-1) rho / (n rho + 1), so the scaled Neumann series
-rho/(n rho + 1) * sum of operator powers converges geometrically. Three
-evaluation engines cover the input space:
+rho/(n rho + 1) * sum of operator powers converges geometrically. Every
+engine sums the whole series with one linear solve against I minus the
+operator on a finite space; nothing is iterated or truncated:
 
-* a monomial engine iterating the leading block of the triangular
-  operator matrix, used when the input carries polynomial coefficients
-  whose pinned form fits inside Pi_n and under the degree cap;
-* a cofactor-basis engine iterating a dense nonnegative transfer matrix
-  on Bernstein coefficients of the cofactor, used for everything else
-  (the operator maps the pinned space into the weight times a degree
-  n-2 Bernstein span, which the transfer matrix reproduces without any
-  basis conversion, so it is stable at any n);
+* a monomial engine for inputs carrying polynomial coefficients whose
+  pinned form fits inside Pi_n and under the degree cap: the operator
+  is upper triangular on the cofactor monomials x(1-x) x^m, so the sum
+  is one back-substitution;
+* a cofactor-basis engine for everything else: the operator maps the
+  pinned space into the weight times a degree n-2 Bernstein span, and
+  a dense nonnegative transfer matrix with row sums q < 1 reproduces it
+  on Bernstein coefficients without any basis conversion, so I minus
+  that matrix is a well conditioned M-matrix at any n;
 * an eigen-expansion engine that sums the series in closed form through
   the eigenvalues, available on polynomials up to the eigen cap, kept
-  as an independent route against the iterative ones.
+  as an independent route against the other two.
 
 The Bernstein-endpoint variant (the rho to infinity limit) reuses the
 cofactor-basis engine with sampling in place of averaging functionals.
+The reported ``iterations`` and ``tail_bound`` are the a priori
+truncation count for the requested tolerance and its bound.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.linalg import solve_triangular
 
 from .polyfun import (
     DEGREE_CAP,
@@ -40,6 +44,7 @@ from .polyfun import (
     Polynomial,
     deflate_by_psi,
     limit_eigenpoly,
+    require_pinned,
 )
 from .operators import (
     QuadratureRule,
@@ -66,24 +71,26 @@ __all__ = [
 class SeriesConfig:
     """Truncation control for the operator series.
 
-    ``tol`` bounds the sup-norm of the dropped tail of the summed
-    function. ``max_iters`` caps the number of operator applications;
-    exceeding it raises instead of silently returning a short sum.
+    ``tol`` sets the a priori truncation count reported with each sum:
+    the smallest number of operator applications whose dropped tail is
+    below ``tol`` in sup norm. The sums themselves are exact solves.
     """
 
     tol: float = 1e-9
-    max_iters: int = 100_000
     grid: GridSpec = field(default_factory=lambda: DEFAULT_SUP_GRID)
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
 
 
 class SeriesResult(C0Function):
-    """Summed series value with the truncation metadata attached."""
+    """Summed series value with the truncation metadata attached.
+
+    ``iterations`` is the a priori truncation count K for the
+    configured tolerance and ``tail_bound`` the sup bound on the terms
+    past it; neither measures work performed.
+    """
 
     def __init__(self, h, iterations: int, tail_bound: float,
                  norm_grid: Optional[GridSpec] = None):
@@ -96,59 +103,15 @@ def _truncation_count(q: float, scale: float, norm0: float,
                       cfg: SeriesConfig) -> int:
     """Smallest K with scale * norm0 * q^(K+1) / (1-q) <= tol.
 
-    K counts operator applications; the sum then holds K + 1 terms.
+    K counts operator applications of the truncated sum, which then
+    holds K + 1 terms; it is reported, not iterated.
     """
     if norm0 == 0.0 or q == 0.0:
         return 0
     t = cfg.tol * (1.0 - q) / (scale * norm0)
     if t >= 1.0:
         return 0
-    K = max(0, math.ceil(math.log(t) / math.log(q)) - 1)
-    if K > cfg.max_iters:
-        raise RuntimeError(
-            f"series needs {K} applications, above the configured "
-            f"cap {cfg.max_iters}"
-        )
-    return K
-
-
-def _transfer_direct(n: int, rho: float) -> np.ndarray:
-    """Transfer matrix on cofactor Bernstein coefficients, plain products."""
-    I = np.arange(n, dtype=float)
-    jj = np.arange(n - 1)
-    D = n * rho + I
-    Dcum = np.cumprod(D)
-    binom = np.array([math.comb(n - 2, int(j)) for j in jj], dtype=float)
-    W = np.empty((n - 1, n - 1))
-    for k in range(1, n):
-        factor = n * (n - 1.0) / (k * (n - k))
-        cum1 = np.cumprod((k * rho + I) / D)
-        cum2 = np.cumprod((n - k) * rho + I)
-        P2 = cum2[n - 2 - jj] * Dcum[jj] / Dcum[n - 1]
-        W[k - 1] = factor * binom * cum1[: n - 1] * P2
-    return W
-
-
-def _transfer_lgamma(n: int, rho: float) -> np.ndarray:
-    """Same matrix through log-gamma, immune to product overflow."""
-    jj = np.arange(n - 1, dtype=float)
-    c = n * rho
-    logbinom = gammaln(n - 1.0) - gammaln(jj + 1.0) - gammaln(n - 1.0 - jj)
-    W = np.empty((n - 1, n - 1))
-    for k in range(1, n):
-        a = k * rho
-        b = (n - k) * rho
-        logw = (
-            math.log(n) + math.log(n - 1.0)
-            - math.log(k) - math.log(n - k)
-            + logbinom
-            + gammaln(a + jj + 1.0) - gammaln(a)
-            - gammaln(c + jj + 1.0) + gammaln(c)
-            + gammaln(b + n - 1.0 - jj) - gammaln(b)
-            - gammaln(c + n) + gammaln(c + jj + 1.0)
-        )
-        W[k - 1] = np.exp(logw)
-    return W
+    return max(0, math.ceil(math.log(t) / math.log(q)) - 1)
 
 
 @functools.lru_cache(maxsize=128)
@@ -156,19 +119,27 @@ def _cofactor_transfer(n: int, rho: float) -> np.ndarray:
     """Matrix sending cofactor Bernstein coefficients through the operator.
 
     Entry (k-1, j) expands the image of the weight times the degree
-    n-2 Bernstein basis polynomial j in the same weighted basis. All
-    entries are positive and every row sums to the contraction factor
-    (n-1) rho / (n rho + 1). Falls back to log-gamma assembly when the
-    raw products would leave double range.
+    n-2 Bernstein basis polynomial j in the same weighted basis. Row
+    k-1 is the contraction factor (n-1) rho / (n rho + 1) times the
+    Beta-binomial pmf with n-2 trials and parameters (k rho + 1,
+    (n-k) rho + 1), built from its consecutive ratios in log space and
+    normalized, so no factorial or Beta value is ever formed.
     """
     if n < 2:
         raise ValueError("the transfer matrix needs n >= 2")
     if rho <= 0:
         raise ValueError("rho must be positive")
-    if n * math.log(n * rho + n) > 600.0:
-        W = _transfer_lgamma(n, rho)
-    else:
-        W = _transfer_direct(n, rho)
+    k = np.arange(1, n, dtype=float)[:, None]
+    j = np.arange(n - 2, dtype=float)
+    W = np.zeros((n - 1, n - 1))
+    # log of W[k-1, j+1] / W[k-1, j]
+    W[:, 1:] = np.log(k * rho + (j + 1.0))
+    W[:, 1:] -= np.log((n - k) * rho + (n - 2.0 - j))
+    W[:, 1:] += np.log((n - 2.0 - j) / (j + 1.0))
+    np.cumsum(W, axis=1, out=W)
+    W -= W.max(axis=1, keepdims=True)
+    np.exp(W, out=W)
+    W *= u_norm0(n, rho) / W.sum(axis=1, keepdims=True)
     W.flags.writeable = False
     return W
 
@@ -192,10 +163,8 @@ def _first_vector_poly(n: int, rho: float, h: Polynomial) -> np.ndarray:
     return g0
 
 
-def _first_vector_generic(n: int, rho: float, f: C0Function,
-                          quad_size: Optional[int] = None) -> np.ndarray:
-    if quad_size is None:
-        quad_size = default_quad_size(n)
+def _first_vector_generic(n: int, rho: float, f: C0Function) -> np.ndarray:
+    quad_size = default_quad_size(n)
     handle = FunctionHandle.from_callable(f.value)
     g0 = np.empty(n - 1)
     for k in range(1, n):
@@ -207,14 +176,21 @@ def _first_vector_generic(n: int, rho: float, f: C0Function,
     return g0
 
 
-def _sum_transfer(W: np.ndarray, g0: np.ndarray, K: int) -> np.ndarray:
-    """g0 + W g0 + ... + W^(K-1) g0 by repeated application."""
-    acc = g0.copy()
-    v = g0
-    for _ in range(K - 1):
-        v = W @ v
-        acc += v
-    return acc
+def _sum_monomial(n: int, rho: float, h: Polynomial,
+                  scale: float) -> Polynomial:
+    """Cofactor of the series sum by one triangular solve.
+
+    Column m of C is the image of x(1-x) x^m with the weight divided
+    back out; C is upper triangular with the eigenvalues of index
+    m + 2 on its diagonal, so the sum scale * (I - C)^(-1) h is exact.
+    """
+    e = h.degree
+    M = u_matrix_leading_block(n, rho, e + 2)
+    C = np.empty((e + 1, e + 1))
+    for m in range(e + 1):
+        C[:, m] = deflate_by_psi(Polynomial(M[:, m + 1] - M[:, m + 2])
+                                 ).padded(e + 1)
+    return Polynomial(solve_triangular(np.eye(e + 1) - C, scale * h.coeffs))
 
 
 def _weighted_bernstein_closure(h, acc: np.ndarray, degree: int,
@@ -232,9 +208,9 @@ def apply_series(n: int, rho: float, f: C0Function,
     The result is again pinned; its cofactor is polynomial whenever the
     monomial engine ran (input cofactor polynomial with the pinned form
     inside Pi_n and under the degree cap) and a closure over Bernstein
-    coefficients otherwise. ``iterations`` counts operator
-    applications, ``tail_bound`` the a priori sup bound on what was
-    dropped.
+    coefficients otherwise. The sum is exact up to rounding;
+    ``iterations`` is the a priori truncation count for the configured
+    tolerance and ``tail_bound`` the sup bound on the terms past it.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -257,27 +233,14 @@ def apply_series(n: int, rho: float, f: C0Function,
     tail = scale * f.norm0 * q ** (K + 1) / (1.0 - q)
     hp = f.h.poly
     if hp is not None and hp.degree + 2 <= min(n, DEGREE_CAP):
-        d = hp.degree + 2
-        M = u_matrix_leading_block(n, rho, d)
-        v = f.as_polynomial().padded(d + 1)
-        acc = v.copy()
-        for _ in range(K):
-            v = M @ v
-            acc += v
-        h_out = deflate_by_psi(Polynomial(scale * acc))
+        h_out = _sum_monomial(n, rho, hp, scale)
         return SeriesResult(h_out, K, tail, norm_grid=cfg.grid)
-    if K == 0:
-        if hp is not None:
-            h_out = hp * scale
-        else:
-            h_out = lambda x, _h=f.h, _s=scale: _s * np.asarray(_h(x))
-        return SeriesResult(h_out, 0, tail, norm_grid=cfg.grid)
     W = _cofactor_transfer(n, rho)
     if hp is not None:
         g0 = _first_vector_poly(n, rho, hp)
     else:
         g0 = _first_vector_generic(n, rho, f)
-    acc = _sum_transfer(W, g0, K)
+    acc = np.linalg.solve(np.eye(n - 1) - W, g0)
     h_out = _weighted_bernstein_closure(f.h, acc, n - 2, scale)
     return SeriesResult(h_out, K, tail, norm_grid=cfg.grid)
 
@@ -341,14 +304,8 @@ def apply_series_bernstein(n: int, f: C0Function,
     tail = scale * f.norm0 * q ** (K + 1) / (1.0 - q)
     nodes = np.arange(1, n) / n
     g0 = q * np.asarray(f.h(nodes))
-    if K == 0:
-        if f.h.poly is not None:
-            h_out = f.h.poly * scale
-        else:
-            h_out = lambda x, _h=f.h, _s=scale: _s * np.asarray(_h(x))
-        return SeriesResult(h_out, 0, tail, norm_grid=cfg.grid)
     WB = q * bernstein_basis(n - 2, nodes).T
-    acc = _sum_transfer(WB, g0, K)
+    acc = np.linalg.solve(np.eye(n - 1) - WB, g0)
     h_out = _weighted_bernstein_closure(f.h, acc, n - 2, scale)
     return SeriesResult(h_out, K, tail, norm_grid=cfg.grid)
 
@@ -363,14 +320,7 @@ def poly_limit(p: Polynomial, rho: float) -> Polynomial:
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    scale = max(1.0, float(np.max(np.abs(p.coeffs))))
-    v0 = float(p.coeffs[0])
-    v1 = float(np.sum(p.coeffs))
-    if abs(v0) > 1e-12 * scale or abs(v1) > 1e-12 * scale:
-        raise ValueError(
-            f"polynomial does not vanish at the endpoints "
-            f"(p(0)={v0:.3e}, p(1)={v1:.3e})"
-        )
+    require_pinned(p)
     out = np.zeros(max(p.degree + 1, 1))
     for j in range(2, p.degree + 1):
         mu = limit_dual(j, FunctionHandle.from_polynomial(p))

@@ -29,6 +29,7 @@ from .polyfun import (
     Polynomial,
     poly_eval,
     psi_values,
+    require_pinned,
     sup_norm,
 )
 from .operators import QuadratureRule
@@ -45,6 +46,8 @@ __all__ = [
     "residual_H",
 ]
 
+# Relative agreement demanded between the piecewise and the expanded
+# global form of the inverse integral kernel.
 _PIECE_TOL = 1e-12
 
 
@@ -75,14 +78,7 @@ def apply_A_rho(ctx: VoronovskayaContext, y: Polynomial) -> C0Function:
     Inputs that fail to vanish at both endpoints are rejected; the
     image would not be pinned otherwise.
     """
-    scale = max(1.0, float(np.max(np.abs(y.coeffs))))
-    v0 = float(y.coeffs[0])
-    v1 = float(np.sum(y.coeffs))
-    if abs(v0) > _PIECE_TOL * scale or abs(v1) > _PIECE_TOL * scale:
-        raise ValueError(
-            f"polynomial does not vanish at the endpoints "
-            f"(y(0)={v0:.3e}, y(1)={v1:.3e})"
-        )
+    require_pinned(y)
     second = y.derivative().derivative()
     c = (ctx.rho + 1.0) / (2.0 * ctx.rho)
     return C0Function(second * c)

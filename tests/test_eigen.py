@@ -10,7 +10,6 @@ from bernseries import (
     PSI,
     EigenSystem,
     FunctionHandle,
-    LimitEigenData,
     Polynomial,
     QuadratureRule,
     asymptotic_report,
@@ -174,20 +173,6 @@ class TestLimitDual:
             4, FunctionHandle.from_callable(lambda x: poly_eval(p, x))
         )
         assert abs(a - b) < 1e-12
-
-
-class TestLimitEigenData:
-    def test_facade_delegates(self):
-        data = LimitEigenData(1.5)
-        assert data.limit_lambda(3) == limit_eigenvalue(1.5, 3)
-        m = data.limit_poly(5).padded(7)
-        assert np.array_equal(m, limit_eigenpoly(5).padded(7))
-        f = FunctionHandle.from_polynomial(PSI)
-        assert data.limit_dual(2, f) == limit_dual(2, f)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LimitEigenData(0.0)
 
 
 class TestAsymptoticReport:

@@ -61,11 +61,6 @@ class TestQuadratureRule:
         q = QuadratureRule.beta_rule(k * rho - 1.0, (n - k) * rho - 1.0, 21)
         assert abs(q.integrate(lambda t: t) - k / n) < 1e-10
 
-    def test_mass(self):
-        assert abs(QuadratureRule.beta_rule(0.0, 0.0, 4).mass() - 1.0) < 1e-14
-        assert abs(QuadratureRule.beta_rule(-0.5, -0.5, 4).mass() - math.pi) \
-            < 1e-12
-
     def test_single_node(self):
         q = QuadratureRule.beta_rule(1.0, 1.0, 1)
         assert q.size == 1

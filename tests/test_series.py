@@ -1,5 +1,7 @@
 """Geometric operator series: truncation, transfer engines, routing."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,16 +16,17 @@ from bernseries import (
     apply_series_bernstein,
     apply_series_poly,
     bernstein_basis,
+    corpus_entry,
     poly_eval,
     poly_limit,
     u_norm0,
 )
 from bernseries.series import (
+    _cofactor_transfer,
     _first_vector_generic,
     _first_vector_poly,
-    _transfer_direct,
-    _transfer_lgamma,
     _truncation_count,
+    _weighted_bernstein_closure,
 )
 
 XS = np.linspace(0.0, 1.0, 41)
@@ -33,13 +36,10 @@ class TestSeriesConfig:
     def test_defaults(self):
         cfg = SeriesConfig()
         assert cfg.tol == 1e-9
-        assert cfg.max_iters == 100_000
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SeriesConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            SeriesConfig(max_iters=0)
 
 
 class TestTruncationCount:
@@ -59,21 +59,18 @@ class TestTruncationCount:
         assert _truncation_count(0.5, 0.1, 0.0, cfg) == 0
         assert _truncation_count(0.0, 0.1, 1.0, cfg) == 0
 
-    def test_cap_enforced(self):
-        cfg = SeriesConfig(tol=1e-300, max_iters=10)
-        with pytest.raises(RuntimeError):
-            _truncation_count(0.9, 0.1, 1.0, cfg)
-
 
 class TestApplySeries:
     def test_weight_cofactor_constant(self):
         # the summed series on the weight has constant cofactor
         # rho / (rho + 1), independent of n
-        res = apply_series(32, 2.0, C0Function(Polynomial([1.0])),
-                           SeriesConfig(tol=1e-12))
-        assert np.max(np.abs(np.asarray(res.h(XS)) - 2.0 / 3.0)) < 1e-10
-        assert res.iterations > 0
-        assert res.tail_bound <= 1e-12
+        for n, rho in ((32, 2.0), (4096, 10.0)):
+            res = apply_series(n, rho, C0Function(Polynomial([1.0])),
+                               SeriesConfig(tol=1e-12))
+            want = rho / (rho + 1.0)
+            assert np.max(np.abs(np.asarray(res.h(XS)) - want)) < 1e-10
+            assert res.iterations > 0
+            assert res.tail_bound <= 1e-12
 
     def test_single_node_collapses(self):
         f = C0Function(Polynomial([1.0, -2.0]))
@@ -131,23 +128,44 @@ class TestApplySeries:
 class TestTransferEngines:
     def test_row_sums_equal_contraction(self):
         for n, rho in ((6, 0.5), (16, 2.0), (25, 0.1)):
-            W = _transfer_direct(n, rho)
+            W = _cofactor_transfer(n, rho)
             q = u_norm0(n, rho)
             assert W.shape == (n - 1, n - 1)
             assert np.all(W > 0)
             assert np.max(np.abs(W.sum(axis=1) - q)) < 1e-12
 
-    def test_direct_and_log_forms_agree(self):
-        n, rho = 16, 2.0
-        A = _transfer_direct(n, rho)
-        B = _transfer_lgamma(n, rho)
-        assert np.max(np.abs(A - B) / A) < 1e-12
+    def test_columns_match_first_vector(self):
+        # column j is the image of the weight times the degree n-2
+        # Bernstein basis polynomial j, which the exact first vector
+        # computes independently from the monomial form
+        for n, rho in ((12, 0.7), (9, 30.0), (14, 0.05)):
+            W = _cofactor_transfer(n, rho)
+            d = n - 2
+            for j in range(d + 1):
+                c = np.zeros(d + 1)
+                for i in range(d - j + 1):
+                    c[j + i] = math.comb(d, j) * math.comb(d - j, i) * (-1) ** i
+                col = _first_vector_poly(n, rho, Polynomial(c))
+                assert np.max(np.abs(W[:, j] - col)) < 1e-11
 
-    def test_log_form_row_sums(self):
-        # the log route is the one live at huge n rho; check it alone
-        n, rho = 24, 50.0
-        W = _transfer_lgamma(n, rho)
-        assert np.max(np.abs(W.sum(axis=1) - u_norm0(n, rho))) < 1e-11
+    def test_row_sums_at_large_n_rho(self):
+        for n, rho in ((24, 50.0), (1024, 10.0)):
+            W = _cofactor_transfer(n, rho)
+            assert np.all(W >= 0)
+            assert np.max(np.abs(W.sum(axis=1) - u_norm0(n, rho))) < 1e-13
+
+    def test_transfer_route_matches_monomial_route(self):
+        # both engines on one polynomial cofactor at large n rho, where
+        # iterated sums used to drift apart
+        n, rho = 1024, 10.0
+        h = corpus_entry("cheb6")
+        scale = rho / (n * rho + 1.0)
+        W = _cofactor_transfer(n, rho)
+        acc = np.linalg.solve(np.eye(n - 1) - W, _first_vector_poly(n, rho, h))
+        transfer = _weighted_bernstein_closure(h, acc, n - 2, scale)
+        xs = np.linspace(0.0, 1.0, 9)
+        monomial = apply_series(n, rho, C0Function(h)).h(xs)
+        assert np.max(np.abs(transfer(xs) - monomial)) < 1e-12
 
     def test_first_vector_routes_agree(self):
         n, rho = 12, 0.7
