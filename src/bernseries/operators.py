@@ -327,17 +327,17 @@ def apply_U_poly(mat: UOperatorMatrix, p: Polynomial) -> Polynomial:
 def bernstein_basis(n: int, x) -> np.ndarray:
     """All n+1 Bernstein basis values at x, stacked along axis 0.
 
-    Uses the stable degree-raising recurrence; works for scalar or
-    array x.
+    Uses the stable degree-raising recurrence, one slice update per
+    degree: every value of degree m is formed from the degree m-1
+    values at once, so the loop runs n times rather than n^2/2. Works
+    for scalar or array x.
     """
     x = np.asarray(x, dtype=float)
     one_minus = 1.0 - x
     b = np.zeros((n + 1,) + x.shape)
     b[0] = 1.0
     for m in range(1, n + 1):
-        b[m] = x * b[m - 1]
-        for k in range(m - 1, 0, -1):
-            b[k] = x * b[k - 1] + one_minus * b[k]
+        b[1:m + 1] = x * b[:m] + one_minus * b[1:m + 1]
         b[0] = one_minus * b[0]
     return b
 

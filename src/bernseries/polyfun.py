@@ -252,7 +252,7 @@ class C0Function:
 
     The represented function vanishes at both endpoints by construction.
     ``norm0`` caches the sup of |h|, the natural norm of the pinned
-    space; it is estimated on a grid at construction unless supplied.
+    space; unless supplied, it is estimated on a grid on first read.
     """
 
     def __init__(self, h, norm_grid: Optional[GridSpec] = None,
@@ -264,9 +264,13 @@ class C0Function:
         if not isinstance(h, FunctionHandle):
             raise TypeError("h must be a FunctionHandle, Polynomial, or callable")
         self.h = h
-        if norm0 is None:
-            norm0 = sup_norm(h, norm_grid or DEFAULT_SUP_GRID)
-        self.norm0 = float(norm0)
+        self._norm_grid = norm_grid or DEFAULT_SUP_GRID
+        if norm0 is not None:
+            self.norm0 = float(norm0)
+
+    @functools.cached_property
+    def norm0(self) -> float:
+        return float(sup_norm(self.h, self._norm_grid))
 
     def value(self, x):
         return psi_values(x) * self.h(x)
@@ -338,27 +342,40 @@ def deflate_by_psi(p: Polynomial) -> Polynomial:
 
 
 @functools.lru_cache(maxsize=None)
+def _jacobi11_exact(k: int) -> tuple:
+    """Rational monomial coefficients of jacobi11(k), built from k-1 and k-2."""
+    # Imported here: fractions pulls in decimal, which import time
+    # would otherwise pay for.
+    from fractions import Fraction
+
+    if k < 2:
+        return (Fraction(1),) if k == 0 else (Fraction(0), Fraction(2))
+    zero = Fraction(0)
+    shifted = (zero,) + _jacobi11_exact(k - 1)
+    prev = _jacobi11_exact(k - 2) + (zero, zero)
+    return tuple(((2 * k + 1) * (k + 1) * c - k * (k + 1) * p) / (k * (k + 2))
+                 for c, p in zip(shifted, prev))
+
+
+@functools.lru_cache(maxsize=None)
 def jacobi11(k: int) -> Polynomial:
     """Jacobi polynomial with both parameters 1, degree k, on [-1, 1].
 
-    Standard normalization, generated by the three-term recurrence. The
-    endpoint identity value(1) = k + 1 is checked after generation as a
-    guard on the recurrence coefficients.
+    Standard normalization, generated by the three-term recurrence in
+    exact rational arithmetic and rounded to double precision once. The
+    endpoint identity value(1) = k + 1 is checked exactly on the
+    rational coefficients, as a guard on the recurrence coefficients;
+    from degree 23 their absolute sum exceeds 1e8, too much for a
+    floating-point sum to confirm.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    if k == 0:
-        return Polynomial([1.0])
-    prev = np.array([1.0])
-    cur = np.array([0.0, 2.0])
-    for i in range(2, k + 1):
-        a = (2 * i + 1) * (i + 1) * np.concatenate(([0.0], cur))
-        b = i * (i + 1) * np.concatenate((prev, np.zeros(a.size - prev.size)))
-        prev, cur = cur, (a - b) / (i * (i + 2))
-    val1 = float(np.sum(cur))
-    if abs(val1 - (k + 1)) > 1e-10 * (k + 1):
-        raise RuntimeError(f"recurrence check failed at degree {k}: value(1)={val1}")
-    return Polynomial(cur)
+    exact = _jacobi11_exact(k)
+    if sum(exact) != k + 1:
+        raise RuntimeError(
+            f"recurrence check failed at degree {k}: value(1)={sum(exact)}"
+        )
+    return Polynomial([float(c) for c in exact])
 
 
 def _compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
@@ -451,13 +468,17 @@ def omega(f: FunctionHandle, order: int, delta: float,
     if order == 1:
         vals = np.asarray(f(pts), dtype=float)
         reach = delta * (1.0 + 1e-12) + 1e-15
-        for i in range(pts.size - 1):
-            hi = int(np.searchsorted(pts, pts[i] + reach, side="right"))
-            if hi > i + 1:
-                window = np.abs(vals[i + 1:hi] - vals[i])
-                m = float(window.max())
-                if m > best:
-                    best = m
+        # Pairs (i, i + s) for one index offset s at a time; the points
+        # increase, so once no pair of an offset is in reach no pair of
+        # a larger offset is either.
+        for s in range(1, pts.size):
+            near = pts[s:] <= pts[:-s] + reach
+            if not near.any():
+                break
+            m = float(np.max(np.abs(vals[s:] - vals[:-s]), where=near,
+                             initial=0.0))
+            if m > best:
+                best = m
         return best
     steps = delta * np.arange(1, 33) / 32.0
     for t in steps:

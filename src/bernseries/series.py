@@ -47,7 +47,7 @@ from .polyfun import (
     require_pinned,
 )
 from .operators import (
-    QuadratureRule,
+    _cached_beta_rule,
     apply_F,
     bernstein_basis,
     build_u_matrix,
@@ -164,13 +164,16 @@ def _first_vector_poly(n: int, rho: float, h: Polynomial) -> np.ndarray:
 
 
 def _first_vector_generic(n: int, rho: float, f: C0Function) -> np.ndarray:
+    """Quadrature form of the first vector for inputs without coefficients.
+
+    The Beta rules come from the cache ``apply_U`` uses, so both share
+    the rules of one (n, rho).
+    """
     quad_size = default_quad_size(n)
     handle = FunctionHandle.from_callable(f.value)
     g0 = np.empty(n - 1)
     for k in range(1, n):
-        rule = QuadratureRule.beta_rule(
-            k * rho - 1.0, (n - k) * rho - 1.0, quad_size
-        )
+        rule = _cached_beta_rule(k * rho - 1.0, (n - k) * rho - 1.0, quad_size)
         factor = n * (n - 1.0) / (k * (n - k))
         g0[k - 1] = factor * apply_F(n, k, rho, handle, rule)
     return g0

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from bernseries import EIGEN_N_CAP
 from bernseries.cli import OUT_DIR_ENV, ExperimentConfig, _parse_fn, main
 
 
@@ -79,6 +80,13 @@ class TestEigenCommand:
         assert lines[3].endswith(",0;-1;1")
         assert lines[4] == "# n=2"
         assert lines[5] == "# rho=1"
+
+    def test_eigen_cap(self, outdir, capsys):
+        code, _, _ = run_cli(["eigen", "--n", str(EIGEN_N_CAP)], capsys)
+        assert code == 0
+        lines = (outdir / "eigen.csv").read_text().splitlines()
+        rows = [ln for ln in lines[1:] if not ln.startswith("#")]
+        assert len(rows) == EIGEN_N_CAP + 1
 
     def test_reruns_byte_identical(self, outdir, capsys):
         args = ["eigen", "--n", "6", "--rho", "0.5"]

@@ -215,7 +215,31 @@ class TestApplyU:
         assert abs(v - vs[0]) == 0.0
 
 
+def _bernstein_basis_scalar_loop(n, x):
+    """The degree-raising recurrence one element at a time (the oracle)."""
+    x = np.asarray(x, dtype=float)
+    one_minus = 1.0 - x
+    b = np.zeros((n + 1,) + x.shape)
+    b[0] = 1.0
+    for m in range(1, n + 1):
+        b[m] = x * b[m - 1]
+        for k in range(m - 1, 0, -1):
+            b[k] = x * b[k - 1] + one_minus * b[k]
+        b[0] = one_minus * b[0]
+    return b
+
+
 class TestBernsteinBasis:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 16, 62, 126, 254])
+    def test_bit_identical_to_scalar_loop(self, n, rng):
+        for x in (0.37, 0.0, 1.0, rng.uniform(0.0, 1.0, 13),
+                  np.linspace(0.0, 1.0, 9), rng.uniform(0.0, 1.0, (4, 6))):
+            got = bernstein_basis(n, x)
+            want = _bernstein_basis_scalar_loop(n, x)
+            assert got.shape == want.shape == (n + 1,) + np.shape(x)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_partition_of_unity(self):
         xs = np.linspace(0, 1, 23)
         b = bernstein_basis(9, xs)

@@ -146,6 +146,15 @@ class TestJacobi:
         with pytest.raises(ValueError):
             jacobi11(-1)
 
+    def test_every_degree_under_the_cap(self):
+        # the float sum of the coefficients drifts from k + 1 by more
+        # than 1e-10 (k + 1) from degree 23; the exact check must not
+        for k in range(DEGREE_CAP - 1):
+            p = jacobi11(k)
+            assert p.degree == k
+            # parity (-1)^k: the coefficients of the other parity are 0
+            assert np.all(p.coeffs[(k + 1) % 2::2] == 0.0)
+
 
 class TestLimitEigenpoly:
     def test_low_degrees(self):
@@ -233,6 +242,25 @@ class TestOmega:
         vals = [omega(f, 1, d, g) for d in (0.05, 0.1, 0.2, 0.4)]
         assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
 
+    def test_first_order_matches_pairwise_scan(self, rng):
+        fns = (np.sin, lambda x: np.abs(x - 0.37),
+               lambda x: np.exp(2.0 * x) * np.cos(9.0 * x))
+        for trial in range(4):
+            inner = np.sort(rng.uniform(0.0, 1.0, 40 + 15 * trial))
+            pts = np.concatenate(([0.0], inner, [1.0]))
+            g = GridSpec(pts)
+            for fn in fns:
+                vals = fn(pts)
+                for delta in (0.003, 0.05, 0.2, 0.5, 1.0):
+                    reach = delta * (1.0 + 1e-12) + 1e-15
+                    want = 0.0
+                    for i in range(pts.size):
+                        for j in range(i + 1, pts.size):
+                            if pts[j] <= pts[i] + reach:
+                                want = max(want, abs(vals[j] - vals[i]))
+                    got = omega(FunctionHandle.from_callable(fn), 1, delta, g)
+                    assert got == want
+
     def test_validation(self):
         f = FunctionHandle.from_polynomial(PSI)
         with pytest.raises(ValueError):
@@ -281,6 +309,26 @@ class TestC0Function:
     def test_from_pinned_polynomial(self):
         f = C0Function.from_pinned_polynomial(Polynomial([0.0, -1.0, 0.0, 1.0]))
         assert np.array_equal(f.h.poly.coeffs, [-1.0, -1.0])
+
+    def test_norm0_is_estimated_on_first_read(self, monkeypatch):
+        from bernseries import polyfun
+        calls = []
+        real = polyfun.sup_norm
+        monkeypatch.setattr(polyfun, "sup_norm",
+                            lambda *a: calls.append(a) or real(*a))
+        g = GridSpec.uniform(33)
+        f = C0Function(lambda x: np.cos(5.0 * x), norm_grid=g)
+        assert calls == []
+        assert f.norm0 == real(f.h, g)
+        assert f.norm0 == real(f.h, g)
+        assert len(calls) == 1
+
+    def test_supplied_norm0_is_kept(self, monkeypatch):
+        from bernseries import polyfun
+        monkeypatch.setattr(polyfun, "sup_norm",
+                            lambda *a: pytest.fail("sup_norm called"))
+        f = C0Function(lambda x: np.cos(5.0 * x), norm0=1.0)
+        assert f.norm0 == 1.0 and isinstance(f.norm0, float)
 
     def test_generic_cofactor_has_no_exact_form(self):
         f = C0Function(lambda x: np.exp(x))

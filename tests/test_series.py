@@ -8,6 +8,7 @@ import pytest
 from bernseries import (
     PSI,
     C0Function,
+    FunctionHandle,
     GridSpec,
     Polynomial,
     SeriesConfig,
@@ -15,12 +16,14 @@ from bernseries import (
     apply_series,
     apply_series_bernstein,
     apply_series_poly,
+    apply_U,
     bernstein_basis,
     corpus_entry,
     poly_eval,
     poly_limit,
     u_norm0,
 )
+from bernseries.operators import _cached_beta_rule
 from bernseries.series import (
     _cofactor_transfer,
     _first_vector_generic,
@@ -71,6 +74,21 @@ class TestApplySeries:
             assert np.max(np.abs(np.asarray(res.h(XS)) - want)) < 1e-10
             assert res.iterations > 0
             assert res.tail_bound <= 1e-12
+
+    def test_result_norm_is_lazy(self, monkeypatch):
+        from bernseries import polyfun
+        cfg = SeriesConfig(grid=GridSpec.uniform(65))
+        f = C0Function(lambda x: np.exp(x) * np.sin(4.0 * x))
+        f.norm0
+        calls = []
+        real = polyfun.sup_norm
+        monkeypatch.setattr(polyfun, "sup_norm",
+                            lambda *a: calls.append(a) or real(*a))
+        res = apply_series(64, 1.0, f, cfg)
+        assert calls == []
+        assert res.norm0 == real(res.h, cfg.grid)
+        assert res.norm0 == real(res.h, cfg.grid)
+        assert len(calls) == 1
 
     def test_single_node_collapses(self):
         f = C0Function(Polynomial([1.0, -2.0]))
@@ -166,6 +184,18 @@ class TestTransferEngines:
         xs = np.linspace(0.0, 1.0, 9)
         monomial = apply_series(n, rho, C0Function(h)).h(xs)
         assert np.max(np.abs(transfer(xs) - monomial)) < 1e-12
+
+    def test_generic_rules_shared_with_apply_U(self):
+        # apply_U and the generic first vector draw the same n - 1 Beta
+        # rules from one cache
+        n, rho = 21, 0.37
+        handle = FunctionHandle.from_callable(np.cos)
+        apply_U(n, rho, handle, XS)
+        before = _cached_beta_rule.cache_info()
+        apply_series(n, rho, C0Function(handle, norm0=1.0))
+        after = _cached_beta_rule.cache_info()
+        assert after.hits - before.hits == n - 1
+        assert after.misses == before.misses
 
     def test_first_vector_routes_agree(self):
         n, rho = 12, 0.7
