@@ -16,6 +16,7 @@ apply command only, gives the function itself (``--fn f=0,1,-1``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -297,6 +298,8 @@ def run(config: ExperimentConfig) -> int:
     return 0
 
 
+# The parser holds only constants, so one instance serves every call.
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bernseries",

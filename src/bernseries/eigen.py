@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .polyfun import (
     DEGREE_CAP,
@@ -30,6 +29,7 @@ from .polyfun import (
     FunctionHandle,
     GridSpec,
     Polynomial,
+    _solve_upper,
     jacobi11,
     limit_eigenpoly,
     poly_eval,
@@ -37,6 +37,7 @@ from .polyfun import (
 from .operators import (
     QuadratureRule,
     UOperatorMatrix,
+    _cached_beta_rule,
     u_matrix_leading_block,
 )
 
@@ -164,7 +165,7 @@ def dual_coefficients(sys: EigenSystem, p: Polynomial) -> np.ndarray:
             f"degree {p.degree} exceeds the eigensystem span {sys.n}"
         )
     c = p.padded(sys.n + 1)
-    return solve_triangular(sys.basis, c, lower=False)
+    return _solve_upper(sys.basis, c)
 
 
 def limit_eigenvalue(rho: float, j: int) -> float:
@@ -198,7 +199,7 @@ def limit_dual(j: int, f: FunctionHandle,
             size = max(20, (f.poly.degree + j - 2) // 2 + 1)
         else:
             size = 64
-        quad = QuadratureRule.beta_rule(0.0, 0.0, size)
+        quad = _cached_beta_rule(0.0, 0.0, size)
     elif abs(quad.alpha) > 1e-14 or abs(quad.beta) > 1e-14:
         raise ValueError("the integral needs a flat-weight (Legendre) rule")
     core = jacobi11(j - 2)
@@ -261,7 +262,7 @@ def asymptotic_report(rho: float, j: int, n_list: Iterable[int],
         dist = float(np.max(np.abs(poly_eval(pj, grid.points) - star_vals)))
         gaps = []
         for p, mu_star in zip(test_polys, dual_stars):
-            mu = solve_triangular(basis, p.padded(d + 1), lower=False)
+            mu = _solve_upper(basis, p.padded(d + 1))
             gaps.append(abs(float(mu[j]) - mu_star))
         records.append(AsymptoticRecord(int(n), gap, dist, tuple(gaps)))
     return tuple(records)

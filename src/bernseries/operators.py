@@ -17,7 +17,9 @@ which keeps every entry at working precision for all matrix sizes the
 degree cap allows. On generic functions the operator is evaluated
 pointwise with Gauss quadrature built for the exact Beta weight, so
 integrable endpoint singularities at small rho are absorbed by the
-rule instead of being sampled.
+rule instead of being sampled. The rules come from the Golub-Welsch
+method with a dense symmetric eigensolve, so the module needs numpy
+only.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .polyfun import (
     DEGREE_CAP,
@@ -119,9 +120,11 @@ class QuadratureRule:
 
         The Jacobi matrix of the weight (1-u)^A (1+u)^B on [-1, 1] with
         A = beta and B = alpha is assembled from the monic recurrence
-        coefficients and diagonalized; squared first components of the
-        eigenvectors give the normalized weights directly, so no Beta
-        function value is ever formed.
+        coefficients as a dense lower triangle and diagonalized with
+        numpy's symmetric eigensolver (LAPACK's divide and conquer);
+        squared first components of the eigenvectors give the
+        normalized weights directly, so no Beta function value is ever
+        formed.
         """
         if size < 1:
             raise ValueError("size must be at least 1")
@@ -148,7 +151,8 @@ class QuadratureRule:
             sk = s[1:]
             off[1:] = (4.0 * kk * (kk + A) * (kk + B) * (kk + A + B)
                        / (sk * sk * (sk + 1.0) * (sk - 1.0)))
-        nodes_u, vecs = eigh_tridiagonal(diag, np.sqrt(off))
+        J = np.diag(diag) + np.diag(np.sqrt(off), -1)
+        nodes_u, vecs = np.linalg.eigh(J, UPLO="L")
         weights = vecs[0, :] ** 2
         nodes = (nodes_u + 1.0) / 2.0
         order = np.argsort(nodes)
@@ -157,6 +161,13 @@ class QuadratureRule:
 
 @functools.lru_cache(maxsize=4096)
 def _cached_beta_rule(alpha: float, beta: float, size: int) -> QuadratureRule:
+    if alpha > beta:
+        # t -> 1 - t swaps the exponents, so the rule for (alpha, beta)
+        # is the mirror of the cached (beta, alpha) rule: the interior
+        # functionals at k and n - k share one eigensolve.
+        m = _cached_beta_rule(beta, alpha, size)
+        return QuadratureRule(1.0 - m.nodes[::-1], m.weights[::-1],
+                              alpha, beta)
     return QuadratureRule.beta_rule(alpha, beta, size)
 
 

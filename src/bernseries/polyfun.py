@@ -341,6 +341,20 @@ def deflate_by_psi(p: Polynomial) -> Polynomial:
     return Polynomial(q)
 
 
+def _solve_upper(U: np.ndarray, b) -> np.ndarray:
+    """Solve U x = b for upper-triangular U by row back-substitution.
+
+    Row j takes its off-diagonal sum as one dot product with the
+    already solved tail, from the last row up. On the package's
+    matrices (at most DEGREE_CAP + 1 rows) this gives the same bits
+    as LAPACK's triangular solve.
+    """
+    x = np.array(b, dtype=float)
+    for j in range(x.size - 1, -1, -1):
+        x[j] = (x[j] - U[j, j + 1:] @ x[j + 1:]) / U[j, j]
+    return x
+
+
 @functools.lru_cache(maxsize=None)
 def _jacobi11_exact(k: int) -> tuple:
     """Rational monomial coefficients of jacobi11(k), built from k-1 and k-2."""

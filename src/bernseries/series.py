@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .polyfun import (
     DEGREE_CAP,
@@ -42,6 +41,7 @@ from .polyfun import (
     FunctionHandle,
     GridSpec,
     Polynomial,
+    _solve_upper,
     deflate_by_psi,
     limit_eigenpoly,
     require_pinned,
@@ -193,7 +193,7 @@ def _sum_monomial(n: int, rho: float, h: Polynomial,
     for m in range(e + 1):
         C[:, m] = deflate_by_psi(Polynomial(M[:, m + 1] - M[:, m + 2])
                                  ).padded(e + 1)
-    return Polynomial(solve_triangular(np.eye(e + 1) - C, scale * h.coeffs))
+    return Polynomial(_solve_upper(np.eye(e + 1) - C, scale * h.coeffs))
 
 
 def _weighted_bernstein_closure(h, acc: np.ndarray, degree: int,

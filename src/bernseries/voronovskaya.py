@@ -32,7 +32,7 @@ from .polyfun import (
     require_pinned,
     sup_norm,
 )
-from .operators import QuadratureRule
+from .operators import QuadratureRule, _cached_beta_rule
 from .series import SeriesConfig, apply_series
 
 __all__ = [
@@ -52,7 +52,7 @@ _PIECE_TOL = 1e-12
 
 
 def _default_legendre() -> QuadratureRule:
-    return QuadratureRule.beta_rule(0.0, 0.0, 32)
+    return _cached_beta_rule(0.0, 0.0, 32)
 
 
 @dataclass(frozen=True)

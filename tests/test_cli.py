@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bernseries import EIGEN_N_CAP
-from bernseries.cli import OUT_DIR_ENV, ExperimentConfig, _parse_fn, main
+from bernseries.cli import (OUT_DIR_ENV, ExperimentConfig, _build_parser,
+                            _parse_fn, main)
 
 
 @pytest.fixture
@@ -220,6 +222,48 @@ class TestErrorPaths:
         assert code == 0
         assert target.exists()
         assert str(target) in out
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# One small call per subcommand.
+SESSION = [
+    ["apply", "--n", "7", "--rho", "0.5", "--fn", "h=cheb6",
+     "--grid-size", "9"],
+    ["eigen", "--n", "6", "--rho", "2"],
+    ["series", "--n", "12", "--rho", "1", "--fn", "h=square",
+     "--grid-size", "9", "--format", "json"],
+    ["voronovskaya", "--n", "10", "--rho", "3", "--fn", "h=affine",
+     "--grid-size", "9"],
+    ["converge", "--n", "8,16", "--rho", "0.5,2", "--fn", "h=one"],
+    ["bound", "--n", "16", "--rho", "1", "--fn", "h=affine",
+     "--grid-size", "9"],
+]
+
+
+class TestSession:
+    def test_parser_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_back_to_back_calls_match_separate_processes(self, tmp_path,
+                                                         capsys):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC, env.get("PYTHONPATH")]))
+        for i, argv in enumerate(SESSION):
+            alone = tmp_path / f"alone{i}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "bernseries.cli", *argv,
+                 "--out", str(alone)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        for i, argv in enumerate(SESSION):
+            code, _, err = run_cli(argv + ["--out", str(tmp_path / f"in{i}")],
+                                   capsys)
+            assert code == 0, err
+        for i in range(len(SESSION)):
+            assert ((tmp_path / f"in{i}").read_bytes()
+                    == (tmp_path / f"alone{i}").read_bytes())
 
 
 def test_console_script_help():

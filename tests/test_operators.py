@@ -27,6 +27,7 @@ from bernseries import (
     u_matrix_leading_block,
     u_norm0,
 )
+from bernseries.operators import _cached_beta_rule
 
 
 class TestQuadratureRule:
@@ -69,6 +70,98 @@ class TestQuadratureRule:
     def test_invalid_exponents(self):
         with pytest.raises(ValueError):
             QuadratureRule.beta_rule(-1.0, 0.0, 4)
+
+    def test_dense_eigh_matches_tridiagonal_solver(self):
+        # the Jacobi matrix handed to scipy's tridiagonal eigensolver
+        # gives bit-identical rules for every alpha <= beta shape the
+        # operators build
+        linalg = pytest.importorskip("scipy.linalg")
+
+        def tridiagonal_rule(alpha, beta, size):
+            A, B = float(beta), float(alpha)
+            k = np.arange(1, size, dtype=float)
+            s = 2.0 * k + A + B
+            diag = np.empty(size)
+            diag[0] = (B - A) / (A + B + 2.0)
+            diag[1:] = (B * B - A * A) / (s * (s + 2.0))
+            off = np.empty(size - 1)
+            off[0] = (4.0 * (1.0 + A) * (1.0 + B)
+                      / ((A + B + 2.0) ** 2 * (A + B + 3.0)))
+            kk, sk = k[1:], s[1:]
+            off[1:] = (4.0 * kk * (kk + A) * (kk + B) * (kk + A + B)
+                       / (sk * sk * (sk + 1.0) * (sk - 1.0)))
+            nodes_u, vecs = linalg.eigh_tridiagonal(diag, np.sqrt(off))
+            return (nodes_u + 1.0) / 2.0, vecs[0, :] ** 2
+
+        shapes = [(-0.5, -0.5, 6), (0.5, 1.5, 12), (-0.9, 11.7, 133)]
+        for n in (5, 16, 33, 64):
+            for rho in (0.1, 1.0, 10.0):
+                shapes += [(k * rho - 1.0, (n - k) * rho - 1.0,
+                            default_quad_size(n)) for k in range(1, n // 2 + 1)]
+        for alpha, beta, size in shapes:
+            q = QuadratureRule.beta_rule(alpha, beta, size)
+            nodes, weights = tridiagonal_rule(alpha, beta, size)
+            assert np.array_equal(q.nodes, nodes)
+            assert np.array_equal(q.weights, weights)
+
+
+class TestMirroredRules:
+    SHAPES = [(11.7, -0.9, 133), (2.5, 0.3, 20), (29.0, 9.0, 69),
+              (599.0, 19.0, 69)]
+
+    def test_reflects_the_swapped_rule(self):
+        for alpha, beta, size in self.SHAPES:
+            q = _cached_beta_rule(alpha, beta, size)
+            m = _cached_beta_rule(beta, alpha, size)
+            assert (q.alpha, q.beta) == (alpha, beta)
+            assert np.array_equal(q.nodes, 1.0 - m.nodes[::-1])
+            assert np.array_equal(q.weights, m.weights[::-1])
+            direct = QuadratureRule.beta_rule(alpha, beta, size)
+            assert np.max(np.abs(q.nodes - direct.nodes)) < 1e-12
+            assert np.max(np.abs(q.weights - direct.weights)) < 1e-12
+
+    def test_against_mpmath_reference(self):
+        # Gauss-Jacobi nodes refined by one Newton step on P_N^(a,b) in
+        # 30 digits (the float nodes are right to about 1e-16), weights
+        # from 1 / ((1 - u^2) P_N'(u)^2) normalized
+        mpmath = pytest.importorskip("mpmath")
+        alpha, beta, size = 11.7, -0.9, 133
+        q = _cached_beta_rule(alpha, beta, size)
+        nodes, weights = [], []
+        with mpmath.workdps(30):
+            a, b = mpmath.mpf(beta), mpmath.mpf(alpha)
+            steps = []
+            for k in range(2, size + 1):
+                c = 2 * k + a + b
+                den = 2 * k * (k + a + b) * (c - 2)
+                steps.append(((c - 1) * c * (c - 2) / den,
+                              (c - 1) * (a * a - b * b) / den,
+                              2 * (k + a - 1) * (k + b - 1) * c / den))
+
+            def jacobi(u):
+                # P_N and P_N' by the three-term recurrence and its
+                # derivative
+                p0, p1 = mpmath.mpf(1), (a - b) / 2 + (a + b + 2) * u / 2
+                d0, d1 = mpmath.mpf(0), (a + b + 2) / 2
+                for slope, shift, back in steps:
+                    lin = slope * u + shift
+                    p0, p1, d0, d1 = (p1, lin * p1 - back * p0,
+                                      d1, lin * d1 + slope * p1 - back * d0)
+                return p1, d1
+
+            for t in q.nodes:
+                u = 2 * mpmath.mpf(float(t)) - 1
+                p, dp = jacobi(u)
+                u -= p / dp
+                nodes.append((u + 1) / 2)
+                weights.append(1 / ((1 - u * u) * jacobi(u)[1] ** 2))
+            total = mpmath.fsum(weights)
+            nodes = np.array([float(t) for t in nodes])
+            weights = np.array([float(w / total) for w in weights])
+        assert np.max(np.abs(q.nodes - nodes)) < 1e-15
+        # measured 5.4e-13 at the largest weight (1.8e-13 for the
+        # direct rule)
+        assert np.max(np.abs(q.weights - weights)) < 1e-12
 
 
 class TestFunctionalMoment:
@@ -213,6 +306,29 @@ class TestApplyU:
         vs = apply_U(4, 2.0, f, np.array([0.3]))
         assert isinstance(v, float)
         assert abs(v - vs[0]) == 0.0
+
+    @pytest.mark.parametrize("n", [20, 21])
+    def test_cold_call_builds_half_the_rules(self, n, monkeypatch):
+        # nodes k and n - k share one rule; rho is used nowhere else,
+        # so every rule of the call is cold
+        built = []
+        original = QuadratureRule.beta_rule.__func__
+
+        def counting(cls, alpha, beta, size):
+            built.append((alpha, beta))
+            return original(cls, alpha, beta, size)
+
+        monkeypatch.setattr(QuadratureRule, "beta_rule", classmethod(counting))
+        apply_U(n, 0.8125 + n / 1024, FunctionHandle.from_callable(np.cos),
+                0.3)
+        assert len(built) == n // 2
+        assert all(alpha <= beta for alpha, beta in built)
+
+    @pytest.mark.parametrize("n", [80, 128])
+    def test_weight_underflow_still_raises(self, n):
+        f = FunctionHandle.from_callable(np.sin)
+        with pytest.raises(ValueError, match="weights must be positive"):
+            apply_U(n, 10.0, f, 0.5)
 
 
 def _bernstein_basis_scalar_loop(n, x):

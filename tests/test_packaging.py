@@ -1,0 +1,63 @@
+"""Third-party dependencies: what the package imports is what it declares."""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "bernseries"
+
+# Imports the package and runs one CLI call per subcommand, then prints
+# every loaded scipy module on the last line.
+_SESSION = """
+import sys
+import bernseries
+from bernseries import cli
+out = sys.argv[1]
+for argv in (
+    ["apply", "--n", "7", "--fn", "h=cheb6", "--grid-size", "9"],
+    ["eigen", "--n", "6"],
+    ["series", "--n", "12", "--fn", "h=square", "--grid-size", "9"],
+    ["voronovskaya", "--n", "10", "--fn", "h=affine", "--grid-size", "9"],
+    ["converge", "--n", "8,16", "--rho", "0.5,2"],
+    ["bound", "--n", "16", "--fn", "h=affine", "--grid-size", "9"],
+):
+    assert cli.main(argv + ["--out", f"{out}/{argv[0]}.csv"]) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def _third_party_imports():
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"bernseries"}
+
+
+def test_imports_equal_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower()
+                for req in project["dependencies"]}
+    assert declared == {"numpy"}
+    assert _third_party_imports() == declared
+
+
+def test_cli_session_loads_no_scipy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _SESSION, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

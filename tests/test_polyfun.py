@@ -10,6 +10,8 @@ from bernseries import (
     GridSpec,
     PSI,
     Polynomial,
+    build_u_matrix,
+    compute_eigensystem,
     deflate_by_psi,
     jacobi11,
     limit_eigenpoly,
@@ -19,6 +21,7 @@ from bernseries import (
     psi_values,
     sup_norm,
 )
+from bernseries.polyfun import _solve_upper
 
 
 class TestPolynomial:
@@ -119,6 +122,28 @@ class TestWeight:
         p = PSI * h
         noisy = Polynomial(p.coeffs + np.array([1e-11, 0, 0, 0, 0]))
         deflate_by_psi(noisy)
+
+
+class TestSolveUpper:
+    def test_solves_the_system(self, rng):
+        U = np.triu(rng.uniform(-1, 1, (9, 9))) + 4.0 * np.eye(9)
+        b = rng.uniform(-1, 1, 9)
+        assert np.max(np.abs(U @ _solve_upper(U, b) - b)) < 1e-14
+
+    def test_bit_identical_to_lapack(self, rng):
+        linalg = pytest.importorskip("scipy.linalg")
+        for size in range(1, 65):
+            U = np.triu(rng.uniform(-1, 1, (size, size)))
+            U[np.diag_indices(size)] = rng.uniform(0.5, 2.0, size)
+            b = rng.uniform(-1, 1, size)
+            want = linalg.solve_triangular(U, b, lower=False)
+            assert np.array_equal(_solve_upper(U, b), want)
+        # the eigenbasis behind the dual solves, the worst conditioned
+        for n, rho in ((12, 0.3), (30, 1.7)):
+            basis = compute_eigensystem(build_u_matrix(n, rho)).basis
+            b = rng.uniform(-1, 1, n + 1)
+            want = linalg.solve_triangular(basis, b, lower=False)
+            assert np.array_equal(_solve_upper(basis, b), want)
 
 
 class TestJacobi:

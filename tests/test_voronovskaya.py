@@ -37,6 +37,9 @@ class TestContext:
         ctx = VoronovskayaContext(2.0)
         assert ctx.quad.alpha == 0.0 and ctx.quad.beta == 0.0
 
+    def test_default_rule_is_shared(self):
+        assert VoronovskayaContext(2.0).quad is VoronovskayaContext(0.5).quad
+
 
 class TestApplyARho:
     def test_weight_image(self):
