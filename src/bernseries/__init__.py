@@ -30,9 +30,7 @@ from .operators import (
     bernstein_basis,
     build_u_matrix,
     central_moment,
-    default_quad_size,
     functional_moment,
-    u_matrix_from_moments,
     u_matrix_leading_block,
     u_norm0,
 )
@@ -87,8 +85,8 @@ __all__ = [
     "psi_values", "sup_norm",
     "QUAD_TOL", "QuadratureRule", "UOperatorMatrix", "apply_F", "apply_U",
     "apply_U_poly", "bernstein", "bernstein_basis", "build_u_matrix",
-    "central_moment", "default_quad_size", "functional_moment",
-    "u_matrix_from_moments", "u_matrix_leading_block", "u_norm0",
+    "central_moment", "functional_moment", "u_matrix_leading_block",
+    "u_norm0",
     "EIGEN_N_CAP", "AsymptoticRecord", "EigenSystem",
     "asymptotic_report", "compute_eigensystem", "dual_coefficients",
     "eigenvalue", "limit_dual", "limit_eigenvalue",

@@ -21,10 +21,9 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from .polyfun import (
-    C0Function,
     FunctionHandle,
     GridSpec,
-    Polynomial,
+    _as_handle,
     omega,
     psi_values,
 )
@@ -49,20 +48,6 @@ DEFAULT_BOUND_GRID = GridSpec.uniform(129)
 # The admissibility threshold is often an exact integer (rho = 2 gives
 # n >= 7); a hair of float fuzz keeps those boundary cases inside.
 _ADMIT_FUZZ = 1e-9
-
-
-def _as_handle(h) -> FunctionHandle:
-    if isinstance(h, FunctionHandle):
-        return h
-    if isinstance(h, Polynomial):
-        return FunctionHandle.from_polynomial(h)
-    if isinstance(h, C0Function):
-        raise TypeError(
-            "pass the cofactor itself, not the wrapped pinned function"
-        )
-    if callable(h):
-        return FunctionHandle.from_callable(h)
-    raise TypeError("h must be a FunctionHandle, Polynomial, or callable")
 
 
 def epsilon_step(n: int, rho: float) -> float:

@@ -40,7 +40,22 @@ __all__ = ["ExperimentConfig", "run", "main"]
 
 OUT_DIR_ENV = "BERNSERIES_OUT_DIR"
 
-_COMMANDS = ("apply", "eigen", "series", "voronovskaya", "converge", "bound")
+# Subcommand name -> its help text, in the order ``--help`` lists them.
+_COMMANDS = {
+    "apply": "tabulate the operator image of f on the grid "
+             "(columns x, f_value, u_value)",
+    "eigen": "dump eigenvalues, eigenpolynomial coefficients, and "
+             "limit distances (columns j, lambda, gap, dist_limit, "
+             "coeffs)",
+    "series": "tabulate the summed operator series "
+              "(columns x, value; iteration summary)",
+    "voronovskaya": "tabulate the limit inverse and the residual "
+                    "(columns x, inverse_value, residual)",
+    "converge": "sweep the residual sup over n (columns n, rho, "
+                "sup_H, sup_rhs, iters)",
+    "bound": "check the quantitative residual bound (columns x, "
+             "lhs, rhs, margin; summary record)",
+}
 
 
 @dataclass
@@ -61,7 +76,6 @@ class ExperimentConfig:
     grid_kind: str = "uniform"
     grid_size: int = 129
     tol: float = 1e-9
-    quad_size: Optional[int] = None
     out_path: Optional[str] = None
     fmt: str = "csv"
 
@@ -89,12 +103,11 @@ class ExperimentConfig:
                 "a raw function spec (f=...) is only supported by apply; "
                 "give the cofactor instead (h=...)"
             )
-        if self.command in ("apply", "eigen", "series", "voronovskaya",
-                            "bound"):
+        if self.command != "converge":
             if len(self.n_list) != 1:
                 raise ValueError(f"{self.command} takes exactly one n")
-        if self.command != "converge" and len(self.rho_list) != 1:
-            raise ValueError(f"{self.command} takes exactly one rho")
+            if len(self.rho_list) != 1:
+                raise ValueError(f"{self.command} takes exactly one rho")
 
     def grid(self) -> GridSpec:
         if self.grid_kind == "uniform":
@@ -163,7 +176,7 @@ def _execute(cfg: ExperimentConfig):
             f = FunctionHandle.from_polynomial(
                 Polynomial([0.0, 1.0, -1.0]) * cfg.cofactor()
             )
-        uvals = apply_U(n, rho, f, pts, quad_size=cfg.quad_size)
+        uvals = apply_U(n, rho, f, pts)
         fvals = f(pts)
         rows = [[x, fv, uv] for x, fv, uv in zip(pts, fvals, uvals)]
         return ["x", "f_value", "u_value"], rows, {"n": n, "rho": rho}
@@ -309,22 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "apply": "tabulate the operator image of f on the grid "
-                 "(columns x, f_value, u_value)",
-        "eigen": "dump eigenvalues, eigenpolynomial coefficients, and "
-                 "limit distances (columns j, lambda, gap, dist_limit, "
-                 "coeffs)",
-        "series": "tabulate the summed operator series "
-                  "(columns x, value; iteration summary)",
-        "voronovskaya": "tabulate the limit inverse and the residual "
-                        "(columns x, inverse_value, residual)",
-        "converge": "sweep the residual sup over n (columns n, rho, "
-                    "sup_H, sup_rhs, iters)",
-        "bound": "check the quantitative residual bound (columns x, "
-                 "lhs, rhs, margin; summary record)",
-    }
-    for name, help_text in specs.items():
+    for name, help_text in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--n", required=True,
                        help="degree parameter; comma list for converge")
@@ -338,8 +336,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="uniform")
         p.add_argument("--tol", type=float, default=1e-9,
                        help="series truncation tolerance")
-        p.add_argument("--quad-size", type=int, default=None,
-                       help="quadrature nodes for apply")
         p.add_argument("--out", default=None,
                        help=f"output path (default <{OUT_DIR_ENV} or "
                             f".>/<command>.<format>)")
@@ -361,7 +357,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             grid_kind=args.grid,
             grid_size=args.grid_size,
             tol=args.tol,
-            quad_size=args.quad_size,
             out_path=args.out,
             fmt=args.format,
         )

@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -52,7 +51,6 @@ __all__ = [
     "bernstein",
     "central_moment",
     "u_norm0",
-    "default_quad_size",
 ]
 
 # Accuracy floor claimed for quadrature-exact paths throughout the
@@ -169,11 +167,6 @@ def _cached_beta_rule(alpha: float, beta: float, size: int) -> QuadratureRule:
         return QuadratureRule(1.0 - m.nodes[::-1], m.weights[::-1],
                               alpha, beta)
     return QuadratureRule.beta_rule(alpha, beta, size)
-
-
-def default_quad_size(n: int) -> int:
-    """Node count exact on every polynomial path the matrices cover."""
-    return max(20, n + 5)
 
 
 def functional_moment(n: int, k: int, rho: float, m: int) -> float:
@@ -295,37 +288,6 @@ def build_u_matrix(n: int, rho: float) -> UOperatorMatrix:
     return UOperatorMatrix(n, float(rho), u_matrix_leading_block(n, rho, n))
 
 
-def u_matrix_from_moments(n: int, rho: float) -> np.ndarray:
-    """Direct matrix assembly from moments and basis conversion.
-
-    Column m sums functional moments times the monomial expansion of
-    the Bernstein basis plus the endpoint terms. The alternating basis
-    conversion loses roughly a digit of the diagonal per five rows of
-    n, so this route serves as an independent cross-check at moderate n
-    rather than as the production builder.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > DEGREE_CAP:
-        raise ValueError(f"n={n} exceeds the degree cap {DEGREE_CAP}")
-    # Monomial coefficients of each Bernstein basis polynomial:
-    # p_{n,k} = C(n,k) x^k (1-x)^{n-k} expanded by the binomial theorem.
-    conv = np.zeros((n + 1, n + 1))
-    for k in range(n + 1):
-        base = math.comb(n, k)
-        for i in range(n - k + 1):
-            conv[k + i, k] = base * math.comb(n - k, i) * (-1) ** i
-    M = np.zeros((n + 1, n + 1))
-    for m in range(n + 1):
-        fvals = np.zeros(n + 1)
-        fvals[0] = 1.0 if m == 0 else 0.0
-        fvals[n] = 1.0
-        for k in range(1, n):
-            fvals[k] = functional_moment(n, k, rho, m)
-        M[:, m] = conv @ fvals
-    return M
-
-
 def apply_U_poly(mat: UOperatorMatrix, p: Polynomial) -> Polynomial:
     """Exact image of a polynomial of degree at most n."""
     if p.degree > mat.n:
@@ -353,29 +315,37 @@ def bernstein_basis(n: int, x) -> np.ndarray:
     return b
 
 
-def apply_U(n: int, rho: float, f: FunctionHandle, x,
-            quad_size: Optional[int] = None):
+def _interior_values(n: int, rho: float, f: FunctionHandle) -> np.ndarray:
+    """The n - 1 interior functional values F_1 f .. F_{n-1} f.
+
+    Node k averages against the Beta weight with exponents
+    (k rho - 1, (n-k) rho - 1), by a Gauss rule of max(20, n + 5)
+    nodes: exact on every polynomial of degree the matrices span.
+    """
+    size = max(20, n + 5)
+    vals = np.empty(n - 1)
+    for k in range(1, n):
+        rule = _cached_beta_rule(k * rho - 1.0, (n - k) * rho - 1.0, size)
+        vals[k - 1] = apply_F(n, k, rho, f, rule)
+    return vals
+
+
+def apply_U(n: int, rho: float, f: FunctionHandle, x):
     """Pointwise operator value on a generic function.
 
-    Interior functionals are evaluated by Beta-weight Gauss rules of
-    the given size (default covers every polynomial of degree the
-    matrices span), then blended with the Bernstein basis at x together
-    with the endpoint interpolation terms. Exact to quadrature accuracy
-    on polynomials of degree at most 2 * quad_size - 1.
+    Interior functionals are evaluated by Beta-weight Gauss rules sized
+    to be exact on every polynomial of degree the matrices span, then
+    blended with the Bernstein basis at x together with the endpoint
+    interpolation terms.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if rho <= 0:
         raise ValueError("rho must be positive")
-    if quad_size is None:
-        quad_size = default_quad_size(n)
-    if quad_size < 2:
-        raise ValueError("quad_size must be at least 2")
     basis = bernstein_basis(n, x)
     val = f(0.0) * basis[0] + f(1.0) * basis[n]
-    for k in range(1, n):
-        rule = _cached_beta_rule(k * rho - 1.0, (n - k) * rho - 1.0, quad_size)
-        val = val + apply_F(n, k, rho, f, rule) * basis[k]
+    for k, fk in enumerate(_interior_values(n, rho, f), start=1):
+        val = val + fk * basis[k]
     val = np.asarray(val, dtype=float)
     return float(val) if val.ndim == 0 else val
 

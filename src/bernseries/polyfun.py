@@ -22,7 +22,6 @@ from numpy.polynomial import polynomial as npoly
 
 __all__ = [
     "DEGREE_CAP",
-    "ENDPOINT_TOL",
     "Polynomial",
     "FunctionHandle",
     "C0Function",
@@ -33,7 +32,6 @@ __all__ = [
     "poly_eval",
     "poly_calculus",
     "deflate_by_psi",
-    "require_pinned",
     "jacobi11",
     "limit_eigenpoly",
     "sup_norm",
@@ -247,6 +245,25 @@ class GridSpec:
 DEFAULT_SUP_GRID = GridSpec.chebyshev(257)
 
 
+def _as_handle(h) -> FunctionHandle:
+    """The cofactor h as a FunctionHandle.
+
+    A C0Function is callable but stands for x(1-x) h, not for h, so it
+    is rejected rather than wrapped.
+    """
+    if isinstance(h, FunctionHandle):
+        return h
+    if isinstance(h, Polynomial):
+        return FunctionHandle.from_polynomial(h)
+    if isinstance(h, C0Function):
+        raise TypeError(
+            "pass the cofactor itself, not the wrapped pinned function"
+        )
+    if callable(h):
+        return FunctionHandle.from_callable(h)
+    raise TypeError("h must be a FunctionHandle, Polynomial, or callable")
+
+
 class C0Function:
     """A function f = x(1-x) h stored through its cofactor h.
 
@@ -257,13 +274,7 @@ class C0Function:
 
     def __init__(self, h, norm_grid: Optional[GridSpec] = None,
                  norm0: Optional[float] = None):
-        if isinstance(h, Polynomial):
-            h = FunctionHandle.from_polynomial(h)
-        elif callable(h) and not isinstance(h, FunctionHandle):
-            h = FunctionHandle.from_callable(h)
-        if not isinstance(h, FunctionHandle):
-            raise TypeError("h must be a FunctionHandle, Polynomial, or callable")
-        self.h = h
+        self.h = _as_handle(h)
         self._norm_grid = norm_grid or DEFAULT_SUP_GRID
         if norm0 is not None:
             self.norm0 = float(norm0)
@@ -276,12 +287,6 @@ class C0Function:
         return psi_values(x) * self.h(x)
 
     __call__ = value
-
-    def as_polynomial(self) -> Polynomial:
-        """The represented function itself, available on the exact path."""
-        if self.h.poly is None:
-            raise ValueError("cofactor carries no exact coefficients")
-        return PSI * self.h.poly
 
     @classmethod
     def from_pinned_polynomial(cls, p: Polynomial,

@@ -29,17 +29,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .polyfun import (
     DEGREE_CAP,
-    DEFAULT_SUP_GRID,
     C0Function,
     FunctionHandle,
-    GridSpec,
     Polynomial,
     _solve_upper,
     deflate_by_psi,
@@ -47,11 +45,9 @@ from .polyfun import (
     require_pinned,
 )
 from .operators import (
-    _cached_beta_rule,
-    apply_F,
+    _interior_values,
     bernstein_basis,
     build_u_matrix,
-    default_quad_size,
     u_matrix_leading_block,
     u_norm0,
 )
@@ -69,7 +65,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SeriesConfig:
-    """Truncation control for the operator series.
+    """Truncation tolerance of the operator series.
 
     ``tol`` sets the a priori truncation count reported with each sum:
     the smallest number of operator applications whose dropped tail is
@@ -77,7 +73,6 @@ class SeriesConfig:
     """
 
     tol: float = 1e-9
-    grid: GridSpec = field(default_factory=lambda: DEFAULT_SUP_GRID)
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -89,12 +84,12 @@ class SeriesResult(C0Function):
 
     ``iterations`` is the a priori truncation count K for the
     configured tolerance and ``tail_bound`` the sup bound on the terms
-    past it; neither measures work performed.
+    past it; neither measures work performed. ``norm0`` is estimated on
+    the default sup grid on first read.
     """
 
-    def __init__(self, h, iterations: int, tail_bound: float,
-                 norm_grid: Optional[GridSpec] = None):
-        super().__init__(h, norm_grid=norm_grid)
+    def __init__(self, h, iterations: int, tail_bound: float):
+        super().__init__(h)
         self.iterations = int(iterations)
         self.tail_bound = float(tail_bound)
 
@@ -166,17 +161,12 @@ def _first_vector_poly(n: int, rho: float, h: Polynomial) -> np.ndarray:
 def _first_vector_generic(n: int, rho: float, f: C0Function) -> np.ndarray:
     """Quadrature form of the first vector for inputs without coefficients.
 
-    The Beta rules come from the cache ``apply_U`` uses, so both share
-    the rules of one (n, rho).
+    The interior functional values are the ones ``apply_U`` blends, so
+    both share the Beta rules of one (n, rho).
     """
-    quad_size = default_quad_size(n)
     handle = FunctionHandle.from_callable(f.value)
-    g0 = np.empty(n - 1)
-    for k in range(1, n):
-        rule = _cached_beta_rule(k * rho - 1.0, (n - k) * rho - 1.0, quad_size)
-        factor = n * (n - 1.0) / (k * (n - k))
-        g0[k - 1] = factor * apply_F(n, k, rho, handle, rule)
-    return g0
+    k = np.arange(1, n)
+    return n * (n - 1.0) / (k * (n - k)) * _interior_values(n, rho, handle)
 
 
 def _sum_monomial(n: int, rho: float, h: Polynomial,
@@ -230,14 +220,14 @@ def apply_series(n: int, rho: float, f: C0Function,
             h_out = f.h.poly * scale
         else:
             h_out = lambda x, _h=f.h, _s=scale: _s * np.asarray(_h(x))
-        return SeriesResult(h_out, 0, 0.0, norm_grid=cfg.grid)
+        return SeriesResult(h_out, 0, 0.0)
     q = u_norm0(n, rho)
     K = _truncation_count(q, scale, f.norm0, cfg)
     tail = scale * f.norm0 * q ** (K + 1) / (1.0 - q)
     hp = f.h.poly
     if hp is not None and hp.degree + 2 <= min(n, DEGREE_CAP):
         h_out = _sum_monomial(n, rho, hp, scale)
-        return SeriesResult(h_out, K, tail, norm_grid=cfg.grid)
+        return SeriesResult(h_out, K, tail)
     W = _cofactor_transfer(n, rho)
     if hp is not None:
         g0 = _first_vector_poly(n, rho, hp)
@@ -245,7 +235,7 @@ def apply_series(n: int, rho: float, f: C0Function,
         g0 = _first_vector_generic(n, rho, f)
     acc = np.linalg.solve(np.eye(n - 1) - W, g0)
     h_out = _weighted_bernstein_closure(f.h, acc, n - 2, scale)
-    return SeriesResult(h_out, K, tail, norm_grid=cfg.grid)
+    return SeriesResult(h_out, K, tail)
 
 
 def apply_series_poly(n: int, rho: float, p: Polynomial) -> Polynomial:
@@ -300,7 +290,7 @@ def apply_series_bernstein(n: int, f: C0Function,
     if n == 1:
         # Scale 1, image zero on the pinned space: the series is the
         # identity here.
-        return SeriesResult(f.h, 0, 0.0, norm_grid=cfg.grid)
+        return SeriesResult(f.h, 0, 0.0)
     scale = 1.0 / n
     q = (n - 1.0) / n
     K = _truncation_count(q, scale, f.norm0, cfg)
@@ -310,7 +300,7 @@ def apply_series_bernstein(n: int, f: C0Function,
     WB = q * bernstein_basis(n - 2, nodes).T
     acc = np.linalg.solve(np.eye(n - 1) - WB, g0)
     h_out = _weighted_bernstein_closure(f.h, acc, n - 2, scale)
-    return SeriesResult(h_out, K, tail, norm_grid=cfg.grid)
+    return SeriesResult(h_out, K, tail)
 
 
 def poly_limit(p: Polynomial, rho: float) -> Polynomial:

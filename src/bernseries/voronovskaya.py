@@ -178,7 +178,7 @@ def _residual_profile(n: int, rho: float, h, x,
                       cfg: Optional[SeriesConfig] = None):
     """Series-minus-limit values and the iteration count behind them."""
     cfg = cfg or SeriesConfig()
-    f = h if isinstance(h, C0Function) else C0Function(h, norm_grid=cfg.grid)
+    f = h if isinstance(h, C0Function) else C0Function(h)
     summed = apply_series(n, rho, f, cfg)
     ctx = VoronovskayaContext(rho)
     xs = np.atleast_1d(np.asarray(x, dtype=float))

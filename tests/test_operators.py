@@ -19,11 +19,9 @@ from bernseries import (
     bernstein_basis,
     build_u_matrix,
     central_moment,
-    default_quad_size,
     eigenvalue,
     functional_moment,
     poly_eval,
-    u_matrix_from_moments,
     u_matrix_leading_block,
     u_norm0,
 )
@@ -97,7 +95,7 @@ class TestQuadratureRule:
         for n in (5, 16, 33, 64):
             for rho in (0.1, 1.0, 10.0):
                 shapes += [(k * rho - 1.0, (n - k) * rho - 1.0,
-                            default_quad_size(n)) for k in range(1, n // 2 + 1)]
+                            max(20, n + 5)) for k in range(1, n // 2 + 1)]
         for alpha, beta, size in shapes:
             q = QuadratureRule.beta_rule(alpha, beta, size)
             nodes, weights = tridiagonal_rule(alpha, beta, size)
@@ -195,6 +193,32 @@ class TestApplyF:
             apply_F(3, 1, 1.0, f, q)  # wants exponents (0, 1)
 
 
+def _u_matrix_from_moments(n, rho):
+    """Direct matrix assembly from moments and basis conversion.
+
+    Column m sums functional moments times the monomial expansion of
+    the Bernstein basis plus the endpoint terms. The alternating basis
+    conversion loses roughly a digit of the diagonal per five rows of
+    n, so this route serves as an independent oracle at small n only.
+    """
+    # Monomial coefficients of each Bernstein basis polynomial:
+    # p_{n,k} = C(n,k) x^k (1-x)^{n-k} expanded by the binomial theorem.
+    conv = np.zeros((n + 1, n + 1))
+    for k in range(n + 1):
+        base = math.comb(n, k)
+        for i in range(n - k + 1):
+            conv[k + i, k] = base * math.comb(n - k, i) * (-1) ** i
+    M = np.zeros((n + 1, n + 1))
+    for m in range(n + 1):
+        fvals = np.zeros(n + 1)
+        fvals[0] = 1.0 if m == 0 else 0.0
+        fvals[n] = 1.0
+        for k in range(1, n):
+            fvals[k] = functional_moment(n, k, rho, m)
+        M[:, m] = conv @ fvals
+    return M
+
+
 class TestOperatorMatrix:
     def test_columns_zero_one_exact(self):
         for n, rho in ((2, 1.0), (12, 0.3), (30, 10.0)):
@@ -233,7 +257,7 @@ class TestOperatorMatrix:
         for n in (4, 8, 12):
             for rho in (0.1, 0.5, 1.0, 2.0, 10.0):
                 A = build_u_matrix(n, rho).M
-                B = u_matrix_from_moments(n, rho)
+                B = _u_matrix_from_moments(n, rho)
                 assert np.max(np.abs(A - B)) < 1e-10
 
     def test_constructor_validates(self):
@@ -307,22 +331,24 @@ class TestApplyU:
         assert isinstance(v, float)
         assert abs(v - vs[0]) == 0.0
 
-    @pytest.mark.parametrize("n", [20, 21])
+    @pytest.mark.parametrize("n", [8, 20, 21])
     def test_cold_call_builds_half_the_rules(self, n, monkeypatch):
         # nodes k and n - k share one rule; rho is used nowhere else,
-        # so every rule of the call is cold
+        # so every rule of the call is cold. Rules have n + 5 nodes,
+        # and no fewer than 20.
         built = []
         original = QuadratureRule.beta_rule.__func__
 
         def counting(cls, alpha, beta, size):
-            built.append((alpha, beta))
+            built.append((alpha, beta, size))
             return original(cls, alpha, beta, size)
 
         monkeypatch.setattr(QuadratureRule, "beta_rule", classmethod(counting))
         apply_U(n, 0.8125 + n / 1024, FunctionHandle.from_callable(np.cos),
                 0.3)
         assert len(built) == n // 2
-        assert all(alpha <= beta for alpha, beta in built)
+        assert all(alpha <= beta for alpha, beta, _ in built)
+        assert {size for _, _, size in built} == {max(20, n + 5)}
 
     @pytest.mark.parametrize("n", [80, 128])
     def test_weight_underflow_still_raises(self, n):
@@ -429,7 +455,3 @@ class TestNormAndSizes:
     def test_u_norm0_equals_second_eigenvalue(self):
         for n, rho in ((2, 0.5), (17, 3.0), (30, 0.1)):
             assert abs(u_norm0(n, rho) - eigenvalue(n, rho, 2)) < 1e-16
-
-    def test_default_quad_size(self):
-        assert default_quad_size(4) == 20
-        assert default_quad_size(40) == 45

@@ -1,6 +1,8 @@
-"""Third-party dependencies: what the package imports is what it declares."""
+"""Packaging: what the package imports is what it declares, and what it
+exports is what its modules export."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -61,3 +63,17 @@ def test_cli_session_loads_no_scipy(tmp_path):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_package_exports_match_the_modules():
+    # the package re-exports exactly the public names of its library
+    # modules; the command-line module `cli` is not re-exported
+    import bernseries
+    assert [name for name in bernseries.__all__
+            if not hasattr(bernseries, name)] == []
+    union = {"__version__"}
+    for path in PACKAGE.glob("*.py"):
+        if path.stem not in ("__init__", "cli"):
+            module = importlib.import_module(f"bernseries.{path.stem}")
+            union.update(module.__all__)
+    assert sorted(bernseries.__all__) == sorted(union)

@@ -327,10 +327,6 @@ class TestC0Function:
         assert np.array_equal(f(xs), psi_values(xs))
         assert f.norm0 == 1.0
 
-    def test_as_polynomial(self):
-        f = C0Function(Polynomial([0.0, 1.0]))
-        assert np.array_equal(f.as_polynomial().coeffs, [0.0, 0.0, 1.0, -1.0])
-
     def test_from_pinned_polynomial(self):
         f = C0Function.from_pinned_polynomial(Polynomial([0.0, -1.0, 0.0, 1.0]))
         assert np.array_equal(f.h.poly.coeffs, [-1.0, -1.0])
@@ -355,7 +351,8 @@ class TestC0Function:
         f = C0Function(lambda x: np.cos(5.0 * x), norm0=1.0)
         assert f.norm0 == 1.0 and isinstance(f.norm0, float)
 
-    def test_generic_cofactor_has_no_exact_form(self):
-        f = C0Function(lambda x: np.exp(x))
-        with pytest.raises(ValueError):
-            f.as_polynomial()
+    def test_wrapped_function_rejected_as_cofactor(self):
+        # a C0Function is callable, but it stands for x(1-x) h: wrapping
+        # it again would square the weight
+        with pytest.raises(TypeError, match="cofactor itself"):
+            C0Function(C0Function(Polynomial([1.0])))

@@ -9,7 +9,6 @@ from bernseries import (
     PSI,
     C0Function,
     FunctionHandle,
-    GridSpec,
     Polynomial,
     SeriesConfig,
     SeriesResult,
@@ -77,17 +76,16 @@ class TestApplySeries:
 
     def test_result_norm_is_lazy(self, monkeypatch):
         from bernseries import polyfun
-        cfg = SeriesConfig(grid=GridSpec.uniform(65))
         f = C0Function(lambda x: np.exp(x) * np.sin(4.0 * x))
         f.norm0
         calls = []
         real = polyfun.sup_norm
         monkeypatch.setattr(polyfun, "sup_norm",
                             lambda *a: calls.append(a) or real(*a))
-        res = apply_series(64, 1.0, f, cfg)
+        res = apply_series(64, 1.0, f)
         assert calls == []
-        assert res.norm0 == real(res.h, cfg.grid)
-        assert res.norm0 == real(res.h, cfg.grid)
+        assert res.norm0 == real(res.h)
+        assert res.norm0 == real(res.h)
         assert len(calls) == 1
 
     def test_single_node_collapses(self):
