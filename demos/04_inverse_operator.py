@@ -14,10 +14,8 @@ from bernseries import (
     PSI,
     C0Function,
     Polynomial,
-    VoronovskayaContext,
     apply_A_rho,
     f_infty_polynomial,
-    inverse_neg,
     inverse_neg_polynomial,
     inverse_norm_check,
     poly_eval,
@@ -25,24 +23,23 @@ from bernseries import (
 )
 
 rho = 1.0
-ctx = VoronovskayaContext(rho)
 xs = np.linspace(0, 1, 9)
 
 # The operator acts as (rho+1)/(2 rho) Psi y'' on pinned polynomials.
 y = PSI * Polynomial([1.0, 1.0])
-img = apply_A_rho(ctx, y)
+img = apply_A_rho(rho, y)
 print("image of a pinned cubic:")
 print(np.array2string(img(xs), precision=6))
 
 # The negated inverse is an integral against an explicit kernel; on
 # polynomial input the antiderivatives are formed exactly.
 f = C0Function(Polynomial([1.0, 1.0]))
-F = inverse_neg_polynomial(ctx, f)
+F = inverse_neg_polynomial(rho, f)
 print(f"\nnegated inverse coefficients:\n{F.coeffs}")
 
 # Round trip: applying the differential operator to the inverse image
 # returns the negated input.
-back = apply_A_rho(ctx, F)
+back = apply_A_rho(rho, F)
 err = np.max(np.abs(back(xs) + poly_eval(PSI * Polynomial([1.0, 1.0]), xs)))
 print(f"round-trip error: {err:.2e}")
 
@@ -56,7 +53,7 @@ print(f"second-derivative identity residual: "
 
 # The inverse is bounded with an explicit constant, attained by the
 # weight function at the midpoint.
-lhs, rhs = inverse_norm_check(ctx, C0Function(Polynomial([1.0])))
+lhs, rhs = inverse_norm_check(rho, C0Function(Polynomial([1.0])))
 print(f"\nnorm bound: observed {lhs:.10f} vs guaranteed {rhs:.10f}")
 
 # The residual between the finite-n series sum and the limit inverse

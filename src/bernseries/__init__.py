@@ -54,7 +54,6 @@ from .series import (
     poly_limit,
 )
 from .voronovskaya import (
-    VoronovskayaContext,
     apply_A_rho,
     f_infty,
     f_infty_polynomial,
@@ -92,9 +91,8 @@ __all__ = [
     "eigenvalue", "limit_dual", "limit_eigenvalue",
     "SeriesConfig", "SeriesResult", "apply_series",
     "apply_series_bernstein", "apply_series_poly", "poly_limit",
-    "VoronovskayaContext", "apply_A_rho", "f_infty", "f_infty_polynomial",
-    "inverse_neg", "inverse_neg_polynomial", "inverse_norm_check",
-    "residual_H",
+    "apply_A_rho", "f_infty", "f_infty_polynomial", "inverse_neg",
+    "inverse_neg_polynomial", "inverse_norm_check", "residual_H",
     "DEFAULT_BOUND_GRID", "BoundReport", "ConvergenceRecord",
     "admissible_n", "bernstein_limit_rhs", "check_bound",
     "convergence_table", "epsilon_step", "theorem52_rhs",

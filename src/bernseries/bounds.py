@@ -27,7 +27,7 @@ from .polyfun import (
     omega,
     psi_values,
 )
-from .operators import QUAD_TOL
+from .operators import QUAD_TOL, _require_rho
 from .series import SeriesConfig
 from .voronovskaya import _residual_profile
 
@@ -52,8 +52,7 @@ _ADMIT_FUZZ = 1e-9
 
 def epsilon_step(n: int, rho: float) -> float:
     """Modulus step sqrt((rho + 2) / (n rho + 2))."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    _require_rho(rho)
     if n < 1:
         raise ValueError("n must be at least 1")
     return math.sqrt((rho + 2.0) / (n * rho + 2.0))
@@ -61,8 +60,7 @@ def epsilon_step(n: int, rho: float) -> float:
 
 def admissible_n(n: int, rho: float) -> bool:
     """Whether n clears (4 rho + 6) / rho, i.e. the step is <= 1/2."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    _require_rho(rho)
     return n + _ADMIT_FUZZ >= (4.0 * rho + 6.0) / rho
 
 
@@ -104,8 +102,9 @@ class BoundReport:
     """Per-point residual profile against the bound profile.
 
     ``margin`` is the grid minimum of rhs - lhs; the check passes when
-    it stays above minus the slack, which covers series truncation and
-    the grid underestimation of the moduli.
+    it stays above minus the slack, the series tolerance plus ten times
+    the quadrature tolerance, which covers series truncation and the
+    grid underestimation of the moduli.
     """
 
     n: int
@@ -130,20 +129,19 @@ class BoundReport:
 
 def check_bound(h, n: int, rho: float,
                 grid: Optional[GridSpec] = None,
-                slack: Optional[float] = None,
                 config: Optional[SeriesConfig] = None) -> BoundReport:
     """Evaluate residual and bound over a grid and compare.
 
-    The default slack adds the series tolerance and ten times the
-    quadrature tolerance on the bound side; a violation beyond that is
-    a genuine one.
+    The slack adds the series tolerance and ten times the quadrature
+    tolerance on the bound side; a violation beyond that is a genuine
+    one.
     """
+    _require_rho(rho)
     handle = _as_handle(h)
     if grid is None:
         grid = DEFAULT_BOUND_GRID
     cfg = config or SeriesConfig()
-    if slack is None:
-        slack = cfg.tol + 10.0 * QUAD_TOL
+    slack = cfg.tol + 10.0 * QUAD_TOL
     vals, iters = _residual_profile(n, rho, handle, grid.points, cfg)
     lhs = np.abs(vals)
     rhs = theorem52_rhs(handle, n, rho, grid.points, grid)
@@ -151,7 +149,7 @@ def check_bound(h, n: int, rho: float,
     return BoundReport(
         n=int(n), rho=float(rho), epsilon=epsilon_step(n, rho),
         grid=grid, lhs=lhs, rhs=rhs, margin=margin,
-        satisfied=bool(margin >= -slack), slack=float(slack),
+        satisfied=bool(margin >= -slack), slack=slack,
         iterations=int(iters),
     )
 
@@ -190,6 +188,7 @@ def convergence_table(h, rho: float, n_list: Iterable[int],
     sup but carry NaN in the bound column, since the bound is not
     asserted there.
     """
+    _require_rho(rho)
     handle = _as_handle(h)
     if grid is None:
         grid = DEFAULT_BOUND_GRID

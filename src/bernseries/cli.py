@@ -28,11 +28,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .polyfun import C0Function, FunctionHandle, GridSpec, Polynomial, poly_eval
-from .operators import apply_U, build_u_matrix
+from .operators import _require_rho, apply_U, build_u_matrix
 from .eigen import compute_eigensystem, limit_eigenvalue
 from .polyfun import limit_eigenpoly
 from .series import SeriesConfig, apply_series
-from .voronovskaya import VoronovskayaContext, inverse_neg, residual_H
+from .voronovskaya import inverse_neg, residual_H
 from .bounds import check_bound, convergence_table
 from .corpus import corpus_entry
 
@@ -88,8 +88,8 @@ class ExperimentConfig:
             raise ValueError("n values must be positive")
         if not self.rho_list:
             raise ValueError("at least one rho value is required")
-        if any(r <= 0 for r in self.rho_list):
-            raise ValueError("rho values must be positive")
+        for rho in self.rho_list:
+            _require_rho(rho)
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.fmt not in ("csv", "json"):
@@ -210,8 +210,7 @@ def _execute(cfg: ExperimentConfig):
         n, rho = cfg.n_list[0], cfg.rho_list[0]
         h = cfg.cofactor()
         f = C0Function(h)
-        ctx = VoronovskayaContext(rho)
-        inv = inverse_neg(ctx, f, pts)
+        inv = inverse_neg(rho, f, pts)
         resid = residual_H(n, rho, h, pts, SeriesConfig(tol=cfg.tol))
         rows = [[x, iv, rv] for x, iv, rv in zip(pts, inv, resid)]
         return (["x", "inverse_value", "residual"], rows,

@@ -24,7 +24,6 @@ from typing import Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from .polyfun import (
-    DEGREE_CAP,
     DEFAULT_SUP_GRID,
     FunctionHandle,
     GridSpec,
@@ -35,9 +34,9 @@ from .polyfun import (
     poly_eval,
 )
 from .operators import (
-    QuadratureRule,
     UOperatorMatrix,
     _cached_beta_rule,
+    _require_rho,
     u_matrix_leading_block,
 )
 
@@ -65,8 +64,7 @@ def eigenvalue(n: int, rho: float, j: int) -> float:
     Indices 0 and 1 give exactly one; the sequence is strictly
     decreasing from index one on and stays in (0, 1].
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    _require_rho(rho)
     if not 0 <= j <= n:
         raise ValueError(f"index {j} outside 0..{n}")
     v = 1.0
@@ -170,23 +168,21 @@ def dual_coefficients(sys: EigenSystem, p: Polynomial) -> np.ndarray:
 
 def limit_eigenvalue(rho: float, j: int) -> float:
     """Scaled eigenvalue slope in the limit: -(rho+1)/(2 rho) (j-1) j."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    _require_rho(rho)
     if j < 0:
         raise ValueError("index must be nonnegative")
     return -((rho + 1.0) / (2.0 * rho)) * (j - 1.0) * j
 
 
-def limit_dual(j: int, f: FunctionHandle,
-               quad: Optional[QuadratureRule] = None) -> float:
+def limit_dual(j: int, f: FunctionHandle) -> float:
     """Limit dual functional of index j applied to f.
 
     Index 0 averages the endpoint values, index 1 takes their
     difference. Higher indices combine the endpoint values with the
     integral of f against the degree-(j-2) Jacobi(1,1) polynomial
     rescaled to [0, 1], weighted by a central binomial factor. The
-    integral uses the supplied Legendre-type rule, or a rule sized to
-    be exact when f carries polynomial coefficients.
+    integral uses a Legendre rule, sized to be exact when f carries
+    polynomial coefficients and of 64 nodes otherwise.
     """
     if j < 0:
         raise ValueError("index must be nonnegative")
@@ -194,14 +190,11 @@ def limit_dual(j: int, f: FunctionHandle,
         return 0.5 * (f(0.0) + f(1.0))
     if j == 1:
         return f(1.0) - f(0.0)
-    if quad is None:
-        if f.poly is not None:
-            size = max(20, (f.poly.degree + j - 2) // 2 + 1)
-        else:
-            size = 64
-        quad = _cached_beta_rule(0.0, 0.0, size)
-    elif abs(quad.alpha) > 1e-14 or abs(quad.beta) > 1e-14:
-        raise ValueError("the integral needs a flat-weight (Legendre) rule")
+    if f.poly is not None:
+        size = max(20, (f.poly.degree + j - 2) // 2 + 1)
+    else:
+        size = 64
+    quad = _cached_beta_rule(0.0, 0.0, size)
     core = jacobi11(j - 2)
     integral = quad.integrate(
         lambda t: np.asarray(f(t)) * poly_eval(core, 2.0 * t - 1.0)
@@ -234,8 +227,7 @@ def asymptotic_report(rho: float, j: int, n_list: Iterable[int],
     Leading blocks of the operator matrix keep this cheap for n far
     beyond the full-matrix cap.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    _require_rho(rho)
     if j < 0:
         raise ValueError("index must be nonnegative")
     if grid is None:

@@ -34,7 +34,6 @@ from .polyfun import (
     DEGREE_CAP,
     FunctionHandle,
     Polynomial,
-    psi_values,
 )
 
 __all__ = [
@@ -56,6 +55,12 @@ __all__ = [
 # Accuracy floor claimed for quadrature-exact paths throughout the
 # package; slack computations elsewhere reference this constant.
 QUAD_TOL = 1e-10
+
+
+def _require_rho(rho) -> None:
+    """Reject rho outside (0, inf), NaN included, naming the parameter."""
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho}")
 
 
 def _beta_raw_moment(alpha: float, beta: float, m: int) -> float:
@@ -177,8 +182,7 @@ def functional_moment(n: int, k: int, rho: float, m: int) -> float:
     """
     if not 1 <= k <= n - 1:
         raise ValueError(f"node index {k} outside 1..{n - 1}")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    _require_rho(rho)
     if m < 0:
         raise ValueError("moment order must be nonnegative")
     i = np.arange(m, dtype=float)
@@ -195,6 +199,7 @@ def apply_F(n: int, k: int, rho: float, f: FunctionHandle,
     """
     if not 1 <= k <= n - 1:
         raise ValueError(f"node index {k} outside 1..{n - 1}")
+    _require_rho(rho)
     want_alpha = k * rho - 1.0
     want_beta = (n - k) * rho - 1.0
     tol_a = 1e-12 * max(1.0, abs(want_alpha))
@@ -216,8 +221,7 @@ def u_matrix_leading_block(n: int, rho: float, d: int) -> np.ndarray:
     working precision and the constant coefficient of every column
     beyond the first at exactly zero.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    _require_rho(rho)
     if d < 0 or d > n:
         raise ValueError("block size must satisfy 0 <= d <= n")
     if d > DEGREE_CAP:
@@ -260,6 +264,7 @@ class UOperatorMatrix:
     M: np.ndarray
 
     def __post_init__(self):
+        _require_rho(self.rho)
         M = np.asarray(self.M, dtype=float)
         if M.shape != (self.n + 1, self.n + 1):
             raise ValueError("matrix shape must be (n+1, n+1)")
@@ -283,8 +288,7 @@ def build_u_matrix(n: int, rho: float) -> UOperatorMatrix:
         raise ValueError("n must be at least 1")
     if n > DEGREE_CAP:
         raise ValueError(f"n={n} exceeds the degree cap {DEGREE_CAP}")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    _require_rho(rho)
     return UOperatorMatrix(n, float(rho), u_matrix_leading_block(n, rho, n))
 
 
@@ -340,8 +344,7 @@ def apply_U(n: int, rho: float, f: FunctionHandle, x):
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    _require_rho(rho)
     basis = bernstein_basis(n, x)
     val = f(0.0) * basis[0] + f(1.0) * basis[n]
     for k, fk in enumerate(_interior_values(n, rho, f), start=1):
@@ -407,8 +410,7 @@ def central_moment(n: int, rho: float, y: float, r: int) -> float:
     """Closed forms of the centered operator moments up to order four."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    _require_rho(rho)
     if not -1e-12 <= y <= 1.0 + 1e-12:
         raise ValueError("y must lie in [0, 1]")
     if not 0 <= r <= 4:
@@ -434,6 +436,5 @@ def u_norm0(n: int, rho: float) -> float:
     """Operator norm on the pinned space: (n-1) rho / (n rho + 1)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    _require_rho(rho)
     return (n - 1.0) * rho / (n * rho + 1.0)

@@ -154,49 +154,32 @@ def psi_values(x):
 class FunctionHandle:
     """Evaluation oracle on [0, 1], optionally carrying exact coefficients.
 
-    ``kind`` is "polynomial" when the handle wraps a Polynomial (exact
-    code paths become available downstream) and "generic" otherwise.
-    Callables must accept numpy arrays and evaluate elementwise.
+    A handle built from a Polynomial keeps it in ``poly``, which makes
+    the exact code paths downstream available; a handle built from a
+    callable has ``poly`` None. Callables must accept numpy arrays and
+    evaluate elementwise.
     """
 
     __slots__ = ("_fn", "poly")
 
     def __init__(self, fn: Optional[Callable] = None,
                  poly: Optional[Polynomial] = None):
-        if fn is None and poly is None:
-            raise ValueError("a callable or a Polynomial is required")
+        if (fn is None) == (poly is None):
+            raise ValueError("give exactly one of a callable and a Polynomial")
         if poly is not None and not isinstance(poly, Polynomial):
             raise TypeError("poly must be a Polynomial")
         self.poly = poly
         if fn is None:
-            self._fn = lambda x, _p=poly: poly_eval(_p, x)
-        else:
-            self._fn = fn
-            if poly is not None:
-                # A handle tagged polynomial must agree with its
-                # coefficients; probe a few points to enforce that.
-                probe = np.array([0.0, 0.31, 0.5, 0.77, 1.0])
-                got = np.asarray(fn(probe), dtype=float)
-                want = poly_eval(poly, probe)
-                scale = max(1.0, float(np.max(np.abs(want))))
-                if np.max(np.abs(got - want)) > 1e-12 * scale:
-                    raise ValueError(
-                        "callable disagrees with the attached polynomial"
-                    )
+            fn = lambda x, _p=poly: poly_eval(_p, x)
+        self._fn = fn
 
     @classmethod
     def from_polynomial(cls, p: Polynomial) -> "FunctionHandle":
         return cls(poly=p)
 
     @classmethod
-    def from_callable(cls, fn: Callable, vectorized: bool = True) -> "FunctionHandle":
-        if not vectorized:
-            fn = np.vectorize(fn, otypes=[float])
+    def from_callable(cls, fn: Callable) -> "FunctionHandle":
         return cls(fn=fn)
-
-    @property
-    def kind(self) -> str:
-        return "polynomial" if self.poly is not None else "generic"
 
     def __call__(self, x):
         out = np.asarray(self._fn(np.asarray(x, dtype=float)), dtype=float)
@@ -269,30 +252,23 @@ class C0Function:
 
     The represented function vanishes at both endpoints by construction.
     ``norm0`` caches the sup of |h|, the natural norm of the pinned
-    space; unless supplied, it is estimated on a grid on first read.
+    space; unless supplied, it is estimated on the default sup grid on
+    first read.
     """
 
-    def __init__(self, h, norm_grid: Optional[GridSpec] = None,
-                 norm0: Optional[float] = None):
+    def __init__(self, h, norm0: Optional[float] = None):
         self.h = _as_handle(h)
-        self._norm_grid = norm_grid or DEFAULT_SUP_GRID
         if norm0 is not None:
             self.norm0 = float(norm0)
 
     @functools.cached_property
     def norm0(self) -> float:
-        return float(sup_norm(self.h, self._norm_grid))
+        return float(sup_norm(self.h))
 
     def value(self, x):
         return psi_values(x) * self.h(x)
 
     __call__ = value
-
-    @classmethod
-    def from_pinned_polynomial(cls, p: Polynomial,
-                               norm_grid: Optional[GridSpec] = None) -> "C0Function":
-        """Build from a polynomial vanishing at 0 and 1."""
-        return cls(deflate_by_psi(p), norm_grid=norm_grid)
 
 
 def poly_eval(p: Polynomial, x):

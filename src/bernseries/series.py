@@ -20,7 +20,8 @@ operator on a finite space; nothing is iterated or truncated:
   as an independent route against the other two.
 
 The Bernstein-endpoint variant (the rho to infinity limit) reuses the
-cofactor-basis engine with sampling in place of averaging functionals.
+cofactor-basis engine: its transfer matrix is the same assembly at
+rho = inf, and its first vector samples the input at the nodes.
 The reported ``iterations`` and ``tail_bound`` are the a priori
 truncation count for the requested tolerance and its bound.
 """
@@ -46,6 +47,7 @@ from .polyfun import (
 )
 from .operators import (
     _interior_values,
+    _require_rho,
     bernstein_basis,
     build_u_matrix,
     u_matrix_leading_block,
@@ -115,26 +117,28 @@ def _cofactor_transfer(n: int, rho: float) -> np.ndarray:
 
     Entry (k-1, j) expands the image of the weight times the degree
     n-2 Bernstein basis polynomial j in the same weighted basis. Row
-    k-1 is the contraction factor (n-1) rho / (n rho + 1) times the
+    k-1 is the contraction factor (n-1) / (n + s) times the
     Beta-binomial pmf with n-2 trials and parameters (k rho + 1,
-    (n-k) rho + 1), built from its consecutive ratios in log space and
-    normalized, so no factorial or Beta value is ever formed.
+    (n-k) rho + 1), where s = 1/rho. It is built from its consecutive
+    ratios in log space and normalized, so no factorial or Beta value
+    is ever formed. At rho = inf (s = 0) the rows are the binomial pmfs
+    with success probability k/n: the transfer matrix of the sampling
+    operator. Callers check rho, which may be any value in (0, inf].
     """
     if n < 2:
         raise ValueError("the transfer matrix needs n >= 2")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    s = 1.0 / rho
     k = np.arange(1, n, dtype=float)[:, None]
     j = np.arange(n - 2, dtype=float)
     W = np.zeros((n - 1, n - 1))
     # log of W[k-1, j+1] / W[k-1, j]
-    W[:, 1:] = np.log(k * rho + (j + 1.0))
-    W[:, 1:] -= np.log((n - k) * rho + (n - 2.0 - j))
+    W[:, 1:] = np.log(k + s * (j + 1.0))
+    W[:, 1:] -= np.log((n - k) + s * (n - 2.0 - j))
     W[:, 1:] += np.log((n - 2.0 - j) / (j + 1.0))
     np.cumsum(W, axis=1, out=W)
     W -= W.max(axis=1, keepdims=True)
     np.exp(W, out=W)
-    W *= u_norm0(n, rho) / W.sum(axis=1, keepdims=True)
+    W *= (n - 1.0) / (n + s) / W.sum(axis=1, keepdims=True)
     W.flags.writeable = False
     return W
 
@@ -207,8 +211,7 @@ def apply_series(n: int, rho: float, f: C0Function,
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    _require_rho(rho)
     if not isinstance(f, C0Function):
         raise TypeError("f must be a C0Function")
     cfg = config or SeriesConfig()
@@ -247,6 +250,7 @@ def apply_series_poly(n: int, rho: float, p: Polynomial) -> Polynomial:
     input they vanish, which is checked and then used. Exact up to the
     conditioning of the triangular solve; no truncation is involved.
     """
+    _require_rho(rho)
     if p.degree > n:
         raise ValueError(f"degree {p.degree} exceeds n={n}")
     scale = rho / (n * rho + 1.0)
@@ -278,9 +282,10 @@ def apply_series_bernstein(n: int, f: C0Function,
 
     The limit case of the parameter going to infinity: the averaging
     functionals become point evaluations at k/n, the scale becomes 1/n,
-    and the contraction factor (n-1)/n. The transfer matrix samples the
-    degree n-2 Bernstein basis at the interior nodes, so the first
-    vector is exact for every input.
+    and the contraction factor (n-1)/n. The transfer matrix is the
+    cofactor transfer at rho = inf, whose rows are binomial pmfs, and
+    the first vector samples the input at the interior nodes, exact for
+    every input.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -297,8 +302,8 @@ def apply_series_bernstein(n: int, f: C0Function,
     tail = scale * f.norm0 * q ** (K + 1) / (1.0 - q)
     nodes = np.arange(1, n) / n
     g0 = q * np.asarray(f.h(nodes))
-    WB = q * bernstein_basis(n - 2, nodes).T
-    acc = np.linalg.solve(np.eye(n - 1) - WB, g0)
+    W = _cofactor_transfer(n, math.inf)
+    acc = np.linalg.solve(np.eye(n - 1) - W, g0)
     h_out = _weighted_bernstein_closure(f.h, acc, n - 2, scale)
     return SeriesResult(h_out, K, tail)
 
@@ -311,8 +316,7 @@ def poly_limit(p: Polynomial, rho: float) -> Polynomial:
     eigenpolynomial of the same index. Degrees zero and one carry no
     pinned component and contribute nothing.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    _require_rho(rho)
     require_pinned(p)
     out = np.zeros(max(p.degree + 1, 1))
     for j in range(2, p.degree + 1):

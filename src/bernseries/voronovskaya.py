@@ -17,7 +17,6 @@ operator measures how far the finite-n series sum is from this limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -32,11 +31,10 @@ from .polyfun import (
     require_pinned,
     sup_norm,
 )
-from .operators import QuadratureRule, _cached_beta_rule
+from .operators import _cached_beta_rule, _require_rho
 from .series import SeriesConfig, apply_series
 
 __all__ = [
-    "VoronovskayaContext",
     "apply_A_rho",
     "f_infty",
     "f_infty_polynomial",
@@ -51,36 +49,17 @@ __all__ = [
 _PIECE_TOL = 1e-12
 
 
-def _default_legendre() -> QuadratureRule:
-    return _cached_beta_rule(0.0, 0.0, 32)
-
-
-@dataclass(frozen=True)
-class VoronovskayaContext:
-    """Parameter and flat-weight quadrature for the inverse integrals."""
-
-    rho: float
-    quad: QuadratureRule = field(default_factory=_default_legendre)
-
-    def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if abs(self.quad.alpha) > 1e-14 or abs(self.quad.beta) > 1e-14:
-            raise ValueError(
-                "the inverse integrals need a flat-weight (Legendre) rule"
-            )
-
-
-def apply_A_rho(ctx: VoronovskayaContext, y: Polynomial) -> C0Function:
+def apply_A_rho(rho: float, y: Polynomial) -> C0Function:
     """Image of a pinned polynomial under the limit operator.
 
     The result carries the polynomial cofactor (rho+1)/(2 rho) * y''.
     Inputs that fail to vanish at both endpoints are rejected; the
     image would not be pinned otherwise.
     """
+    _require_rho(rho)
     require_pinned(y)
     second = y.derivative().derivative()
-    c = (ctx.rho + 1.0) / (2.0 * ctx.rho)
+    c = (rho + 1.0) / (2.0 * rho)
     return C0Function(second * c)
 
 
@@ -105,13 +84,13 @@ def f_infty_polynomial(h: Polynomial) -> Polynomial:
     return P - e1 * P + Polynomial([0.0, q1]) - e1 * Q
 
 
-def f_infty(ctx: VoronovskayaContext, h: FunctionHandle, x):
+def f_infty(h: FunctionHandle, x):
     """Value of the inverse integral kernel at x (scalar or array).
 
     Polynomial cofactors go through exact antiderivatives; the
     piecewise and the expanded global form are compared at every
     requested point as a guard on the expansion. Generic cofactors use
-    two affinely mapped copies of the context's flat-weight rule.
+    two affinely mapped copies of a 32-node Legendre rule.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs < 0.0) or np.any(xs > 1.0):
@@ -129,8 +108,9 @@ def f_infty(ctx: VoronovskayaContext, h: FunctionHandle, x):
             )
         out = glob
     else:
-        u = ctx.quad.nodes
-        w = ctx.quad.weights
+        quad = _cached_beta_rule(0.0, 0.0, 32)
+        u = quad.nodes
+        w = quad.weights
         left = xs[:, None] * u[None, :]
         right = xs[:, None] + (1.0 - xs)[:, None] * u[None, :]
         i0 = xs ** 2 * (np.asarray(h(left)) @ (w * u))
@@ -139,25 +119,26 @@ def f_infty(ctx: VoronovskayaContext, h: FunctionHandle, x):
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def inverse_neg(ctx: VoronovskayaContext, f: C0Function, x):
+def inverse_neg(rho: float, f: C0Function, x):
     """Negated inverse image of a pinned function at x."""
-    c = 2.0 * ctx.rho / (ctx.rho + 1.0)
-    return c * f_infty(ctx, f.h, x)
+    _require_rho(rho)
+    c = 2.0 * rho / (rho + 1.0)
+    return c * f_infty(f.h, x)
 
 
-def inverse_neg_polynomial(ctx: VoronovskayaContext,
-                           f: C0Function) -> Polynomial:
+def inverse_neg_polynomial(rho: float, f: C0Function) -> Polynomial:
     """Negated inverse image with exact coefficients.
 
     Available only when the cofactor carries polynomial coefficients.
     """
+    _require_rho(rho)
     if f.h.poly is None:
         raise ValueError("cofactor carries no exact coefficients")
-    c = 2.0 * ctx.rho / (ctx.rho + 1.0)
+    c = 2.0 * rho / (rho + 1.0)
     return f_infty_polynomial(f.h.poly) * c
 
 
-def inverse_norm_check(ctx: VoronovskayaContext, f: C0Function,
+def inverse_norm_check(rho: float, f: C0Function,
                        grid: Optional[GridSpec] = None
                        ) -> Tuple[float, float]:
     """Observed versus guaranteed sup bound on the inverse image.
@@ -166,11 +147,12 @@ def inverse_norm_check(ctx: VoronovskayaContext, f: C0Function,
     rho / (4 (rho+1)) times the pinned norm of f. Equality is attained
     by the weight function itself at the midpoint.
     """
+    _require_rho(rho)
     handle = FunctionHandle.from_callable(
-        lambda x, _c=ctx, _f=f: inverse_neg(_c, _f, x)
+        lambda x, _r=rho, _f=f: inverse_neg(_r, _f, x)
     )
     lhs = sup_norm(handle, grid)
-    rhs = ctx.rho / (4.0 * (ctx.rho + 1.0)) * f.norm0
+    rhs = rho / (4.0 * (rho + 1.0)) * f.norm0
     return lhs, rhs
 
 
@@ -180,10 +162,9 @@ def _residual_profile(n: int, rho: float, h, x,
     cfg = cfg or SeriesConfig()
     f = h if isinstance(h, C0Function) else C0Function(h)
     summed = apply_series(n, rho, f, cfg)
-    ctx = VoronovskayaContext(rho)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     vals = (psi_values(xs) * np.asarray(summed.h(xs))
-            - inverse_neg(ctx, f, xs))
+            - inverse_neg(rho, f, xs))
     return vals, summed.iterations
 
 

@@ -21,7 +21,6 @@ from bernseries import (
     GridSpec,
     Polynomial,
     SeriesConfig,
-    VoronovskayaContext,
     apply_A_rho,
     apply_series,
     apply_series_poly,
@@ -126,16 +125,13 @@ def test_criterion_06_inverse_round_trip_and_norm():
     rhos = (0.5, 1.0, 2.0, 5.0)
     for trial in range(25):
         rho = rhos[trial % 4]
-        ctx = VoronovskayaContext(rho)
         h = Polynomial(rng.uniform(-1, 1, size=int(rng.integers(1, 12))))
         f = C0Function(h)
-        F = inverse_neg_polynomial(ctx, f)
-        back = apply_A_rho(ctx, F)
+        F = inverse_neg_polynomial(rho, f)
+        back = apply_A_rho(rho, F)
         assert np.max(np.abs(back(xs) + poly_eval(PSI * h, xs))) <= 1e-9
     for rho in rhos:
-        lhs, rhs = inverse_norm_check(
-            VoronovskayaContext(rho), C0Function(Polynomial([1.0]))
-        )
+        lhs, rhs = inverse_norm_check(rho, C0Function(Polynomial([1.0])))
         assert abs(lhs - rhs) <= 1e-10
     assert time.perf_counter() - t0 < 2.0
 
@@ -159,8 +155,7 @@ def test_criterion_08_series_limit_equals_inverse():
         rho = rhos[trial % 3]
         h = Polynomial(rng.uniform(-1, 1, size=int(rng.integers(1, 10))))
         p = PSI * h
-        want = inverse_neg(VoronovskayaContext(rho), C0Function(h),
-                           GRID129.points)
+        want = inverse_neg(rho, C0Function(h), GRID129.points)
         got = poly_eval(poly_limit(p, rho), GRID129.points)
         assert np.max(np.abs(got - want)) <= 1e-8
     assert time.perf_counter() - t0 < 2.0

@@ -226,6 +226,15 @@ class TestErrorPaths:
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
+
+def _src_env():
+    """The environment with the source tree first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
+
+
 # One small call per subcommand.
 SESSION = [
     ["apply", "--n", "7", "--rho", "0.5", "--fn", "h=cheb6",
@@ -247,9 +256,7 @@ class TestSession:
 
     def test_back_to_back_calls_match_separate_processes(self, tmp_path,
                                                          capsys):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [SRC, env.get("PYTHONPATH")]))
+        env = _src_env()
         for i, argv in enumerate(SESSION):
             alone = tmp_path / f"alone{i}"
             proc = subprocess.run(
@@ -269,7 +276,7 @@ class TestSession:
 def test_console_script_help():
     proc = subprocess.run(
         [sys.executable, "-m", "bernseries.cli", "--help"],
-        capture_output=True, text=True, timeout=60,
+        env=_src_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0
     assert "apply" in proc.stdout and "bound" in proc.stdout

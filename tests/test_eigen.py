@@ -11,7 +11,6 @@ from bernseries import (
     EigenSystem,
     FunctionHandle,
     Polynomial,
-    QuadratureRule,
     asymptotic_report,
     build_u_matrix,
     compute_eigensystem,
@@ -159,12 +158,6 @@ class TestLimitDual:
             for j in range(deg + 1):
                 acc += limit_dual(j, f) * poly_eval(limit_eigenpoly(j), xs)
             assert np.max(np.abs(acc - poly_eval(p, xs))) < 1e-9
-
-    def test_rejects_wrong_weight_rule(self):
-        f = FunctionHandle.from_polynomial(PSI)
-        bad = QuadratureRule.beta_rule(0.5, 0.0, 16)
-        with pytest.raises(ValueError):
-            limit_dual(3, f, quad=bad)
 
     def test_callable_matches_polynomial_route(self):
         p = Polynomial([0.0, 1.0, -4.0, 2.0, 1.5])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bernseries import (
+    DEFAULT_SUP_GRID,
     DEGREE_CAP,
     C0Function,
     FunctionHandle,
@@ -300,8 +301,8 @@ class TestOmega:
 
 class TestFunctionHandle:
     def test_kinds(self):
-        assert FunctionHandle.from_polynomial(PSI).kind == "polynomial"
-        assert FunctionHandle.from_callable(np.sin).kind == "generic"
+        assert FunctionHandle.from_polynomial(PSI).poly is PSI
+        assert FunctionHandle.from_callable(np.sin).poly is None
 
     def test_scalar_returns_float(self):
         f = FunctionHandle.from_polynomial(PSI)
@@ -312,13 +313,6 @@ class TestFunctionHandle:
         with pytest.raises(ValueError):
             FunctionHandle(fn=lambda x: x + 1.0, poly=Polynomial([0.0, 1.0]))
 
-    def test_non_vectorized_wrapper(self):
-        import math
-        f = FunctionHandle.from_callable(lambda x: math.sin(x),
-                                         vectorized=False)
-        xs = np.array([0.0, 0.5])
-        assert np.allclose(f(xs), np.sin(xs))
-
 
 class TestC0Function:
     def test_value_is_weight_times_cofactor(self):
@@ -327,21 +321,16 @@ class TestC0Function:
         assert np.array_equal(f(xs), psi_values(xs))
         assert f.norm0 == 1.0
 
-    def test_from_pinned_polynomial(self):
-        f = C0Function.from_pinned_polynomial(Polynomial([0.0, -1.0, 0.0, 1.0]))
-        assert np.array_equal(f.h.poly.coeffs, [-1.0, -1.0])
-
     def test_norm0_is_estimated_on_first_read(self, monkeypatch):
         from bernseries import polyfun
         calls = []
         real = polyfun.sup_norm
         monkeypatch.setattr(polyfun, "sup_norm",
                             lambda *a: calls.append(a) or real(*a))
-        g = GridSpec.uniform(33)
-        f = C0Function(lambda x: np.cos(5.0 * x), norm_grid=g)
+        f = C0Function(lambda x: np.cos(5.0 * x))
         assert calls == []
-        assert f.norm0 == real(f.h, g)
-        assert f.norm0 == real(f.h, g)
+        assert f.norm0 == real(f.h, DEFAULT_SUP_GRID)
+        assert f.norm0 == real(f.h, DEFAULT_SUP_GRID)
         assert len(calls) == 1
 
     def test_supplied_norm0_is_kept(self, monkeypatch):

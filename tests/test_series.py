@@ -34,6 +34,36 @@ from bernseries.series import (
 XS = np.linspace(0.0, 1.0, 41)
 
 
+def _mp_transfer_row(mpmath, n, k, rho):
+    """Row k of the transfer matrix in 30 digits.
+
+    The contraction factor times the Beta-binomial pmf with n - 2
+    trials and parameters (k rho + 1, (n-k) rho + 1), or, at rho = inf,
+    the binomial pmf with success probability k/n; built by the pmf
+    ratio recurrence and normalized.
+    """
+    N = n - 2
+    with mpmath.workdps(30):
+        if rho == math.inf:
+            p = mpmath.mpf(k) / n
+            q = mpmath.mpf(n - 1) / n
+
+            def ratio(j):
+                return (N - j) * p / ((j + 1) * (1 - p))
+        else:
+            r = mpmath.mpf(rho)
+            a, b = k * r + 1, (n - k) * r + 1
+            q = (n - 1) * r / (n * r + 1)
+
+            def ratio(j):
+                return (a + j) * (N - j) / ((j + 1) * (b + N - j - 1))
+        vals = [mpmath.mpf(1)]
+        for j in range(N):
+            vals.append(vals[-1] * ratio(j))
+        total = mpmath.fsum(vals)
+        return np.array([float(v * q / total) for v in vals])
+
+
 class TestSeriesConfig:
     def test_defaults(self):
         cfg = SeriesConfig()
@@ -169,6 +199,26 @@ class TestTransferEngines:
             W = _cofactor_transfer(n, rho)
             assert np.all(W >= 0)
             assert np.max(np.abs(W.sum(axis=1) - u_norm0(n, rho))) < 1e-13
+
+    def test_rows_against_mpmath_reference(self):
+        # nine rows from both ends and the middle; measured 2.2e-14,
+        # 7.0e-14 and 5.4e-14
+        mpmath = pytest.importorskip("mpmath")
+        for n, rho, bound in ((1024, 10.0, 5e-14), (512, 1e4, 1.5e-13),
+                              (1024, math.inf, 1.1e-13)):
+            W = _cofactor_transfer(n, rho)
+            for k in (1, 2, 3, n // 4, n // 3, n // 2, 2 * n // 3, n - 2,
+                      n - 1):
+                want = _mp_transfer_row(mpmath, n, k, rho)
+                assert np.max(np.abs(W[k - 1] - want)) < bound
+
+    def test_sampling_rows_are_bernstein_samples(self):
+        # at rho = inf row k - 1 is (n-1)/n times the degree n-2
+        # Bernstein basis at k/n; measured 1.7e-16, 2.9e-15 and 4.1e-14
+        for n, bound in ((8, 5e-16), (64, 6e-15), (512, 1e-13)):
+            W = _cofactor_transfer(n, math.inf)
+            B = (n - 1.0) / n * bernstein_basis(n - 2, np.arange(1, n) / n).T
+            assert np.max(np.abs(W - B)) < bound
 
     def test_transfer_route_matches_monomial_route(self):
         # both engines on one polynomial cofactor at large n rho, where

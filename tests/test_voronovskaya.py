@@ -8,8 +8,6 @@ from bernseries import (
     C0Function,
     FunctionHandle,
     Polynomial,
-    QuadratureRule,
-    VoronovskayaContext,
     apply_A_rho,
     f_infty,
     f_infty_polynomial,
@@ -25,20 +23,17 @@ XS = np.linspace(0.0, 1.0, 41)
 
 class TestContext:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            VoronovskayaContext(0.0)
-        with pytest.raises(ValueError):
-            VoronovskayaContext(-1.0)
-        bad = QuadratureRule.beta_rule(0.5, 0.0, 16)
-        with pytest.raises(ValueError):
-            VoronovskayaContext(1.0, quad=bad)
-
-    def test_default_rule_is_flat(self):
-        ctx = VoronovskayaContext(2.0)
-        assert ctx.quad.alpha == 0.0 and ctx.quad.beta == 0.0
-
-    def test_default_rule_is_shared(self):
-        assert VoronovskayaContext(2.0).quad is VoronovskayaContext(0.5).quad
+        # rho is the whole context of the limit inverse
+        f = C0Function(Polynomial([1.0]))
+        for rho in (0.0, -1.0):
+            with pytest.raises(ValueError, match="rho"):
+                apply_A_rho(rho, PSI)
+            with pytest.raises(ValueError, match="rho"):
+                inverse_neg(rho, f, XS)
+            with pytest.raises(ValueError, match="rho"):
+                inverse_neg_polynomial(rho, f)
+            with pytest.raises(ValueError, match="rho"):
+                inverse_norm_check(rho, f)
 
 
 class TestApplyARho:
@@ -46,8 +41,7 @@ class TestApplyARho:
         # second derivative of x - x^2 is -2, so the image cofactor is
         # -(rho + 1) / rho
         for rho in (0.5, 1.0, 3.0):
-            ctx = VoronovskayaContext(rho)
-            img = apply_A_rho(ctx, PSI)
+            img = apply_A_rho(rho, PSI)
             want = -(rho + 1.0) / rho
             assert np.max(np.abs(np.asarray(img.h(XS)) - want)) == 0.0
 
@@ -58,46 +52,41 @@ class TestApplyARho:
 
         rho, j = 1.7, 4
         p = limit_eigenpoly(j)
-        img = apply_A_rho(VoronovskayaContext(rho), p)
+        img = apply_A_rho(rho, p)
         want = limit_eigenvalue(rho, j) * poly_eval(p, XS)
         assert np.max(np.abs(img(XS) - want)) < 1e-12
 
     def test_zero(self):
-        img = apply_A_rho(VoronovskayaContext(1.0), Polynomial([0.0]))
+        img = apply_A_rho(1.0, Polynomial([0.0]))
         assert np.max(np.abs(img(XS))) == 0.0
 
     def test_rejects_unpinned(self):
         with pytest.raises(ValueError):
-            apply_A_rho(VoronovskayaContext(1.0), Polynomial([0.0, 0.0, 1.0]))
+            apply_A_rho(1.0, Polynomial([0.0, 0.0, 1.0]))
 
 
 class TestFInfty:
     def test_constant_cofactor(self):
         # h = 1 integrates to half the weight
-        ctx = VoronovskayaContext(1.0)
-        got = f_infty(ctx, FunctionHandle.from_polynomial(Polynomial([1.0])),
-                      XS)
+        got = f_infty(FunctionHandle.from_polynomial(Polynomial([1.0])), XS)
         want = 0.5 * XS * (1.0 - XS)
         assert np.max(np.abs(got - want)) < 1e-14
 
     def test_midpoint_oracle(self):
         # h(t) = t gives value 1/16 at x = 1/2
-        ctx = VoronovskayaContext(1.0)
-        got = f_infty(ctx, FunctionHandle.from_polynomial(
+        got = f_infty(FunctionHandle.from_polynomial(
             Polynomial([0.0, 1.0])), 0.5)
         assert abs(got - 1.0 / 16.0) < 1e-15
 
     def test_vanishes_at_endpoints(self):
-        ctx = VoronovskayaContext(0.4)
         h = FunctionHandle.from_polynomial(Polynomial([1.0, -3.0, 2.0]))
-        assert f_infty(ctx, h, 0.0) == 0.0
-        assert f_infty(ctx, h, 1.0) == 0.0
+        assert f_infty(h, 0.0) == 0.0
+        assert f_infty(h, 1.0) == 0.0
 
     def test_generic_route_matches_polynomial(self):
-        ctx = VoronovskayaContext(2.0)
         p = Polynomial([0.0, 0.0, 0.0, 0.0, 1.0])
-        a = f_infty(ctx, FunctionHandle.from_polynomial(p), XS)
-        b = f_infty(ctx, FunctionHandle.from_callable(
+        a = f_infty(FunctionHandle.from_polynomial(p), XS)
+        b = f_infty(FunctionHandle.from_callable(
             lambda t: np.asarray(t) ** 4), XS)
         assert np.max(np.abs(a - b)) < 1e-14
 
@@ -124,43 +113,39 @@ class TestInverse:
     def test_weight_eigen_relation(self):
         # -inverse of the weight is rho/(rho+1) times the weight
         for rho in (0.5, 1.0, 5.0):
-            ctx = VoronovskayaContext(rho)
             f = C0Function(Polynomial([1.0]))
-            got = inverse_neg(ctx, f, XS)
+            got = inverse_neg(rho, f, XS)
             want = (rho / (rho + 1.0)) * XS * (1.0 - XS)
             assert np.max(np.abs(got - want)) < 1e-14
 
     def test_round_trip(self, make_cofactor):
         # applying the limit operator to the negated inverse returns -f
-        ctx = VoronovskayaContext(1.3)
+        rho = 1.3
         for _ in range(6):
             h = make_cofactor(max_deg=6)
             f = C0Function(h)
-            Fp = inverse_neg_polynomial(ctx, f)
-            back = apply_A_rho(ctx, Fp)
+            Fp = inverse_neg_polynomial(rho, f)
+            back = apply_A_rho(rho, Fp)
             want = -poly_eval(PSI * h, XS)
             assert np.max(np.abs(back(XS) - want)) < 1e-9
 
     def test_polynomial_route_requires_coefficients(self):
-        ctx = VoronovskayaContext(1.0)
         f = C0Function(lambda x: np.asarray(x) + 1.0)
         with pytest.raises(ValueError):
-            inverse_neg_polynomial(ctx, f)
+            inverse_neg_polynomial(1.0, f)
 
 
 class TestInverseNormCheck:
     def test_equality_on_weight(self):
         # the weight attains the bound exactly, at the midpoint
         for rho in (0.5, 1.0, 3.0):
-            ctx = VoronovskayaContext(rho)
-            lhs, rhs = inverse_norm_check(ctx, C0Function(Polynomial([1.0])))
+            lhs, rhs = inverse_norm_check(rho, C0Function(Polynomial([1.0])))
             assert abs(lhs - rhs) < 1e-10
 
     def test_bound_holds_generally(self, make_cofactor):
-        ctx = VoronovskayaContext(2.0)
         for _ in range(8):
             f = C0Function(make_cofactor(max_deg=8))
-            lhs, rhs = inverse_norm_check(ctx, f)
+            lhs, rhs = inverse_norm_check(2.0, f)
             assert lhs <= rhs + 1e-10
 
 
