@@ -46,7 +46,6 @@ from .eigen import (
     limit_eigenvalue,
 )
 from .series import (
-    SeriesConfig,
     SeriesResult,
     apply_series,
     apply_series_bernstein,
@@ -89,7 +88,7 @@ __all__ = [
     "EIGEN_N_CAP", "AsymptoticRecord", "EigenSystem",
     "asymptotic_report", "compute_eigensystem", "dual_coefficients",
     "eigenvalue", "limit_dual", "limit_eigenvalue",
-    "SeriesConfig", "SeriesResult", "apply_series",
+    "SeriesResult", "apply_series",
     "apply_series_bernstein", "apply_series_poly", "poly_limit",
     "apply_A_rho", "f_infty", "f_infty_polynomial", "inverse_neg",
     "inverse_neg_polynomial", "inverse_norm_check", "residual_H",

@@ -28,7 +28,6 @@ from .polyfun import (
     psi_values,
 )
 from .operators import QUAD_TOL, _require_rho
-from .series import SeriesConfig
 from .voronovskaya import _residual_profile
 
 __all__ = [
@@ -129,7 +128,7 @@ class BoundReport:
 
 def check_bound(h, n: int, rho: float,
                 grid: Optional[GridSpec] = None,
-                config: Optional[SeriesConfig] = None) -> BoundReport:
+                tol: float = 1e-9) -> BoundReport:
     """Evaluate residual and bound over a grid and compare.
 
     The slack adds the series tolerance and ten times the quadrature
@@ -140,9 +139,8 @@ def check_bound(h, n: int, rho: float,
     handle = _as_handle(h)
     if grid is None:
         grid = DEFAULT_BOUND_GRID
-    cfg = config or SeriesConfig()
-    slack = cfg.tol + 10.0 * QUAD_TOL
-    vals, iters = _residual_profile(n, rho, handle, grid.points, cfg)
+    slack = tol + 10.0 * QUAD_TOL
+    vals, iters = _residual_profile(n, rho, handle, grid.points, tol)
     lhs = np.abs(vals)
     rhs = theorem52_rhs(handle, n, rho, grid.points, grid)
     margin = float(np.min(rhs - lhs))
@@ -180,7 +178,7 @@ class ConvergenceRecord:
 
 def convergence_table(h, rho: float, n_list: Iterable[int],
                       grid: Optional[GridSpec] = None,
-                      cfg: Optional[SeriesConfig] = None
+                      tol: float = 1e-9
                       ) -> Tuple[ConvergenceRecord, ...]:
     """Grid sups of the residual and of its bound across n values.
 
@@ -192,10 +190,9 @@ def convergence_table(h, rho: float, n_list: Iterable[int],
     handle = _as_handle(h)
     if grid is None:
         grid = DEFAULT_BOUND_GRID
-    cfg = cfg or SeriesConfig()
     records = []
     for n in n_list:
-        vals, iters = _residual_profile(n, rho, handle, grid.points, cfg)
+        vals, iters = _residual_profile(n, rho, handle, grid.points, tol)
         sup_h = float(np.max(np.abs(vals)))
         if admissible_n(n, rho):
             bracket = _bracket52(handle, n, rho, grid)

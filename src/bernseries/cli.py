@@ -31,7 +31,7 @@ from .polyfun import C0Function, FunctionHandle, GridSpec, Polynomial, poly_eval
 from .operators import _require_rho, apply_U, build_u_matrix
 from .eigen import compute_eigensystem, limit_eigenvalue
 from .polyfun import limit_eigenpoly
-from .series import SeriesConfig, apply_series
+from .series import apply_series
 from .voronovskaya import inverse_neg, residual_H
 from .bounds import check_bound, convergence_table
 from .corpus import corpus_entry
@@ -199,7 +199,7 @@ def _execute(cfg: ExperimentConfig):
     if cfg.command == "series":
         n, rho = cfg.n_list[0], cfg.rho_list[0]
         f = C0Function(cfg.cofactor())
-        res = apply_series(n, rho, f, SeriesConfig(tol=cfg.tol))
+        res = apply_series(n, rho, f, tol=cfg.tol)
         vals = res.value(pts)
         rows = [[x, v] for x, v in zip(pts, vals)]
         return ["x", "value"], rows, {
@@ -211,7 +211,7 @@ def _execute(cfg: ExperimentConfig):
         h = cfg.cofactor()
         f = C0Function(h)
         inv = inverse_neg(rho, f, pts)
-        resid = residual_H(n, rho, h, pts, SeriesConfig(tol=cfg.tol))
+        resid = residual_H(n, rho, h, pts, tol=cfg.tol)
         rows = [[x, iv, rv] for x, iv, rv in zip(pts, inv, resid)]
         return (["x", "inverse_value", "residual"], rows,
                 {"n": n, "rho": rho})
@@ -219,15 +219,14 @@ def _execute(cfg: ExperimentConfig):
         h = cfg.cofactor()
         rows = []
         for rho in cfg.rho_list:
-            recs = convergence_table(h, rho, cfg.n_list, grid,
-                                     SeriesConfig(tol=cfg.tol))
+            recs = convergence_table(h, rho, cfg.n_list, grid, tol=cfg.tol)
             for r in recs:
                 rows.append([r.n, r.rho, r.sup_h, r.sup_rhs, r.iterations])
         return ["n", "rho", "sup_H", "sup_rhs", "iters"], rows, None
     if cfg.command == "bound":
         n, rho = cfg.n_list[0], cfg.rho_list[0]
         h = cfg.cofactor()
-        rep = check_bound(h, n, rho, grid, config=SeriesConfig(tol=cfg.tol))
+        rep = check_bound(h, n, rho, grid, tol=cfg.tol)
         rows = [[x, lv, rv, rv - lv]
                 for x, lv, rv in zip(pts, rep.lhs, rep.rhs)]
         summary = {

@@ -14,8 +14,9 @@ assembled column by column from the exact derivative recurrence
     T(e_{m+1}) = [rho * x(1-x) * T(e_m)' + (rho n x + m) T(e_m)] / (n rho + m)
 
 which keeps every entry at working precision for all matrix sizes the
-degree cap allows. On generic functions the operator is evaluated
-pointwise with Gauss quadrature built for the exact Beta weight, so
+degree cap allows; at rho = inf the same recurrence gives the Bernstein
+operator. On generic functions the operator is evaluated pointwise
+with Gauss quadrature built for the exact Beta weight, so
 integrable endpoint singularities at small rho are absorbed by the
 rule instead of being sampled. The rules come from the Golub-Welsch
 method with a dense symmetric eigensolve, so the module needs numpy
@@ -61,6 +62,19 @@ def _require_rho(rho) -> None:
     """Reject rho outside (0, inf), NaN included, naming the parameter."""
     if not 0.0 < rho < math.inf:
         raise ValueError(f"rho must be positive and finite, got {rho}")
+
+
+def _homogeneous(rho) -> tuple:
+    """The parameter as a ratio r / w: (rho, 1), or (1, 0) at rho = inf.
+
+    Every formula of the family is unchanged when r and w are scaled
+    together, so (rho, 1) keeps the finite-rho arithmetic and (1, 0)
+    gives the sampling (Bernstein) operator. Callers check rho, which
+    may be any value in (0, inf].
+    """
+    if rho == math.inf:
+        return 1.0, 0.0
+    return rho, 1.0
 
 
 def _beta_raw_moment(alpha: float, beta: float, m: int) -> float:
@@ -212,42 +226,60 @@ def apply_F(n: int, k: int, rho: float, f: FunctionHandle,
     return q.integrate(f)
 
 
+def _leading_block(n: int, rho: float, d: int) -> np.ndarray:
+    """Images of e_0 .. e_d in monomial form, rows 0..min(n, d).
+
+    Column m + 1 comes from column m by the derivative recurrence, with
+    rho = r / w from ``_homogeneous``:
+
+        T(e_{m+1}) = [r x(1-x) T(e_m)' + (r n x + m w) T(e_m)] / (n r + m w)
+
+    At rho = inf this is x(1-x)/n B(e_m)' + x B(e_m), the Bernstein
+    operator. Every image has degree at most n, so the rows stop there
+    and any d >= 0 is allowed; callers check n, rho and d.
+    """
+    r, w = _homogeneous(rho)
+    rows = min(n, d) + 1
+    M = np.zeros((rows, d + 1))
+    M[0, 0] = 1.0
+    if d == 0:
+        return M
+    M[1, 1] = 1.0
+    col = np.zeros(rows + 1)
+    col[1] = 1.0
+    idx = np.arange(1.0, rows + 1.0)
+    for m in range(1, d):
+        deriv = col[1:] * idx
+        nxt = np.zeros(rows + 1)
+        # r * x(1-x) * col'
+        nxt[1:] += r * deriv
+        nxt[2:] -= r * deriv[:-1]
+        # r * n * x * col
+        nxt[1:] += r * n * col[:-1]
+        # m * w * col
+        nxt += m * w * col
+        nxt /= n * r + m * w
+        M[:, m + 1] = nxt[:rows]
+        # Degree n + 1 vanishes in exact arithmetic.
+        nxt[rows:] = 0.0
+        col = nxt
+    return M
+
+
 def u_matrix_leading_block(n: int, rho: float, d: int) -> np.ndarray:
     """Columns 0..d of the operator's monomial matrix, rows 0..d.
 
     Valid for any n >= d; only the block size is limited by the degree
-    cap. Column m + 1 is produced from column m by the derivative
-    recurrence, which keeps the diagonal (the eigenvalues) accurate to
-    working precision and the constant coefficient of every column
-    beyond the first at exactly zero.
+    cap. The derivative recurrence behind it keeps the diagonal (the
+    eigenvalues) accurate to working precision and the constant
+    coefficient of every column beyond the first at exactly zero.
     """
     _require_rho(rho)
     if d < 0 or d > n:
         raise ValueError("block size must satisfy 0 <= d <= n")
     if d > DEGREE_CAP:
         raise ValueError(f"block size {d} exceeds the degree cap {DEGREE_CAP}")
-    M = np.zeros((d + 1, d + 1))
-    M[0, 0] = 1.0
-    if d == 0:
-        return M
-    M[1, 1] = 1.0
-    col = np.zeros(d + 2)
-    col[1] = 1.0
-    idx = np.arange(1.0, d + 2.0)
-    for m in range(1, d):
-        deriv = col[1:] * idx
-        nxt = np.zeros(d + 2)
-        # rho * x(1-x) * col'
-        nxt[1:] += rho * deriv
-        nxt[2:] -= rho * deriv[:-1]
-        # rho * n * x * col
-        nxt[1:] += rho * n * col[:-1]
-        # m * col
-        nxt += m * col
-        nxt /= n * rho + m
-        M[:, m + 1] = nxt[: d + 1]
-        col = nxt
-    return M
+    return _leading_block(n, rho, d)
 
 
 @dataclass(frozen=True)
@@ -324,8 +356,11 @@ def _interior_values(n: int, rho: float, f: FunctionHandle) -> np.ndarray:
 
     Node k averages against the Beta weight with exponents
     (k rho - 1, (n-k) rho - 1), by a Gauss rule of max(20, n + 5)
-    nodes: exact on every polynomial of degree the matrices span.
+    nodes: exact on every polynomial of degree the matrices span. At
+    rho = inf the functionals are point evaluations at k/n.
     """
+    if _homogeneous(rho)[1] == 0.0:
+        return np.asarray(f(np.arange(1, n) / n), dtype=float)
     size = max(20, n + 5)
     vals = np.empty(n - 1)
     for k in range(1, n):
@@ -353,38 +388,11 @@ def apply_U(n: int, rho: float, f: FunctionHandle, x):
     return float(val) if val.ndim == 0 else val
 
 
-def _bernstein_columns(n: int, d: int) -> np.ndarray:
-    """Monomial coefficients of the Bernstein images of e_0 .. e_d.
-
-    The analogous derivative recurrence
-        B(e_{m+1}) = x(1-x)/n * B(e_m)' + x * B(e_m)
-    holds for every m; image degrees never exceed min(n, m)."""
-    rows = min(n, d) + 1
-    cols = np.zeros((rows, d + 1))
-    cols[0, 0] = 1.0
-    if d == 0:
-        return cols
-    cols[1, 1] = 1.0
-    buf = np.zeros(rows + 1)
-    buf[1] = 1.0
-    idx = np.arange(1.0, rows + 1.0)
-    for m in range(1, d):
-        deriv = buf[1:] * idx
-        nxt = np.zeros(rows + 1)
-        nxt[1:] += deriv / n
-        nxt[2:] -= deriv[:-1] / n
-        nxt[1:] += buf[:-1]
-        cols[:, m + 1] = nxt[:rows]
-        buf = nxt.copy()
-        buf[rows:] = 0.0
-    return cols
-
-
 def bernstein(n: int, f: FunctionHandle) -> Polynomial:
     """The Bernstein polynomial of f of order n, in monomial form.
 
-    Polynomial inputs go through the exact column recurrence. Generic
-    inputs use the forward-difference coefficients
+    Polynomial inputs go through the family's column recurrence at
+    rho = inf. Generic inputs use the forward-difference coefficients
         c_m = C(n, m) * diff^m f(0),
     accurate for moderate n and smooth f; n is capped with the shared
     degree cap either way.
@@ -394,7 +402,7 @@ def bernstein(n: int, f: FunctionHandle) -> Polynomial:
     if n > DEGREE_CAP:
         raise ValueError(f"n={n} exceeds the degree cap {DEGREE_CAP}")
     if f.poly is not None:
-        cols = _bernstein_columns(n, f.poly.degree)
+        cols = _leading_block(n, math.inf, f.poly.degree)
         return Polynomial(cols @ f.poly.coeffs)
     vals = np.asarray(f(np.arange(n + 1) / n), dtype=float)
     out = np.empty(n + 1)

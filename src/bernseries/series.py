@@ -1,37 +1,36 @@
 """Geometric series of the blending operators on the pinned space.
 
-On functions vanishing at both endpoints the operator is a contraction
-with norm q = (n-1) rho / (n rho + 1), so the scaled Neumann series
-rho/(n rho + 1) * sum of operator powers converges geometrically. Every
-engine sums the whole series with one linear solve against I minus the
-operator on a finite space; nothing is iterated or truncated:
+On functions vanishing at both endpoints the operator is a contraction.
+With rho = r / w, where the sampling (Bernstein) operator is the member
+rho = inf, (r, w) = (1, 0), its norm is q = (n-1) r / (n r + w), so the
+scaled Neumann series r/(n r + w) * sum of operator powers converges
+geometrically. One engine sums the series of every member with one
+linear solve against I minus the operator on a finite space; nothing is
+iterated or truncated:
 
-* a monomial engine for inputs carrying polynomial coefficients whose
+* a monomial solve for inputs carrying polynomial coefficients whose
   pinned form fits inside Pi_n and under the degree cap: the operator
   is upper triangular on the cofactor monomials x(1-x) x^m, so the sum
   is one back-substitution;
-* a cofactor-basis engine for everything else: the operator maps the
-  pinned space into the weight times a degree n-2 Bernstein span, and
-  a dense nonnegative transfer matrix with row sums q < 1 reproduces it
-  on Bernstein coefficients without any basis conversion, so I minus
-  that matrix is a well conditioned M-matrix at any n;
-* an eigen-expansion engine that sums the series in closed form through
-  the eigenvalues, available on polynomials up to the eigen cap, kept
-  as an independent route against the other two.
+* a transfer solve for everything else: the operator maps the pinned
+  space into the weight times a degree n-2 Bernstein span, and a dense
+  nonnegative transfer matrix with row sums q < 1 reproduces it on
+  Bernstein coefficients without any basis conversion, so I minus that
+  matrix is a well conditioned M-matrix at any n. Its first vector is
+  exact on polynomial coefficients, uses the interior Beta rules of
+  ``apply_U`` on callables, and samples the input at k/n at rho = inf.
 
-The Bernstein-endpoint variant (the rho to infinity limit) reuses the
-cofactor-basis engine: its transfer matrix is the same assembly at
-rho = inf, and its first vector samples the input at the nodes.
-The reported ``iterations`` and ``tail_bound`` are the a priori
-truncation count for the requested tolerance and its bound.
+An eigen-expansion route sums the series in closed form through the
+eigenvalues, available on polynomials up to the eigen cap, and is kept
+as an independent check on the engine. The reported ``iterations`` and
+``tail_bound`` are the a priori truncation count for the requested
+tolerance and its bound.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -46,17 +45,16 @@ from .polyfun import (
     require_pinned,
 )
 from .operators import (
+    _homogeneous,
     _interior_values,
+    _leading_block,
     _require_rho,
     bernstein_basis,
     build_u_matrix,
-    u_matrix_leading_block,
-    u_norm0,
 )
 from .eigen import compute_eigensystem, dual_coefficients, limit_dual
 
 __all__ = [
-    "SeriesConfig",
     "SeriesResult",
     "apply_series",
     "apply_series_poly",
@@ -65,27 +63,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeriesConfig:
-    """Truncation tolerance of the operator series.
-
-    ``tol`` sets the a priori truncation count reported with each sum:
-    the smallest number of operator applications whose dropped tail is
-    below ``tol`` in sup norm. The sums themselves are exact solves.
-    """
-
-    tol: float = 1e-9
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-
-
 class SeriesResult(C0Function):
     """Summed series value with the truncation metadata attached.
 
     ``iterations`` is the a priori truncation count K for the
-    configured tolerance and ``tail_bound`` the sup bound on the terms
+    requested tolerance and ``tail_bound`` the sup bound on the terms
     past it; neither measures work performed. ``norm0`` is estimated on
     the default sup grid on first read.
     """
@@ -97,7 +79,7 @@ class SeriesResult(C0Function):
 
 
 def _truncation_count(q: float, scale: float, norm0: float,
-                      cfg: SeriesConfig) -> int:
+                      tol: float) -> int:
     """Smallest K with scale * norm0 * q^(K+1) / (1-q) <= tol.
 
     K counts operator applications of the truncated sum, which then
@@ -105,40 +87,43 @@ def _truncation_count(q: float, scale: float, norm0: float,
     """
     if norm0 == 0.0 or q == 0.0:
         return 0
-    t = cfg.tol * (1.0 - q) / (scale * norm0)
+    t = tol * (1.0 - q) / (scale * norm0)
     if t >= 1.0:
         return 0
     return max(0, math.ceil(math.log(t) / math.log(q)) - 1)
 
 
-@functools.lru_cache(maxsize=128)
+@functools.lru_cache(maxsize=2)
 def _cofactor_transfer(n: int, rho: float) -> np.ndarray:
     """Matrix sending cofactor Bernstein coefficients through the operator.
 
     Entry (k-1, j) expands the image of the weight times the degree
-    n-2 Bernstein basis polynomial j in the same weighted basis. Row
-    k-1 is the contraction factor (n-1) / (n + s) times the
-    Beta-binomial pmf with n-2 trials and parameters (k rho + 1,
-    (n-k) rho + 1), where s = 1/rho. It is built from its consecutive
-    ratios in log space and normalized, so no factorial or Beta value
-    is ever formed. At rho = inf (s = 0) the rows are the binomial pmfs
-    with success probability k/n: the transfer matrix of the sampling
-    operator. Callers check rho, which may be any value in (0, inf].
+    n-2 Bernstein basis polynomial j in the same weighted basis. With
+    rho = r / w from ``_homogeneous``, row k-1 is the contraction factor
+    (n-1) r / (n r + w) times the Beta-binomial pmf with n-2 trials and
+    parameters (k rho + 1, (n-k) rho + 1), whose consecutive ratios are
+    (k r + (j+1) w) (n-2-j) / (((n-k) r + (n-2-j) w) (j+1)). It is
+    built from these ratios in log space and normalized, so no
+    factorial or Beta value is ever formed. At rho = inf (w = 0) the
+    rows are the binomial pmfs with success probability k/n: the
+    transfer matrix of the sampling operator. Callers check rho, which
+    may be any value in (0, inf]. Each matrix holds (n-1)^2 floats, so
+    only the last two are kept.
     """
     if n < 2:
         raise ValueError("the transfer matrix needs n >= 2")
-    s = 1.0 / rho
+    r, w = _homogeneous(rho)
     k = np.arange(1, n, dtype=float)[:, None]
     j = np.arange(n - 2, dtype=float)
     W = np.zeros((n - 1, n - 1))
     # log of W[k-1, j+1] / W[k-1, j]
-    W[:, 1:] = np.log(k + s * (j + 1.0))
-    W[:, 1:] -= np.log((n - k) + s * (n - 2.0 - j))
+    W[:, 1:] = np.log(k * r + w * (j + 1.0))
+    W[:, 1:] -= np.log((n - k) * r + w * (n - 2.0 - j))
     W[:, 1:] += np.log((n - 2.0 - j) / (j + 1.0))
     np.cumsum(W, axis=1, out=W)
     W -= W.max(axis=1, keepdims=True)
     np.exp(W, out=W)
-    W *= (n - 1.0) / (n + s) / W.sum(axis=1, keepdims=True)
+    W *= (n - 1.0) * r / (n * r + w) / W.sum(axis=1, keepdims=True)
     W.flags.writeable = False
     return W
 
@@ -149,15 +134,18 @@ def _first_vector_poly(n: int, rho: float, h: Polynomial) -> np.ndarray:
     Exact in the coefficients of h for any degree: the averaging
     functional of the weighted monomial t^m times the weight telescopes
     into a moment difference, leaving one cumulative product per node.
+    With rho = r / w the moments are products of (k r + i w) / (n r + i w),
+    so rho = inf samples h at the nodes.
     """
+    r, w = _homogeneous(rho)
     hm = h.coeffs
     I = np.arange(hm.size, dtype=float)
-    D = n * rho + I
+    D = n * r + I * w
     g0 = np.empty(n - 1)
     for k in range(1, n):
         factor = n * (n - 1.0) / (k * (n - k))
-        cum1 = np.cumprod((k * rho + I) / D)
-        R = ((n - k) * rho / (D + 1.0)) * cum1
+        cum1 = np.cumprod((k * r + I * w) / D)
+        R = ((n - k) * r / (D + w)) * cum1
         g0[k - 1] = factor * float(hm @ R)
     return g0
 
@@ -166,7 +154,8 @@ def _first_vector_generic(n: int, rho: float, f: C0Function) -> np.ndarray:
     """Quadrature form of the first vector for inputs without coefficients.
 
     The interior functional values are the ones ``apply_U`` blends, so
-    both share the Beta rules of one (n, rho).
+    both share the Beta rules of one (n, rho); at rho = inf they are
+    samples at the nodes.
     """
     handle = FunctionHandle.from_callable(f.value)
     k = np.arange(1, n)
@@ -182,7 +171,7 @@ def _sum_monomial(n: int, rho: float, h: Polynomial,
     m + 2 on its diagonal, so the sum scale * (I - C)^(-1) h is exact.
     """
     e = h.degree
-    M = u_matrix_leading_block(n, rho, e + 2)
+    M = _leading_block(n, rho, e + 2)
     C = np.empty((e + 1, e + 1))
     for m in range(e + 1):
         C[:, m] = deflate_by_psi(Polynomial(M[:, m + 1] - M[:, m + 2])
@@ -198,24 +187,13 @@ def _weighted_bernstein_closure(h, acc: np.ndarray, degree: int,
     return h_out
 
 
-def apply_series(n: int, rho: float, f: C0Function,
-                 config: Optional[SeriesConfig] = None) -> SeriesResult:
-    """Sum the scaled operator series applied to a pinned function.
-
-    The result is again pinned; its cofactor is polynomial whenever the
-    monomial engine ran (input cofactor polynomial with the pinned form
-    inside Pi_n and under the degree cap) and a closure over Bernstein
-    coefficients otherwise. The sum is exact up to rounding;
-    ``iterations`` is the a priori truncation count for the configured
-    tolerance and ``tail_bound`` the sup bound on the terms past it.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    _require_rho(rho)
-    if not isinstance(f, C0Function):
-        raise TypeError("f must be a C0Function")
-    cfg = config or SeriesConfig()
-    scale = rho / (n * rho + 1.0)
+def _sum_series(n: int, rho: float, f: C0Function,
+                tol: float) -> SeriesResult:
+    """Series engine of every member rho in (0, inf]; callers check n, rho, f."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    r, w = _homogeneous(rho)
+    scale = r / (n * r + w)
     if n == 1:
         # A single-node operator annihilates the pinned space, so the
         # series collapses to its first term.
@@ -224,8 +202,8 @@ def apply_series(n: int, rho: float, f: C0Function,
         else:
             h_out = lambda x, _h=f.h, _s=scale: _s * np.asarray(_h(x))
         return SeriesResult(h_out, 0, 0.0)
-    q = u_norm0(n, rho)
-    K = _truncation_count(q, scale, f.norm0, cfg)
+    q = (n - 1.0) * r / (n * r + w)
+    K = _truncation_count(q, scale, f.norm0, tol)
     tail = scale * f.norm0 * q ** (K + 1) / (1.0 - q)
     hp = f.h.poly
     if hp is not None and hp.degree + 2 <= min(n, DEGREE_CAP):
@@ -239,6 +217,25 @@ def apply_series(n: int, rho: float, f: C0Function,
     acc = np.linalg.solve(np.eye(n - 1) - W, g0)
     h_out = _weighted_bernstein_closure(f.h, acc, n - 2, scale)
     return SeriesResult(h_out, K, tail)
+
+
+def apply_series(n: int, rho: float, f: C0Function,
+                 tol: float = 1e-9) -> SeriesResult:
+    """Sum the scaled operator series applied to a pinned function.
+
+    The result is again pinned; its cofactor is polynomial whenever the
+    monomial solve ran (input cofactor polynomial with the pinned form
+    inside Pi_n and under the degree cap) and a closure over Bernstein
+    coefficients after the transfer solve otherwise. The sum is exact
+    up to rounding; ``iterations`` is the a priori truncation count for
+    ``tol`` and ``tail_bound`` the sup bound on the terms past it.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    _require_rho(rho)
+    if not isinstance(f, C0Function):
+        raise TypeError("f must be a C0Function")
+    return _sum_series(n, rho, f, tol)
 
 
 def apply_series_poly(n: int, rho: float, p: Polynomial) -> Polynomial:
@@ -276,36 +273,19 @@ def apply_series_poly(n: int, rho: float, p: Polynomial) -> Polynomial:
 
 
 def apply_series_bernstein(n: int, f: C0Function,
-                           config: Optional[SeriesConfig] = None
-                           ) -> SeriesResult:
+                           tol: float = 1e-9) -> SeriesResult:
     """Series sum for the endpoint-interpolation (sampling) operator.
 
-    The limit case of the parameter going to infinity: the averaging
-    functionals become point evaluations at k/n, the scale becomes 1/n,
-    and the contraction factor (n-1)/n. The transfer matrix is the
-    cofactor transfer at rho = inf, whose rows are binomial pmfs, and
-    the first vector samples the input at the interior nodes, exact for
-    every input.
+    The family's member rho = inf, summed by the same engine as
+    ``apply_series``: the averaging functionals become point
+    evaluations at k/n, the scale becomes 1/n and the contraction
+    factor (n-1)/n.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if not isinstance(f, C0Function):
         raise TypeError("f must be a C0Function")
-    cfg = config or SeriesConfig()
-    if n == 1:
-        # Scale 1, image zero on the pinned space: the series is the
-        # identity here.
-        return SeriesResult(f.h, 0, 0.0)
-    scale = 1.0 / n
-    q = (n - 1.0) / n
-    K = _truncation_count(q, scale, f.norm0, cfg)
-    tail = scale * f.norm0 * q ** (K + 1) / (1.0 - q)
-    nodes = np.arange(1, n) / n
-    g0 = q * np.asarray(f.h(nodes))
-    W = _cofactor_transfer(n, math.inf)
-    acc = np.linalg.solve(np.eye(n - 1) - W, g0)
-    h_out = _weighted_bernstein_closure(f.h, acc, n - 2, scale)
-    return SeriesResult(h_out, K, tail)
+    return _sum_series(n, math.inf, f, tol)
 
 
 def poly_limit(p: Polynomial, rho: float) -> Polynomial:

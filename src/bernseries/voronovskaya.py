@@ -32,7 +32,7 @@ from .polyfun import (
     sup_norm,
 )
 from .operators import _cached_beta_rule, _require_rho
-from .series import SeriesConfig, apply_series
+from .series import apply_series
 
 __all__ = [
     "apply_A_rho",
@@ -156,20 +156,17 @@ def inverse_norm_check(rho: float, f: C0Function,
     return lhs, rhs
 
 
-def _residual_profile(n: int, rho: float, h, x,
-                      cfg: Optional[SeriesConfig] = None):
+def _residual_profile(n: int, rho: float, h, x, tol: float):
     """Series-minus-limit values and the iteration count behind them."""
-    cfg = cfg or SeriesConfig()
     f = h if isinstance(h, C0Function) else C0Function(h)
-    summed = apply_series(n, rho, f, cfg)
+    summed = apply_series(n, rho, f, tol)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     vals = (psi_values(xs) * np.asarray(summed.h(xs))
             - inverse_neg(rho, f, xs))
     return vals, summed.iterations
 
 
-def residual_H(n: int, rho: float, h, x,
-               cfg: Optional[SeriesConfig] = None):
+def residual_H(n: int, rho: float, h, x, tol: float = 1e-9):
     """Residual between the series sum and the limit inverse at x.
 
     ``h`` is the cofactor (a FunctionHandle, Polynomial, callable, or
@@ -177,5 +174,5 @@ def residual_H(n: int, rho: float, h, x,
     constant cofactors for every n and rho, since both sides act on
     the weight through the same factor.
     """
-    vals, _ = _residual_profile(n, rho, h, x, cfg)
+    vals, _ = _residual_profile(n, rho, h, x, tol)
     return float(vals[0]) if np.ndim(x) == 0 else vals

@@ -20,7 +20,6 @@ from bernseries import (
     FunctionHandle,
     GridSpec,
     Polynomial,
-    SeriesConfig,
     apply_A_rho,
     apply_series,
     apply_series_poly,
@@ -108,11 +107,11 @@ def test_criterion_04_series_routes_agree():
 
 def test_criterion_05_series_norm_on_weight():
     t0 = time.perf_counter()
-    cfg = SeriesConfig(tol=1e-12)
     xs = np.linspace(0, 1, 65)
     for n in (2, 8, 32):
         for rho in (0.5, 1.0, 2.0, 10.0):
-            res = apply_series(n, rho, C0Function(Polynomial([1.0])), cfg)
+            res = apply_series(n, rho, C0Function(Polynomial([1.0])),
+                               tol=1e-12)
             c = rho / (rho + 1.0)
             assert np.max(np.abs(np.asarray(res.h(xs)) - c)) <= 1e-10
     assert time.perf_counter() - t0 < 1.0

@@ -10,7 +10,6 @@ from bernseries import (
     C0Function,
     FunctionHandle,
     Polynomial,
-    SeriesConfig,
     SeriesResult,
     apply_series,
     apply_series_bernstein,
@@ -65,31 +64,28 @@ def _mp_transfer_row(mpmath, n, k, rho):
 
 
 class TestSeriesConfig:
-    def test_defaults(self):
-        cfg = SeriesConfig()
-        assert cfg.tol == 1e-9
-
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SeriesConfig(tol=0.0)
+        f = C0Function(Polynomial([1.0]))
+        for n in (1, 8):
+            with pytest.raises(ValueError, match="tol"):
+                apply_series(n, 1.0, f, tol=0.0)
 
 
 class TestTruncationCount:
     def test_minimal(self):
-        cfg = SeriesConfig(tol=1e-6)
+        tol = 1e-6
         q, scale, norm0 = 0.9, 0.05, 1.3
 
         def tail(K):
             return scale * norm0 * q ** (K + 1) / (1.0 - q)
 
-        K = _truncation_count(q, scale, norm0, cfg)
-        assert tail(K) <= cfg.tol
-        assert K == 0 or tail(K - 1) > cfg.tol * (1.0 - 1e-12)
+        K = _truncation_count(q, scale, norm0, tol)
+        assert tail(K) <= tol
+        assert K == 0 or tail(K - 1) > tol * (1.0 - 1e-12)
 
     def test_zero_cases(self):
-        cfg = SeriesConfig()
-        assert _truncation_count(0.5, 0.1, 0.0, cfg) == 0
-        assert _truncation_count(0.0, 0.1, 1.0, cfg) == 0
+        assert _truncation_count(0.5, 0.1, 0.0, 1e-9) == 0
+        assert _truncation_count(0.0, 0.1, 1.0, 1e-9) == 0
 
 
 class TestApplySeries:
@@ -98,7 +94,7 @@ class TestApplySeries:
         # rho / (rho + 1), independent of n
         for n, rho in ((32, 2.0), (4096, 10.0)):
             res = apply_series(n, rho, C0Function(Polynomial([1.0])),
-                               SeriesConfig(tol=1e-12))
+                               tol=1e-12)
             want = rho / (rho + 1.0)
             assert np.max(np.abs(np.asarray(res.h(XS)) - want)) < 1e-10
             assert res.iterations > 0
@@ -129,7 +125,7 @@ class TestApplySeries:
     def test_sign_of_summed_image(self):
         # h = -1 represents x^2 - x; the sum keeps the sign and halves
         res = apply_series(2, 1.0, C0Function(Polynomial([-1.0])),
-                           SeriesConfig(tol=1e-13))
+                           tol=1e-13)
         assert np.max(np.abs(np.asarray(res.h(XS)) + 0.5)) < 1e-11
 
     def test_matches_eigen_route(self, rng, make_cofactor):
@@ -138,7 +134,7 @@ class TestApplySeries:
             h = make_cofactor(max_deg=7)
             p = PSI * h
             want = poly_eval(apply_series_poly(n, rho, p), XS)
-            res = apply_series(n, rho, C0Function(h), SeriesConfig(tol=1e-13))
+            res = apply_series(n, rho, C0Function(h), tol=1e-13)
             got = psi_times(res, XS)
             assert np.max(np.abs(got - want)) < 1e-9
 
@@ -147,10 +143,9 @@ class TestApplySeries:
         # exercises the interior-node transfer engine end to end
         n, rho = 16, 0.7
         h = Polynomial([0.3, 1.0, -0.5, 0.25])
-        want_res = apply_series(n, rho, C0Function(h), SeriesConfig(tol=1e-13))
+        want_res = apply_series(n, rho, C0Function(h), tol=1e-13)
         got_res = apply_series(
-            n, rho, C0Function(lambda x: poly_eval(h, x)),
-            SeriesConfig(tol=1e-13),
+            n, rho, C0Function(lambda x: poly_eval(h, x)), tol=1e-13,
         )
         want = np.asarray(want_res.h(XS))
         got = np.asarray(got_res.h(XS))
@@ -220,6 +215,15 @@ class TestTransferEngines:
             B = (n - 1.0) / n * bernstein_basis(n - 2, np.arange(1, n) / n).T
             assert np.max(np.abs(W - B)) < bound
 
+    def test_cache_keeps_two_matrices(self):
+        # each matrix holds (n-1)^2 floats, so distinct (n, rho) must
+        # not pile up
+        _cofactor_transfer.cache_clear()
+        f = C0Function(np.cos, norm0=1.0)
+        for rho in (0.5, 1.0, 2.0):
+            apply_series(64, rho, f)
+        assert _cofactor_transfer.cache_info().currsize == 2
+
     def test_transfer_route_matches_monomial_route(self):
         # both engines on one polynomial cofactor at large n rho, where
         # iterated sums used to drift apart
@@ -259,8 +263,7 @@ class TestApplySeriesBernstein:
         n = 8
         h = Polynomial([1.0, 0.5, -0.3])
         f = C0Function(h)
-        cfg = SeriesConfig(tol=1e-10)
-        res = apply_series_bernstein(n, f, cfg)
+        res = apply_series_bernstein(n, f, tol=1e-10)
         xs = np.linspace(0, 1, 33)
         vals = poly_eval(PSI * h, xs)
         acc = vals.copy()
@@ -283,10 +286,42 @@ class TestApplySeriesBernstein:
         assert np.max(np.abs(np.asarray(res.h(XS)) -
                              np.asarray(f.h(XS)))) == 0.0
 
+    def test_polynomial_against_mpmath_reference(self):
+        # a polynomial cofactor takes the monomial solve; the reference
+        # solves (I - B) p = x(1-x) h / n in 30 digits on degrees 2..8,
+        # with the Bernstein images of the monomials in closed form
+        # (coefficient of x^j in B(x^m) is S(m, j) n!/(n-j)! / n^m), and
+        # divides x(1-x) back out; measured 2.7e-13, 2.1e-14 and 5.9e-13
+        # (the monomial form of a cofactor with coefficients near 1e3)
+        mpmath = pytest.importorskip("mpmath")
+        h = corpus_entry("cheb6")
+        d = h.degree + 2
+        for n, bound in ((8, 6e-13), (64, 5e-14), (4096, 1.2e-12)):
+            res = apply_series_bernstein(n, C0Function(h))
+            assert res.h.poly is not None
+            with mpmath.workdps(30):
+                g = [mpmath.mpf(0)] * (d + 1)
+                for i, c in enumerate(h.coeffs):
+                    g[i + 1] += mpmath.mpf(float(c)) / n
+                    g[i + 2] -= mpmath.mpf(float(c)) / n
+                p = [mpmath.mpf(0)] * (d + 1)
+                for i in range(d, 1, -1):
+                    img = [mpmath.stirling2(m, i) * mpmath.ff(n, i)
+                           / mpmath.mpf(n) ** m for m in range(i, d + 1)]
+                    rest = mpmath.fsum(img[m - i] * p[m]
+                                       for m in range(i + 1, d + 1))
+                    p[i] = (g[i] + rest) / (1 - img[0])
+                p[1] = -mpmath.fsum(p[2:])
+                # p / x, then / (1 - x) by running sums
+                cof = np.cumsum([mpmath.mpf(0)] + p[1:-1])[1:]
+                want = np.array([float(mpmath.polyval(cof[::-1].tolist(),
+                                                      mpmath.mpf(x)))
+                                 for x in XS])
+            assert np.max(np.abs(np.asarray(res.h(XS)) - want)) < bound
+
     def test_callable_input(self):
         res = apply_series_bernstein(
-            6, C0Function(lambda x: np.sin(np.pi * np.asarray(x))),
-            SeriesConfig(tol=1e-8),
+            6, C0Function(lambda x: np.sin(np.pi * np.asarray(x))), tol=1e-8,
         )
         assert res.tail_bound <= 1e-8
         assert np.all(np.isfinite(np.asarray(res.h(XS))))
@@ -319,10 +354,9 @@ class TestPolyLimit:
         h = Polynomial([1.0, -2.0, 1.5])
         rho = 0.8
         want = poly_eval(poly_limit(PSI * h, rho), XS)
-        cfg = SeriesConfig(tol=1e-12)
         dist = []
         for n in (10, 20, 40):
-            res = apply_series(n, rho, C0Function(h), cfg)
+            res = apply_series(n, rho, C0Function(h), tol=1e-12)
             dist.append(np.max(np.abs(psi_times(res, XS) - want)))
         assert dist[0] > dist[1] > dist[2]
         assert dist[2] < 0.35 * dist[0]
