@@ -10,6 +10,8 @@ valid once n is large enough that epsilon <= 1/2. The sampling-limit
 counterpart replaces the step by 1/sqrt(n) with fixed constants. Grid
 moduli are lower estimates of the true moduli, so verification adds a
 small slack on the bound side rather than ever relaxing the residual.
+The series behind the residual is summed exactly; its fixed truncation
+tolerance enters only the slack and the reported iteration count.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .polyfun import (
     psi_values,
 )
 from .operators import QUAD_TOL, _require_rho
+from .series import _TOL
 from .voronovskaya import _residual_profile
 
 __all__ = [
@@ -101,9 +104,10 @@ class BoundReport:
     """Per-point residual profile against the bound profile.
 
     ``margin`` is the grid minimum of rhs - lhs; the check passes when
-    it stays above minus the slack, the series tolerance plus ten times
-    the quadrature tolerance, which covers series truncation and the
-    grid underestimation of the moduli.
+    it stays above minus the slack, the fixed series tolerance 1e-9
+    plus ten times the quadrature tolerance, which covers the grid
+    underestimation of the moduli. ``iterations`` is the series
+    truncation count reported for that tolerance.
     """
 
     n: int
@@ -127,20 +131,19 @@ class BoundReport:
 
 
 def check_bound(h, n: int, rho: float,
-                grid: Optional[GridSpec] = None,
-                tol: float = 1e-9) -> BoundReport:
+                grid: Optional[GridSpec] = None) -> BoundReport:
     """Evaluate residual and bound over a grid and compare.
 
-    The slack adds the series tolerance and ten times the quadrature
-    tolerance on the bound side; a violation beyond that is a genuine
-    one.
+    The slack adds the fixed series tolerance 1e-9 and ten times the
+    quadrature tolerance on the bound side; a violation beyond that is
+    a genuine one.
     """
     _require_rho(rho)
     handle = _as_handle(h)
     if grid is None:
         grid = DEFAULT_BOUND_GRID
-    slack = tol + 10.0 * QUAD_TOL
-    vals, iters = _residual_profile(n, rho, handle, grid.points, tol)
+    slack = _TOL + 10.0 * QUAD_TOL
+    vals, iters = _residual_profile(n, rho, handle, grid.points)
     lhs = np.abs(vals)
     rhs = theorem52_rhs(handle, n, rho, grid.points, grid)
     margin = float(np.min(rhs - lhs))
@@ -177,8 +180,7 @@ class ConvergenceRecord:
 
 
 def convergence_table(h, rho: float, n_list: Iterable[int],
-                      grid: Optional[GridSpec] = None,
-                      tol: float = 1e-9
+                      grid: Optional[GridSpec] = None
                       ) -> Tuple[ConvergenceRecord, ...]:
     """Grid sups of the residual and of its bound across n values.
 
@@ -192,7 +194,7 @@ def convergence_table(h, rho: float, n_list: Iterable[int],
         grid = DEFAULT_BOUND_GRID
     records = []
     for n in n_list:
-        vals, iters = _residual_profile(n, rho, handle, grid.points, tol)
+        vals, iters = _residual_profile(n, rho, handle, grid.points)
         sup_h = float(np.max(np.abs(vals)))
         if admissible_n(n, rho):
             bracket = _bracket52(handle, n, rho, grid)

@@ -75,7 +75,6 @@ class ExperimentConfig:
     fn_coeffs: Optional[List[float]] = None
     grid_kind: str = "uniform"
     grid_size: int = 129
-    tol: float = 1e-9
     out_path: Optional[str] = None
     fmt: str = "csv"
 
@@ -90,8 +89,6 @@ class ExperimentConfig:
             raise ValueError("at least one rho value is required")
         for rho in self.rho_list:
             _require_rho(rho)
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
         if self.grid_kind not in ("uniform", "chebyshev"):
@@ -199,7 +196,7 @@ def _execute(cfg: ExperimentConfig):
     if cfg.command == "series":
         n, rho = cfg.n_list[0], cfg.rho_list[0]
         f = C0Function(cfg.cofactor())
-        res = apply_series(n, rho, f, tol=cfg.tol)
+        res = apply_series(n, rho, f)
         vals = res.value(pts)
         rows = [[x, v] for x, v in zip(pts, vals)]
         return ["x", "value"], rows, {
@@ -211,7 +208,7 @@ def _execute(cfg: ExperimentConfig):
         h = cfg.cofactor()
         f = C0Function(h)
         inv = inverse_neg(rho, f, pts)
-        resid = residual_H(n, rho, h, pts, tol=cfg.tol)
+        resid = residual_H(n, rho, h, pts)
         rows = [[x, iv, rv] for x, iv, rv in zip(pts, inv, resid)]
         return (["x", "inverse_value", "residual"], rows,
                 {"n": n, "rho": rho})
@@ -219,14 +216,14 @@ def _execute(cfg: ExperimentConfig):
         h = cfg.cofactor()
         rows = []
         for rho in cfg.rho_list:
-            recs = convergence_table(h, rho, cfg.n_list, grid, tol=cfg.tol)
+            recs = convergence_table(h, rho, cfg.n_list, grid)
             for r in recs:
                 rows.append([r.n, r.rho, r.sup_h, r.sup_rhs, r.iterations])
         return ["n", "rho", "sup_H", "sup_rhs", "iters"], rows, None
     if cfg.command == "bound":
         n, rho = cfg.n_list[0], cfg.rho_list[0]
         h = cfg.cofactor()
-        rep = check_bound(h, n, rho, grid, tol=cfg.tol)
+        rep = check_bound(h, n, rho, grid)
         rows = [[x, lv, rv, rv - lv]
                 for x, lv, rv in zip(pts, rep.lhs, rep.rhs)]
         summary = {
@@ -332,8 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid-size", type=int, default=129)
         p.add_argument("--grid", choices=("uniform", "chebyshev"),
                        default="uniform")
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="series truncation tolerance")
         p.add_argument("--out", default=None,
                        help=f"output path (default <{OUT_DIR_ENV} or "
                             f".>/<command>.<format>)")
@@ -354,12 +349,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             fn_coeffs=coeffs,
             grid_kind=args.grid,
             grid_size=args.grid_size,
-            tol=args.tol,
             out_path=args.out,
             fmt=args.format,
         )
-        if kind == "h-name":
-            config.cofactor()
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -89,14 +89,6 @@ class Polynomial:
     def zero(cls) -> "Polynomial":
         return cls([0.0])
 
-    @classmethod
-    def monomial(cls, m: int, scale: float = 1.0) -> "Polynomial":
-        if m < 0:
-            raise ValueError("monomial exponent must be nonnegative")
-        c = np.zeros(m + 1)
-        c[m] = scale
-        return cls(c)
-
     def padded(self, length: int) -> np.ndarray:
         """Coefficients zero-padded (or rejected) to the given length."""
         if length < self._coeffs.size:
@@ -252,14 +244,11 @@ class C0Function:
 
     The represented function vanishes at both endpoints by construction.
     ``norm0`` caches the sup of |h|, the natural norm of the pinned
-    space; unless supplied, it is estimated on the default sup grid on
-    first read.
+    space, estimated on the default sup grid on first read.
     """
 
-    def __init__(self, h, norm0: Optional[float] = None):
+    def __init__(self, h):
         self.h = _as_handle(h)
-        if norm0 is not None:
-            self.norm0 = float(norm0)
 
     @functools.cached_property
     def norm0(self) -> float:

@@ -23,8 +23,8 @@ iterated or truncated:
 An eigen-expansion route sums the series in closed form through the
 eigenvalues, available on polynomials up to the eigen cap, and is kept
 as an independent check on the engine. The reported ``iterations`` and
-``tail_bound`` are the a priori truncation count for the requested
-tolerance and its bound.
+``tail_bound`` are the a priori truncation count for the fixed
+tolerance ``_TOL`` and its bound; neither changes the sum.
 """
 
 from __future__ import annotations
@@ -62,13 +62,17 @@ __all__ = [
     "poly_limit",
 ]
 
+# Tolerance behind the reported truncation count and tail bound. The
+# series is summed exactly, so it shapes no computed value.
+_TOL = 1e-9
+
 
 class SeriesResult(C0Function):
     """Summed series value with the truncation metadata attached.
 
-    ``iterations`` is the a priori truncation count K for the
-    requested tolerance and ``tail_bound`` the sup bound on the terms
-    past it; neither measures work performed. ``norm0`` is estimated on
+    ``iterations`` is the a priori truncation count K for the fixed
+    tolerance 1e-9 and ``tail_bound`` the sup bound on the terms past
+    it; neither measures work performed. ``norm0`` is estimated on
     the default sup grid on first read.
     """
 
@@ -187,11 +191,8 @@ def _weighted_bernstein_closure(h, acc: np.ndarray, degree: int,
     return h_out
 
 
-def _sum_series(n: int, rho: float, f: C0Function,
-                tol: float) -> SeriesResult:
+def _sum_series(n: int, rho: float, f: C0Function) -> SeriesResult:
     """Series engine of every member rho in (0, inf]; callers check n, rho, f."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     r, w = _homogeneous(rho)
     scale = r / (n * r + w)
     if n == 1:
@@ -203,7 +204,7 @@ def _sum_series(n: int, rho: float, f: C0Function,
             h_out = lambda x, _h=f.h, _s=scale: _s * np.asarray(_h(x))
         return SeriesResult(h_out, 0, 0.0)
     q = (n - 1.0) * r / (n * r + w)
-    K = _truncation_count(q, scale, f.norm0, tol)
+    K = _truncation_count(q, scale, f.norm0, _TOL)
     tail = scale * f.norm0 * q ** (K + 1) / (1.0 - q)
     hp = f.h.poly
     if hp is not None and hp.degree + 2 <= min(n, DEGREE_CAP):
@@ -219,8 +220,7 @@ def _sum_series(n: int, rho: float, f: C0Function,
     return SeriesResult(h_out, K, tail)
 
 
-def apply_series(n: int, rho: float, f: C0Function,
-                 tol: float = 1e-9) -> SeriesResult:
+def apply_series(n: int, rho: float, f: C0Function) -> SeriesResult:
     """Sum the scaled operator series applied to a pinned function.
 
     The result is again pinned; its cofactor is polynomial whenever the
@@ -228,14 +228,15 @@ def apply_series(n: int, rho: float, f: C0Function,
     inside Pi_n and under the degree cap) and a closure over Bernstein
     coefficients after the transfer solve otherwise. The sum is exact
     up to rounding; ``iterations`` is the a priori truncation count for
-    ``tol`` and ``tail_bound`` the sup bound on the terms past it.
+    the fixed tolerance 1e-9 and ``tail_bound`` the sup bound on the
+    terms past it.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     _require_rho(rho)
     if not isinstance(f, C0Function):
         raise TypeError("f must be a C0Function")
-    return _sum_series(n, rho, f, tol)
+    return _sum_series(n, rho, f)
 
 
 def apply_series_poly(n: int, rho: float, p: Polynomial) -> Polynomial:
@@ -272,8 +273,7 @@ def apply_series_poly(n: int, rho: float, p: Polynomial) -> Polynomial:
     return Polynomial(out)
 
 
-def apply_series_bernstein(n: int, f: C0Function,
-                           tol: float = 1e-9) -> SeriesResult:
+def apply_series_bernstein(n: int, f: C0Function) -> SeriesResult:
     """Series sum for the endpoint-interpolation (sampling) operator.
 
     The family's member rho = inf, summed by the same engine as
@@ -285,7 +285,7 @@ def apply_series_bernstein(n: int, f: C0Function,
         raise ValueError("n must be at least 1")
     if not isinstance(f, C0Function):
         raise TypeError("f must be a C0Function")
-    return _sum_series(n, math.inf, f, tol)
+    return _sum_series(n, math.inf, f)
 
 
 def poly_limit(p: Polynomial, rho: float) -> Polynomial:

@@ -148,25 +148,28 @@ def inverse_norm_check(rho: float, f: C0Function,
     by the weight function itself at the midpoint.
     """
     _require_rho(rho)
-    handle = FunctionHandle.from_callable(
-        lambda x, _r=rho, _f=f: inverse_neg(_r, _f, x)
-    )
+    if f.h.poly is not None:
+        handle = FunctionHandle.from_polynomial(inverse_neg_polynomial(rho, f))
+    else:
+        handle = FunctionHandle.from_callable(
+            lambda x, _r=rho, _f=f: inverse_neg(_r, _f, x)
+        )
     lhs = sup_norm(handle, grid)
     rhs = rho / (4.0 * (rho + 1.0)) * f.norm0
     return lhs, rhs
 
 
-def _residual_profile(n: int, rho: float, h, x, tol: float):
+def _residual_profile(n: int, rho: float, h, x):
     """Series-minus-limit values and the iteration count behind them."""
     f = h if isinstance(h, C0Function) else C0Function(h)
-    summed = apply_series(n, rho, f, tol)
+    summed = apply_series(n, rho, f)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     vals = (psi_values(xs) * np.asarray(summed.h(xs))
             - inverse_neg(rho, f, xs))
     return vals, summed.iterations
 
 
-def residual_H(n: int, rho: float, h, x, tol: float = 1e-9):
+def residual_H(n: int, rho: float, h, x):
     """Residual between the series sum and the limit inverse at x.
 
     ``h`` is the cofactor (a FunctionHandle, Polynomial, callable, or
@@ -174,5 +177,5 @@ def residual_H(n: int, rho: float, h, x, tol: float = 1e-9):
     constant cofactors for every n and rho, since both sides act on
     the weight through the same factor.
     """
-    vals, _ = _residual_profile(n, rho, h, x, tol)
+    vals, _ = _residual_profile(n, rho, h, x)
     return float(vals[0]) if np.ndim(x) == 0 else vals

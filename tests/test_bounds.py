@@ -16,6 +16,7 @@ from bernseries import (
     epsilon_step,
     theorem52_rhs,
 )
+from bernseries.operators import QUAD_TOL
 
 U129 = GridSpec.uniform(129)
 E1 = Polynomial([0.0, 1.0])
@@ -103,6 +104,16 @@ class TestCheckBound:
         rep = check_bound(Polynomial([0.5, -1.0, 2.0]), 20, 0.8)
         assert rep.satisfied == (rep.margin >= -rep.slack)
         assert rep.lhs.shape == rep.rhs.shape == (129,)
+
+    def test_slack_is_fixed(self):
+        # the series is summed exactly, so its fixed tolerance is not a
+        # parameter that could widen the slack
+        rep = check_bound(E1, 16, 1.0)
+        assert rep.slack == 1e-9 + 10.0 * QUAD_TOL
+        with pytest.raises(TypeError):
+            check_bound(E1, 16, 1.0, tol=1e-3)
+        with pytest.raises(TypeError):
+            convergence_table(E1, 1.0, [16], tol=1e-3)
 
 
 class TestBernsteinLimitRhs:

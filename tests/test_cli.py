@@ -172,14 +172,14 @@ class TestSeriesAndVoronovskaya:
     def test_series_summary_lines(self, outdir, capsys):
         code, _, _ = run_cli(
             ["series", "--n", "12", "--rho", "1", "--fn", "h=one",
-             "--grid-size", "17", "--tol", "1e-10"], capsys)
+             "--grid-size", "17"], capsys)
         assert code == 0
         lines = (outdir / "series.csv").read_text().splitlines()
         assert lines[0] == "x,value"
         meta = {l.split("=")[0][2:]: l.split("=")[1]
                 for l in lines if l.startswith("# ")}
         assert int(meta["iters"]) > 0
-        assert float(meta["tail_bound"]) <= 1e-10
+        assert float(meta["tail_bound"]) <= 1e-9
         # the weight cofactor sums to rho/(rho+1) times the weight
         mid = lines[9].split(",")
         assert abs(float(mid[0]) - 0.5) < 1e-15
@@ -202,6 +202,12 @@ class TestErrorPaths:
             ["series", "--n", "8", "--fn", "h=nosuch"], capsys)
         assert code == 1
         assert err.startswith("error:")
+        assert not (outdir / "series.csv").exists()
+
+    def test_tolerance_flag_rejected(self, outdir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["series", "--n", "8", "--tol", "1e-10"])
+        assert exc.value.code == 2
         assert not (outdir / "series.csv").exists()
 
     def test_raw_function_rejected_off_apply(self, outdir, capsys):

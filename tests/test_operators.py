@@ -122,7 +122,7 @@ class TestMirroredRules:
         # Gauss-Jacobi nodes refined by one Newton step on P_N^(a,b) in
         # 30 digits (the float nodes are right to about 1e-16), weights
         # from 1 / ((1 - u^2) P_N'(u)^2) normalized
-        mpmath = pytest.importorskip("mpmath")
+        import mpmath
         alpha, beta, size = 11.7, -0.9, 133
         q = _cached_beta_rule(alpha, beta, size)
         nodes, weights = [], []
@@ -423,7 +423,7 @@ class TestBernstein:
         # e_0 .. e_d, whose coefficient of x^j is S(m, j) n!/(n-j)! / n^m
         # (S the Stirling numbers of the second kind) for j <= min(n, m);
         # measured at most 5.6e-16, at (5, 60)
-        mpmath = pytest.importorskip("mpmath")
+        import mpmath
         for n in (5, 60):
             for d in (3, 12, 60):
                 got = _leading_block(n, math.inf, d)

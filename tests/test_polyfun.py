@@ -33,8 +33,6 @@ class TestPolynomial:
 
     def test_zero_and_monomial(self):
         assert Polynomial.zero().is_zero
-        m = Polynomial.monomial(3, 2.0)
-        assert np.array_equal(m.coeffs, [0.0, 0.0, 0.0, 2.0])
 
     def test_product_oracle(self):
         # (x + 1)^2 = x^2 + 2x + 1
@@ -332,13 +330,6 @@ class TestC0Function:
         assert f.norm0 == real(f.h, DEFAULT_SUP_GRID)
         assert f.norm0 == real(f.h, DEFAULT_SUP_GRID)
         assert len(calls) == 1
-
-    def test_supplied_norm0_is_kept(self, monkeypatch):
-        from bernseries import polyfun
-        monkeypatch.setattr(polyfun, "sup_norm",
-                            lambda *a: pytest.fail("sup_norm called"))
-        f = C0Function(lambda x: np.cos(5.0 * x), norm0=1.0)
-        assert f.norm0 == 1.0 and isinstance(f.norm0, float)
 
     def test_wrapped_function_rejected_as_cofactor(self):
         # a C0Function is callable, but it stands for x(1-x) h: wrapping
