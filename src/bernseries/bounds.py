@@ -143,7 +143,7 @@ def check_bound(h, n: int, rho: float,
     if grid is None:
         grid = DEFAULT_BOUND_GRID
     slack = _TOL + 10.0 * QUAD_TOL
-    vals, iters = _residual_profile(n, rho, handle, grid.points)
+    vals, _, iters = _residual_profile(n, rho, handle, grid.points)
     lhs = np.abs(vals)
     rhs = theorem52_rhs(handle, n, rho, grid.points, grid)
     margin = float(np.min(rhs - lhs))
@@ -194,7 +194,7 @@ def convergence_table(h, rho: float, n_list: Iterable[int],
         grid = DEFAULT_BOUND_GRID
     records = []
     for n in n_list:
-        vals, iters = _residual_profile(n, rho, handle, grid.points)
+        vals, _, iters = _residual_profile(n, rho, handle, grid.points)
         sup_h = float(np.max(np.abs(vals)))
         if admissible_n(n, rho):
             bracket = _bracket52(handle, n, rho, grid)

@@ -32,7 +32,7 @@ from .operators import _require_rho, apply_U, build_u_matrix
 from .eigen import compute_eigensystem, limit_eigenvalue
 from .polyfun import limit_eigenpoly
 from .series import apply_series
-from .voronovskaya import inverse_neg, residual_H
+from .voronovskaya import _residual_profile
 from .bounds import check_bound, convergence_table
 from .corpus import corpus_entry
 
@@ -205,10 +205,7 @@ def _execute(cfg: ExperimentConfig):
         }
     if cfg.command == "voronovskaya":
         n, rho = cfg.n_list[0], cfg.rho_list[0]
-        h = cfg.cofactor()
-        f = C0Function(h)
-        inv = inverse_neg(rho, f, pts)
-        resid = residual_H(n, rho, h, pts)
+        resid, inv, _ = _residual_profile(n, rho, cfg.cofactor(), pts)
         rows = [[x, iv, rv] for x, iv, rv in zip(pts, inv, resid)]
         return (["x", "inverse_value", "residual"], rows,
                 {"n": n, "rho": rho})

@@ -19,8 +19,10 @@ operator. On generic functions the operator is evaluated pointwise
 with Gauss quadrature built for the exact Beta weight, so
 integrable endpoint singularities at small rho are absorbed by the
 rule instead of being sampled. The rules come from the Golub-Welsch
-method with a dense symmetric eigensolve, so the module needs numpy
-only.
+method: the interior rules of one (n, rho) and size are stacked and
+diagonalized by batched symmetric eigensolves, and each node's rule
+grows from 20 nodes until two sizes agree to QUAD_TOL. The module
+needs numpy only.
 """
 
 from __future__ import annotations
@@ -77,10 +79,88 @@ def _homogeneous(rho) -> tuple:
     return rho, 1.0
 
 
-def _beta_raw_moment(alpha: float, beta: float, m: int) -> float:
-    """m-th raw moment of the normalized weight t^alpha (1-t)^beta."""
-    i = np.arange(m, dtype=float)
-    return float(np.prod((alpha + 1.0 + i) / (alpha + beta + 2.0 + i)))
+# Sizes of the interior Beta rules, in the order they are tried: a node
+# keeps the value of a size that agrees with the size before it, and a
+# node whose last two sizes still differ is an error.
+_RULE_SIZES = (20, 40, 80)
+# Floats per block of stacked Jacobi matrices handed to one eigensolve:
+# a whole 40-node stack at n = 4096 would hold 52 MB of matrices and
+# eigenvectors, a block holds 4 MB.
+_EIGH_BLOCK = 1 << 18
+
+
+def _golub_welsch(alpha, beta, size: int) -> tuple:
+    """Nodes and normalized weights of a stack of Gauss rules.
+
+    One rule of ``size`` nodes per exponent pair (alpha_i, beta_i) of
+    the weight t^alpha_i (1-t)^beta_i on (0, 1), as arrays of shape
+    (rows, size) with the nodes ascending. The Jacobi matrix of the
+    weight (1-u)^A (1+u)^B on [-1, 1] with A = beta_i and B = alpha_i
+    is assembled from the monic recurrence coefficients as a dense
+    lower triangle; the stack goes to numpy's batched symmetric
+    eigensolver (LAPACK's divide and conquer) a block of rows at a
+    time. The squared first components of the eigenvectors are the
+    normalized weights, so no Beta function value is ever formed.
+    """
+    A = np.asarray(beta, dtype=float)[:, None]
+    B = np.asarray(alpha, dtype=float)[:, None]
+    k = np.arange(1, size, dtype=float)
+    s = 2.0 * k + A + B
+    diag = np.empty((A.shape[0], size))
+    diag[:, :1] = (B - A) / (A + B + 2.0)
+    diag[:, 1:] = (B * B - A * A) / (s * (s + 2.0))
+    off = np.empty((A.shape[0], size - 1))
+    # The k = 1 coefficient is written in reduced form: the factor
+    # (1 + A + B) cancels against (s - 1), and the unreduced quotient
+    # is 0/0 exactly when A + B = -1.
+    off[:, :1] = (4.0 * (1.0 + A) * (1.0 + B)
+                  / ((A + B + 2.0) ** 2 * (A + B + 3.0)))
+    kk = k[1:]
+    sk = s[:, 1:]
+    off[:, 1:] = (4.0 * kk * (kk + A) * (kk + B) * (kk + A + B)
+                  / (sk * sk * (sk + 1.0) * (sk - 1.0)))
+    sub = np.sqrt(off)
+    nodes = np.empty_like(diag)
+    weights = np.empty_like(diag)
+    i = np.arange(size)
+    step = max(1, _EIGH_BLOCK // (size * size))
+    for lo in range(0, diag.shape[0], step):
+        block = slice(lo, lo + step)
+        J = np.zeros((diag[block].shape[0], size, size))
+        J[:, i, i] = diag[block]
+        J[:, i[1:], i[:-1]] = sub[block]
+        nodes_u, vecs = np.linalg.eigh(J, UPLO="L")
+        nodes[block] = (nodes_u + 1.0) / 2.0
+        weights[block] = vecs[:, 0, :] ** 2
+    return nodes, weights
+
+
+def _rule_defect(nodes, weights, alpha, beta):
+    """The first failed check of a stack of rules, as (row, message).
+
+    Row i is a rule with normalized weights for t^alpha_i (1-t)^beta_i.
+    Its nodes must lie strictly inside (0, 1), its weights be positive
+    and sum to one and, from two nodes on, its first moment match
+    (alpha_i + 1) / (alpha_i + beta_i + 2) to QUAD_TOL, which also
+    rejects a rule built for other exponents. Returns None when every
+    row passes.
+    """
+    failed = [
+        (~np.all((nodes > 0.0) & (nodes < 1.0), axis=1),
+         "nodes must lie strictly inside (0, 1)"),
+        (~np.all(weights > 0.0, axis=1), "weights must be positive"),
+        (~(np.abs(weights.sum(axis=1) - 1.0) <= 1e-12),
+         "normalized weights must sum to one"),
+    ]
+    if nodes.shape[1] >= 2:
+        m1 = np.sum(weights * nodes, axis=1)
+        want = (alpha + 1.0) / (alpha + beta + 2.0)
+        failed.append((~(np.abs(m1 - want) <= QUAD_TOL),
+                       "rule fails the first-moment check"))
+    for bad, message in failed:
+        if bad.any():
+            return int(np.argmax(bad)), message
+    return None
 
 
 @dataclass(frozen=True)
@@ -105,16 +185,11 @@ class QuadratureRule:
         weights = np.asarray(self.weights, dtype=float)
         if nodes.shape != weights.shape or nodes.ndim != 1 or nodes.size == 0:
             raise ValueError("nodes and weights must be matching 1-d arrays")
-        if np.any(nodes <= 0.0) or np.any(nodes >= 1.0):
-            raise ValueError("nodes must lie strictly inside (0, 1)")
-        if np.any(weights <= 0.0):
-            raise ValueError("weights must be positive")
-        if abs(float(weights.sum()) - 1.0) > 1e-12:
-            raise ValueError("normalized weights must sum to one")
-        if self.size >= 2:
-            m1 = float(weights @ nodes)
-            if abs(m1 - _beta_raw_moment(self.alpha, self.beta, 1)) > QUAD_TOL:
-                raise ValueError("rule fails the first-moment check")
+        defect = _rule_defect(nodes[None], weights[None],
+                              np.array([self.alpha], dtype=float),
+                              np.array([self.beta], dtype=float))
+        if defect is not None:
+            raise ValueError(defect[1])
         nodes = nodes.copy()
         weights = weights.copy()
         nodes.flags.writeable = False
@@ -135,56 +210,21 @@ class QuadratureRule:
     def beta_rule(cls, alpha: float, beta: float, size: int) -> "QuadratureRule":
         """Golub-Welsch construction on the probability-normalized weight.
 
-        The Jacobi matrix of the weight (1-u)^A (1+u)^B on [-1, 1] with
-        A = beta and B = alpha is assembled from the monic recurrence
-        coefficients as a dense lower triangle and diagonalized with
-        numpy's symmetric eigensolver (LAPACK's divide and conquer);
-        squared first components of the eigenvectors give the
-        normalized weights directly, so no Beta function value is ever
-        formed.
+        The one-row case of the stacked construction the interior
+        rules use.
         """
         if size < 1:
             raise ValueError("size must be at least 1")
         if alpha <= -1.0 or beta <= -1.0:
             raise ValueError("exponents must exceed -1")
-        A = float(beta)
-        B = float(alpha)
-        diag = np.empty(size)
-        diag[0] = (B - A) / (A + B + 2.0)
-        if size == 1:
-            node = (diag[0] + 1.0) / 2.0
-            return cls(np.array([node]), np.array([1.0]), alpha, beta)
-        k = np.arange(1, size, dtype=float)
-        s = 2.0 * k + A + B
-        diag[1:] = (B * B - A * A) / (s * (s + 2.0))
-        off = np.empty(size - 1)
-        # The k = 1 coefficient is written in reduced form: the factor
-        # (1 + A + B) cancels against (s - 1), and the unreduced
-        # quotient is 0/0 exactly when A + B = -1.
-        off[0] = (4.0 * (1.0 + A) * (1.0 + B)
-                  / ((A + B + 2.0) ** 2 * (A + B + 3.0)))
-        if size > 2:
-            kk = k[1:]
-            sk = s[1:]
-            off[1:] = (4.0 * kk * (kk + A) * (kk + B) * (kk + A + B)
-                       / (sk * sk * (sk + 1.0) * (sk - 1.0)))
-        J = np.diag(diag) + np.diag(np.sqrt(off), -1)
-        nodes_u, vecs = np.linalg.eigh(J, UPLO="L")
-        weights = vecs[0, :] ** 2
-        nodes = (nodes_u + 1.0) / 2.0
-        order = np.argsort(nodes)
-        return cls(nodes[order], weights[order], alpha, beta)
+        nodes, weights = _golub_welsch([alpha], [beta], size)
+        return cls(nodes[0], weights[0], alpha, beta)
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=64)
 def _cached_beta_rule(alpha: float, beta: float, size: int) -> QuadratureRule:
-    if alpha > beta:
-        # t -> 1 - t swaps the exponents, so the rule for (alpha, beta)
-        # is the mirror of the cached (beta, alpha) rule: the interior
-        # functionals at k and n - k share one eigensolve.
-        m = _cached_beta_rule(beta, alpha, size)
-        return QuadratureRule(1.0 - m.nodes[::-1], m.weights[::-1],
-                              alpha, beta)
+    """``QuadratureRule.beta_rule``, kept for the Legendre rules reused
+    by the limit inverse and the limit dual coefficients."""
     return QuadratureRule.beta_rule(alpha, beta, size)
 
 
@@ -351,31 +391,97 @@ def bernstein_basis(n: int, x) -> np.ndarray:
     return b
 
 
+def _interior_rules(n: int, rho: float, size: int, ks) -> tuple:
+    """Stacked Gauss rules of ``size`` nodes for the functionals at ks.
+
+    Row i is the rule for the Beta weight of node k = ks[i], with
+    exponents (k rho - 1, (n-k) rho - 1). t -> 1 - t swaps the
+    exponents, so a node k > n/2 takes the mirror of the rule of n - k
+    and only the distinct nodes min(k, n - k) go through the
+    eigensolve. Every row passes the checks of ``QuadratureRule``; a
+    failure raises a ValueError naming the node and the size.
+    """
+    ks = np.asarray(ks)
+    low, row = np.unique(np.minimum(ks, n - ks), return_inverse=True)
+    nodes, weights = _golub_welsch(low * rho - 1.0, (n - low) * rho - 1.0,
+                                   size)
+    nodes, weights = nodes[row], weights[row]
+    flip = ks > n - ks
+    nodes[flip] = 1.0 - nodes[flip, ::-1]
+    weights[flip] = weights[flip, ::-1]
+    defect = _rule_defect(nodes, weights, ks * rho - 1.0,
+                          (n - ks) * rho - 1.0)
+    if defect is not None:
+        i, message = defect
+        raise ValueError(f"Beta rule of {size} nodes at interior node "
+                         f"k={ks[i]} (n={n}, rho={rho}): {message}")
+    return nodes, weights
+
+
+@functools.lru_cache(maxsize=4)
+def _interior_stack(n: int, rho: float, size: int) -> tuple:
+    """The rules of ``_interior_rules`` for every interior node, kept.
+
+    ``apply_U`` and the series of one (n, rho) share them.
+    """
+    nodes, weights = _interior_rules(n, rho, size, np.arange(1, n))
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def _interior_values(n: int, rho: float, f: FunctionHandle) -> np.ndarray:
     """The n - 1 interior functional values F_1 f .. F_{n-1} f.
 
-    Node k averages against the Beta weight with exponents
-    (k rho - 1, (n-k) rho - 1), by a Gauss rule of max(20, n + 5)
-    nodes: exact on every polynomial of degree the matrices span. At
-    rho = inf the functionals are point evaluations at k/n.
+    Node k averages f against the Beta weight with exponents
+    (k rho - 1, (n-k) rho - 1). Every node is integrated by Gauss rules
+    of 20 and 40 nodes, each size one stack over all nodes with one
+    evaluation of f; a node whose two values differ by more than
+    QUAD_TOL (relative above magnitude one) goes on to a rule of twice
+    the size, compared with the last, and keeps the value of the
+    larger rule once two sizes agree. So every value agrees with a rule
+    of half its size to QUAD_TOL, and polynomials of degree below 80
+    are integrated exactly. A node that still disagrees at 80 nodes
+    raises a ValueError naming the node and the size. At rho = inf the
+    functionals are point evaluations at k/n.
     """
     if _homogeneous(rho)[1] == 0.0:
         return np.asarray(f(np.arange(1, n) / n), dtype=float)
-    size = max(20, n + 5)
+    if n < 2:
+        return np.empty(0)
+    ks = np.arange(1, n)
     vals = np.empty(n - 1)
-    for k in range(1, n):
-        rule = _cached_beta_rule(k * rho - 1.0, (n - k) * rho - 1.0, size)
-        vals[k - 1] = apply_F(n, k, rho, f, rule)
-    return vals
+    nodes, weights = _interior_stack(n, rho, _RULE_SIZES[0])
+    last = np.sum(weights * f(nodes), axis=1)
+    for size in _RULE_SIZES[1:]:
+        if ks.size == n - 1:
+            nodes, weights = _interior_stack(n, rho, size)
+        else:
+            nodes, weights = _interior_rules(n, rho, size, ks)
+        cur = np.sum(weights * f(nodes), axis=1)
+        gap = np.abs(cur - last)
+        settled = gap <= QUAD_TOL * np.maximum(1.0, np.abs(cur))
+        vals[ks[settled] - 1] = cur[settled]
+        ks, last, gap = ks[~settled], cur[~settled], gap[~settled]
+        if ks.size == 0:
+            return vals
+    raise ValueError(
+        f"Beta quadrature at interior node k={ks[0]} (n={n}, rho={rho}) "
+        f"does not settle by {_RULE_SIZES[-1]} nodes: the "
+        f"{_RULE_SIZES[-2]}- and {_RULE_SIZES[-1]}-node rules differ by "
+        f"{gap[0]:.3g}, more than QUAD_TOL"
+    )
 
 
 def apply_U(n: int, rho: float, f: FunctionHandle, x):
     """Pointwise operator value on a generic function.
 
-    Interior functionals are evaluated by Beta-weight Gauss rules sized
-    to be exact on every polynomial of degree the matrices span, then
-    blended with the Bernstein basis at x together with the endpoint
-    interpolation terms.
+    Interior functionals are evaluated by Beta-weight Gauss rules grown
+    from 20 nodes until two sizes agree to QUAD_TOL (see
+    ``_interior_values``, which raises a ValueError naming the node and
+    the size where they do not by 80 nodes), then blended with the
+    Bernstein basis at x together with the endpoint interpolation
+    terms.
     """
     if n < 1:
         raise ValueError("n must be at least 1")

@@ -160,13 +160,14 @@ def inverse_norm_check(rho: float, f: C0Function,
 
 
 def _residual_profile(n: int, rho: float, h, x):
-    """Series-minus-limit values and the iteration count behind them."""
+    """Series-minus-limit values, the limit inverse values they subtract,
+    and the iteration count behind them."""
     f = h if isinstance(h, C0Function) else C0Function(h)
     summed = apply_series(n, rho, f)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = (psi_values(xs) * np.asarray(summed.h(xs))
-            - inverse_neg(rho, f, xs))
-    return vals, summed.iterations
+    inv = inverse_neg(rho, f, xs)
+    vals = psi_values(xs) * np.asarray(summed.h(xs)) - inv
+    return vals, inv, summed.iterations
 
 
 def residual_H(n: int, rho: float, h, x):
@@ -177,5 +178,5 @@ def residual_H(n: int, rho: float, h, x):
     constant cofactors for every n and rho, since both sides act on
     the weight through the same factor.
     """
-    vals, _ = _residual_profile(n, rho, h, x)
+    vals, _, _ = _residual_profile(n, rho, h, x)
     return float(vals[0]) if np.ndim(x) == 0 else vals

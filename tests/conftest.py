@@ -7,8 +7,14 @@ full run ends with a compact per-criterion scoreboard.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from bernseries import Polynomial
+
+# Property tests run without a deadline (the first example of a size
+# pays for cold caches) and keep no example database between runs.
+settings.register_profile("bernseries", deadline=None, database=None)
+settings.load_profile("bernseries")
 
 _ACCEPTANCE = {}
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bernseries import EIGEN_N_CAP
+from bernseries import EIGEN_N_CAP, voronovskaya
 from bernseries.cli import (OUT_DIR_ENV, ExperimentConfig, _build_parser,
                             _parse_fn, main)
 
@@ -194,6 +194,24 @@ class TestSeriesAndVoronovskaya:
         assert lines[0] == "x,inverse_value,residual"
         resid = [abs(float(l.split(",")[2])) for l in lines[1:18]]
         assert max(resid) < 0.05
+
+    def test_voronovskaya_computes_the_inverse_once(self, outdir, capsys,
+                                                    monkeypatch):
+        # the inverse_value column is the inverse the residual subtracts;
+        # every inverse evaluation goes through the integral kernel
+        calls = []
+        original = voronovskaya.f_infty
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(voronovskaya, "f_infty", counting)
+        code, _, _ = run_cli(
+            ["voronovskaya", "--n", "16", "--rho", "1", "--fn", "h=cheb6"],
+            capsys)
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestErrorPaths:

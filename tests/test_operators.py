@@ -1,6 +1,7 @@
 """Quadrature rules, operator matrices, pointwise application, moments."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -25,7 +26,14 @@ from bernseries import (
     u_matrix_leading_block,
     u_norm0,
 )
-from bernseries.operators import _cached_beta_rule, _leading_block
+from bernseries import operators
+from bernseries.operators import (
+    QUAD_TOL,
+    _interior_rules,
+    _interior_stack,
+    _leading_block,
+    _rule_defect,
+)
 
 
 class TestQuadratureRule:
@@ -71,8 +79,8 @@ class TestQuadratureRule:
 
     def test_dense_eigh_matches_tridiagonal_solver(self):
         # the Jacobi matrix handed to scipy's tridiagonal eigensolver
-        # gives bit-identical rules for every alpha <= beta shape the
-        # operators build
+        # gives bit-identical rules for the alpha <= beta shapes the
+        # interior stacks start from
         linalg = pytest.importorskip("scipy.linalg")
 
         def tridiagonal_rule(alpha, beta, size):
@@ -94,8 +102,9 @@ class TestQuadratureRule:
         shapes = [(-0.5, -0.5, 6), (0.5, 1.5, 12), (-0.9, 11.7, 133)]
         for n in (5, 16, 33, 64):
             for rho in (0.1, 1.0, 10.0):
-                shapes += [(k * rho - 1.0, (n - k) * rho - 1.0,
-                            max(20, n + 5)) for k in range(1, n // 2 + 1)]
+                shapes += [(k * rho - 1.0, (n - k) * rho - 1.0, size)
+                           for k in range(1, n // 2 + 1)
+                           for size in (20, 40)]
         for alpha, beta, size in shapes:
             q = QuadratureRule.beta_rule(alpha, beta, size)
             nodes, weights = tridiagonal_rule(alpha, beta, size)
@@ -104,37 +113,42 @@ class TestQuadratureRule:
 
 
 class TestMirroredRules:
-    SHAPES = [(11.7, -0.9, 133), (2.5, 0.3, 20), (29.0, 9.0, 69),
-              (599.0, 19.0, 69)]
+    # (n, rho, k, size) with k > n/2: the interior rule of node k is the
+    # mirror of the rule of node n - k; exponents (11.7, -0.9), (2.5, 0.3),
+    # (29, 9) and (599, 19)
+    SHAPES = [(128, 0.1, 127, 133), (48, 0.1, 35, 20), (40, 1.0, 30, 69),
+              (620, 1.0, 600, 69)]
 
     def test_reflects_the_swapped_rule(self):
-        for alpha, beta, size in self.SHAPES:
-            q = _cached_beta_rule(alpha, beta, size)
-            m = _cached_beta_rule(beta, alpha, size)
-            assert (q.alpha, q.beta) == (alpha, beta)
-            assert np.array_equal(q.nodes, 1.0 - m.nodes[::-1])
-            assert np.array_equal(q.weights, m.weights[::-1])
-            direct = QuadratureRule.beta_rule(alpha, beta, size)
-            assert np.max(np.abs(q.nodes - direct.nodes)) < 1e-12
-            assert np.max(np.abs(q.weights - direct.weights)) < 1e-12
+        for n, rho, k, size in self.SHAPES:
+            nodes, weights = _interior_rules(n, rho, size, [n - k, k])
+            assert np.array_equal(nodes[1], 1.0 - nodes[0, ::-1])
+            assert np.array_equal(weights[1], weights[0, ::-1])
+            direct = QuadratureRule.beta_rule(k * rho - 1.0,
+                                              (n - k) * rho - 1.0, size)
+            assert np.max(np.abs(nodes[1] - direct.nodes)) < 1e-12
+            assert np.max(np.abs(weights[1] - direct.weights)) < 1e-12
 
     def test_against_mpmath_reference(self):
         # Gauss-Jacobi nodes refined by one Newton step on P_N^(a,b) in
         # 30 digits (the float nodes are right to about 1e-16), weights
-        # from 1 / ((1 - u^2) P_N'(u)^2) normalized
+        # from 1 / ((1 - u^2) P_N'(u)^2) normalized; the row of node 127
+        # of (128, 0.1) is the mirrored rule of exponents (11.7, -0.9)
         import mpmath
-        alpha, beta, size = 11.7, -0.9, 133
-        q = _cached_beta_rule(alpha, beta, size)
+        n, rho, k, size = self.SHAPES[0]
+        alpha, beta = k * rho - 1.0, (n - k) * rho - 1.0
+        stack_nodes, stack_weights = _interior_rules(n, rho, size, [k])
+        q = QuadratureRule(stack_nodes[0], stack_weights[0], alpha, beta)
         nodes, weights = [], []
         with mpmath.workdps(30):
             a, b = mpmath.mpf(beta), mpmath.mpf(alpha)
             steps = []
-            for k in range(2, size + 1):
-                c = 2 * k + a + b
-                den = 2 * k * (k + a + b) * (c - 2)
+            for j in range(2, size + 1):
+                c = 2 * j + a + b
+                den = 2 * j * (j + a + b) * (c - 2)
                 steps.append(((c - 1) * c * (c - 2) / den,
                               (c - 1) * (a * a - b * b) / den,
-                              2 * (k + a - 1) * (k + b - 1) * c / den))
+                              2 * (j + a - 1) * (j + b - 1) * c / den))
 
             def jacobi(u):
                 # P_N and P_N' by the three-term recurrence and its
@@ -160,6 +174,72 @@ class TestMirroredRules:
         # measured 5.4e-13 at the largest weight (1.8e-13 for the
         # direct rule)
         assert np.max(np.abs(q.weights - weights)) < 1e-12
+
+
+class TestStackedRules:
+    @pytest.mark.parametrize("rho", [1e-4, 1.0, 10.0, 1e4])
+    def test_moments_against_mpmath_reference(self, rho):
+        # rows k = 1, n/2 and n - 1 (the mirror of row 1) at n = 4096
+        # integrate t^j, j < 2m, against the Beta(k rho, (n-k) rho)
+        # moments prod (k rho + i) / (n rho + i) in 30 digits; measured
+        # at most 9.7e-15 absolute (rho = 1e-4, k = n - 1, 20 nodes).
+        # The absolute error is the one that bounds a quadrature value:
+        # the highest moments at k = 1 fall below 1e-100, where the
+        # tiny tail weights carry no relative accuracy.
+        import mpmath
+        n = 4096
+        ks = np.array([1, n // 2, n - 1])
+        for size in (20, 40):
+            nodes, weights = _interior_rules(n, rho, size, ks)
+            for row, k in enumerate(ks):
+                with mpmath.workdps(30):
+                    r = mpmath.mpf(rho)
+                    want = [mpmath.mpf(1)]
+                    for i in range(2 * size - 1):
+                        want.append(want[-1] * (k * r + i) / (n * r + i))
+                    want = np.array([float(v) for v in want])
+                got = np.array([np.sum(weights[row] * nodes[row] ** j)
+                                for j in range(2 * size)])
+                assert np.max(np.abs(got - want)) < 2e-14
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 21])
+    def test_stack_rows_equal_single_rules(self, n):
+        # the batched eigensolve reproduces the one-row rules bit for bit
+        rho = 0.3
+        nodes, weights = _interior_stack(n, rho, 20)
+        for k in range(1, n):
+            q = QuadratureRule.beta_rule(min(k, n - k) * rho - 1.0,
+                                         max(k, n - k) * rho - 1.0, 20)
+            if k > n - k:
+                q = QuadratureRule(1.0 - q.nodes[::-1], q.weights[::-1],
+                                   k * rho - 1.0, (n - k) * rho - 1.0)
+            assert np.array_equal(nodes[k - 1], q.nodes)
+            assert np.array_equal(weights[k - 1], q.weights)
+
+    def test_first_moment_check_names_the_row(self):
+        # rules handed the exponents of another node fail on that row:
+        # the check that stood behind apply_F's exponent match
+        n, rho = 16, 0.7
+        ks = np.array([3, 5])
+        nodes, weights = _interior_rules(n, rho, 20, ks)
+        alpha, beta = ks * rho - 1.0, (n - ks) * rho - 1.0
+        assert _rule_defect(nodes, weights, alpha, beta) is None
+        wrong = np.array([alpha[0], alpha[0]]), np.array([beta[0], beta[0]])
+        assert _rule_defect(nodes, weights, *wrong) == (
+            1, "rule fails the first-moment check")
+
+    def test_underflowing_weights_name_the_node_and_size(self):
+        # at 80 nodes the skewed rule of node 1 loses its smallest
+        # weights to underflow; the row check names the node
+        with pytest.raises(ValueError, match=r"80 nodes at interior node "
+                           r"k=1 \(n=256, rho=10.0\): weights must be "
+                           r"positive"):
+            _interior_rules(256, 10.0, 80, np.arange(1, 256))
+
+    def test_nan_nodes_are_rejected(self):
+        with pytest.raises(ValueError, match="strictly inside"):
+            QuadratureRule(np.array([0.5, np.nan]), np.array([0.5, 0.5]),
+                           0.0, 0.0)
 
 
 class TestFunctionalMoment:
@@ -334,27 +414,74 @@ class TestApplyU:
     @pytest.mark.parametrize("n", [8, 20, 21])
     def test_cold_call_builds_half_the_rules(self, n, monkeypatch):
         # nodes k and n - k share one rule; rho is used nowhere else,
-        # so every rule of the call is cold. Rules have n + 5 nodes,
-        # and no fewer than 20.
+        # so every rule of the call is cold. A smooth integrand settles
+        # at 20 against 40 nodes: one batched eigensolve per size, over
+        # the rows k <= n/2.
         built = []
-        original = QuadratureRule.beta_rule.__func__
+        original = operators._golub_welsch
 
-        def counting(cls, alpha, beta, size):
-            built.append((alpha, beta, size))
-            return original(cls, alpha, beta, size)
+        def counting(alpha, beta, size):
+            built.append((np.asarray(alpha), np.asarray(beta), size))
+            return original(alpha, beta, size)
 
-        monkeypatch.setattr(QuadratureRule, "beta_rule", classmethod(counting))
+        monkeypatch.setattr(operators, "_golub_welsch", counting)
         apply_U(n, 0.8125 + n / 1024, FunctionHandle.from_callable(np.cos),
                 0.3)
-        assert len(built) == n // 2
-        assert all(alpha <= beta for alpha, beta, _ in built)
-        assert {size for _, _, size in built} == {max(20, n + 5)}
+        assert [size for _, _, size in built] == [20, 40]
+        for alpha, beta, _ in built:
+            assert alpha.size == n // 2
+            assert np.all(alpha <= beta)
 
     @pytest.mark.parametrize("n", [80, 128])
-    def test_weight_underflow_still_raises(self, n):
-        f = FunctionHandle.from_callable(np.sin)
-        with pytest.raises(ValueError, match="weights must be positive"):
-            apply_U(n, 10.0, f, 0.5)
+    def test_former_weight_underflow_now_succeeds(self, n):
+        # the n + 5 node rules of node 1 lost weights to underflow here;
+        # the 20- and 40-node rules do not. A bare callable of a
+        # polynomial against the exact images of the monomials
+        c = np.array([0.3, -1.2, 0.8, 2.0, -1.5, 0.4, 0.9, -0.7, 0.25])
+        f = FunctionHandle.from_callable(
+            lambda x: npoly.polyval(x, c))
+        xs = np.linspace(0.0, 1.0, 17)
+        want = poly_eval(Polynomial(
+            u_matrix_leading_block(n, 10.0, c.size - 1) @ c), xs)
+        got = apply_U(n, 10.0, f, xs)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_rows_that_disagree_go_on_to_80_nodes(self, monkeypatch):
+        # at n = 2, rho = 1 the one interior weight is uniform; the pole
+        # of 1 / (1 + 25 (x - 1/2)^2) at distance 0.2 from [0, 1] leaves
+        # the 20-node value 1e-7 off, so the node goes on to 80 nodes,
+        # where it settles on the closed form (2/5) atan(5/2)
+        sizes = []
+        original = operators._golub_welsch
+
+        def recording(alpha, beta, size):
+            sizes.append(size)
+            return original(alpha, beta, size)
+
+        monkeypatch.setattr(operators, "_golub_welsch", recording)
+        _interior_stack.cache_clear()
+        runge = FunctionHandle.from_callable(
+            lambda x: 1.0 / (1.0 + 25.0 * (x - 0.5) ** 2))
+        got = apply_U(2, 1.0, runge, 0.5)
+        want = 0.25 * (runge(0.0) + runge(1.0)) + 0.2 * math.atan(2.5)
+        assert sizes == [20, 40, 80]
+        assert abs(got - want) < 1e-14
+
+    def test_jump_raises_naming_node_and_size(self):
+        # no rule size resolves a jump inside a Beta weight: the nodes
+        # whose weight straddles 1/2 stop at 80 nodes with an error.
+        # The two shared stacks are built first by a smooth call, so the
+        # timing covers the escalation and the error (measured 0.2 s;
+        # the cold stacks take 0.5 s more at this n)
+        n, rho = 4096, 1.0
+        apply_U(n, rho, FunctionHandle.from_callable(np.cos), 0.3)
+        jump = FunctionHandle.from_callable(lambda x: np.sign(x - 0.5))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"interior node k=\d+ "
+                           r"\(n=4096, rho=1.0\) does not settle by 80 "
+                           r"nodes"):
+            apply_U(n, rho, jump, 0.3)
+        assert time.perf_counter() - start < 1.0
 
 
 def _bernstein_basis_scalar_loop(n, x):
