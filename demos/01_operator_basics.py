@@ -7,6 +7,8 @@ endpoint interpolation, the operator norm on the pinned space, and the
 two classical neighbours reached at extreme parameter values.
 """
 
+import math
+
 import numpy as np
 
 from bernseries import (
@@ -15,11 +17,9 @@ from bernseries import (
     Polynomial,
     apply_U,
     apply_U_poly,
-    bernstein,
     build_u_matrix,
     central_moment,
     deflate_by_psi,
-    poly_eval,
     u_norm0,
 )
 
@@ -55,12 +55,12 @@ print(f"\ncentered moments at y={y}: "
       f"m2={central_moment(n, rho, y, 2):.6f}, "
       f"m4={central_moment(n, rho, y, 4):.6f}")
 
-# Extreme parameters: very large values sample at the nodes k/n like
-# the classical positive operator, very small values collapse onto the
-# chord between the endpoint values.
+# Extreme parameters: rho = inf samples at the nodes k/n, which is the
+# classical Bernstein operator, and large values come close to it; very
+# small values collapse onto the chord between the endpoint values.
 cube = Polynomial([0.0, 0.0, 0.0, 1.0])
 fc = FunctionHandle.from_polynomial(cube)
-sampled = poly_eval(bernstein(n, fc), xs)
+sampled = apply_U(n, math.inf, fc, xs)
 chord = xs  # the chord of x^3 between (0,0) and (1,1)
 big = apply_U(n, 1e4, fc, xs)
 small = apply_U(n, 1e-4, fc, xs)

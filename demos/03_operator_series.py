@@ -8,6 +8,8 @@ three ways: term-by-term through the interior-node transfer matrix,
 in closed form through the eigensystem, and in the sampling limit.
 """
 
+import math
+
 import numpy as np
 
 from bernseries import (
@@ -15,7 +17,6 @@ from bernseries import (
     C0Function,
     Polynomial,
     apply_series,
-    apply_series_bernstein,
     apply_series_poly,
     poly_eval,
     poly_limit,
@@ -50,9 +51,9 @@ w = apply_series(32, 2.0, C0Function(Polynomial([1.0])))
 print(f"\nweight cofactor after summing at n=32, rho=2: "
       f"{float(np.asarray(w.h(0.3))):.12f} (expect {2/3:.12f})")
 
-# The sampling-operator variant replaces the interior averages by point
-# evaluations at k/n; the same machinery sums it.
-sb = apply_series_bernstein(12, f)
+# The sampling operator, the member rho = inf, replaces the interior
+# averages by point evaluations at k/n; the same machinery sums it.
+sb = apply_series(12, math.inf, f)
 print(f"\nsampling-series at n=12: truncation count {sb.iterations}")
 print(np.array2string(sb.value(xs), precision=8))
 

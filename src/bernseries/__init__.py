@@ -23,10 +23,8 @@ from .operators import (
     QUAD_TOL,
     QuadratureRule,
     UOperatorMatrix,
-    apply_F,
     apply_U,
     apply_U_poly,
-    bernstein,
     bernstein_basis,
     build_u_matrix,
     central_moment,
@@ -81,8 +79,8 @@ __all__ = [
     "GridSpec", "Polynomial", "PSI", "deflate_by_psi", "jacobi11",
     "limit_eigenpoly", "omega", "poly_calculus", "poly_eval",
     "psi_values", "sup_norm",
-    "QUAD_TOL", "QuadratureRule", "UOperatorMatrix", "apply_F", "apply_U",
-    "apply_U_poly", "bernstein", "bernstein_basis", "build_u_matrix",
+    "QUAD_TOL", "QuadratureRule", "UOperatorMatrix", "apply_U",
+    "apply_U_poly", "bernstein_basis", "build_u_matrix",
     "central_moment", "functional_moment", "u_matrix_leading_block",
     "u_norm0",
     "EIGEN_N_CAP", "AsymptoticRecord", "EigenSystem",

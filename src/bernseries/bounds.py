@@ -6,8 +6,10 @@ of h at the step
 
     epsilon = sqrt((rho + 2) / (n rho + 2)),
 
-valid once n is large enough that epsilon <= 1/2. The sampling-limit
-counterpart replaces the step by 1/sqrt(n) with fixed constants. Grid
+valid once n is large enough that epsilon <= 1/2. Every formula here
+reads rho = r / w through ``operators._homogeneous``, so at rho = inf
+the step is 1/sqrt(n). The sampling-limit counterpart replaces the
+step by 1/sqrt(n) with fixed constants. Grid
 moduli are lower estimates of the true moduli, so verification adds a
 small slack on the bound side rather than ever relaxing the residual.
 The series behind the residual is summed exactly; its fixed truncation
@@ -29,7 +31,7 @@ from .polyfun import (
     omega,
     psi_values,
 )
-from .operators import QUAD_TOL, _require_rho
+from .operators import QUAD_TOL, _homogeneous, _require_rho
 from .series import _TOL
 from .voronovskaya import _residual_profile
 
@@ -53,29 +55,37 @@ _ADMIT_FUZZ = 1e-9
 
 
 def epsilon_step(n: int, rho: float) -> float:
-    """Modulus step sqrt((rho + 2) / (n rho + 2))."""
+    """Modulus step sqrt((rho + 2) / (n rho + 2)), 1/sqrt(n) at rho = inf."""
     _require_rho(rho)
     if n < 1:
         raise ValueError("n must be at least 1")
-    return math.sqrt((rho + 2.0) / (n * rho + 2.0))
+    r, w = _homogeneous(rho)
+    return math.sqrt((r + 2.0 * w) / (n * r + 2.0 * w))
+
+
+def _admission_threshold(rho: float) -> float:
+    """(4 rho + 6) / rho, the least n whose step is <= 1/2; 4 at rho = inf."""
+    r, w = _homogeneous(rho)
+    return (4.0 * r + 6.0 * w) / r
 
 
 def admissible_n(n: int, rho: float) -> bool:
     """Whether n clears (4 rho + 6) / rho, i.e. the step is <= 1/2."""
     _require_rho(rho)
-    return n + _ADMIT_FUZZ >= (4.0 * rho + 6.0) / rho
+    return n + _ADMIT_FUZZ >= _admission_threshold(rho)
 
 
 def _bracket52(h: FunctionHandle, n: int, rho: float,
                grid: GridSpec) -> float:
     """x-independent factor of the residual bound at (n, rho)."""
     eps = epsilon_step(n, rho)
-    c1 = 2.0 * rho / (3.0 * (rho + 1.0))
+    r, w = _homogeneous(rho)
+    c1 = 2.0 * r / (3.0 * (r + w))
     w1 = omega(h, 1, eps, grid)
     w2 = omega(h, 2, eps, grid)
-    c2 = (2.0 * rho / (rho + 1.0)
+    c2 = (2.0 * r / (r + w)
           + c1 * eps
-          + 7.0 * (rho + 3.0) / (6.0 * (rho + 1.0)))
+          + 7.0 * (r + 3.0 * w) / (6.0 * (r + w)))
     return c1 * eps * w1 + 0.75 * c2 * w2
 
 
@@ -90,7 +100,7 @@ def theorem52_rhs(h, n: int, rho: float, x,
     if not admissible_n(n, rho):
         raise ValueError(
             f"n={n} is below the admissibility threshold "
-            f"{(4.0 * rho + 6.0) / rho:.6g} for rho={rho}"
+            f"{_admission_threshold(rho):.6g} for rho={rho}"
         )
     handle = _as_handle(h)
     if grid is None:

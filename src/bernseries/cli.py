@@ -253,21 +253,29 @@ def _render_csv(header, rows, summary) -> str:
 
 
 def _render_json(command, header, rows, summary) -> str:
-    def jval(v):
+    """JSON text of a result; NaN is written as null and rho = inf as
+    "inf", the token --rho reads, and any other non-finite value is an
+    error rather than a non-JSON token."""
+    def jval(key, v):
         if isinstance(v, (bool, str)):
             return v
         if isinstance(v, (int, np.integer)):
             return int(v)
         v = float(v)
+        if key == "rho" and v == math.inf:
+            return "inf"
         return None if math.isnan(v) else _round12(v)
+
+    def record(keys, values):
+        return {k: jval(k, v) for k, v in zip(keys, values)}
 
     doc = {
         "command": command,
-        "rows": [dict(zip(header, (jval(v) for v in row))) for row in rows],
+        "rows": [record(header, row) for row in rows],
     }
     if summary:
-        doc["summary"] = {k: jval(v) for k, v in summary.items()}
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+        doc["summary"] = record(summary, summary.values())
+    return json.dumps(doc, indent=2, sort_keys=False, allow_nan=False) + "\n"
 
 
 def _atomic_write(path: str, text: str):
@@ -319,7 +327,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", required=True,
                        help="degree parameter; comma list for converge")
         p.add_argument("--rho", default="1",
-                       help="family parameter; comma list for converge")
+                       help="family parameter in (0, inf], inf for the "
+                            "Bernstein operator; comma list for converge")
         p.add_argument("--fn", default="h=one",
                        help="h=NAME (corpus), h=c0,c1,... or, for apply "
                             "only, f=c0,c1,...")

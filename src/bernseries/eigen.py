@@ -36,6 +36,7 @@ from .polyfun import (
 from .operators import (
     UOperatorMatrix,
     _cached_beta_rule,
+    _homogeneous,
     _require_rho,
     u_matrix_leading_block,
 )
@@ -62,14 +63,16 @@ def eigenvalue(n: int, rho: float, j: int) -> float:
     """Eigenvalue of index j: product of rho (n-i) / (n rho + i).
 
     Indices 0 and 1 give exactly one; the sequence is strictly
-    decreasing from index one on and stays in (0, 1].
+    decreasing from index one on and stays in (0, 1]. At rho = inf the
+    factors are (n-i)/n, the eigenvalues of the Bernstein operator.
     """
     _require_rho(rho)
     if not 0 <= j <= n:
         raise ValueError(f"index {j} outside 0..{n}")
+    r, w = _homogeneous(rho)
     v = 1.0
     for i in range(j):
-        v *= rho * (n - i) / (n * rho + i)
+        v *= r * (n - i) / (n * r + i * w)
     return v
 
 
@@ -167,11 +170,15 @@ def dual_coefficients(sys: EigenSystem, p: Polynomial) -> np.ndarray:
 
 
 def limit_eigenvalue(rho: float, j: int) -> float:
-    """Scaled eigenvalue slope in the limit: -(rho+1)/(2 rho) (j-1) j."""
+    """Scaled eigenvalue slope in the limit: -(rho+1)/(2 rho) (j-1) j.
+
+    At rho = inf the factor is 1/2.
+    """
     _require_rho(rho)
     if j < 0:
         raise ValueError("index must be nonnegative")
-    return -((rho + 1.0) / (2.0 * rho)) * (j - 1.0) * j
+    r, w = _homogeneous(rho)
+    return -((r + w) / (2.0 * r)) * (j - 1.0) * j
 
 
 def limit_dual(j: int, f: FunctionHandle) -> float:

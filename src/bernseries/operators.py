@@ -1,11 +1,11 @@
-"""The blending operator family and the Bernstein operator.
+"""The blending operator family, the Bernstein operator included.
 
 The family interpolates at the endpoints and, at the interior Bernstein
 nodes, replaces point evaluation by averages against Beta densities
-whose concentration is controlled by a positive parameter rho. Large
-rho recovers the Bernstein operator, rho equal to one the boundary
-interpolating Durrmeyer variant, and small rho the chord through the
-endpoint values.
+whose concentration is controlled by a parameter rho in (0, inf].
+rho = inf is the Bernstein operator, which samples at the nodes, rho
+equal to one the boundary interpolating Durrmeyer variant, and small
+rho the chord through the endpoint values.
 
 Two evaluation paths are provided. On polynomials the operator is
 materialized as an upper-triangular matrix in the monomial basis,
@@ -44,13 +44,11 @@ __all__ = [
     "QuadratureRule",
     "UOperatorMatrix",
     "functional_moment",
-    "apply_F",
     "u_matrix_leading_block",
     "build_u_matrix",
     "apply_U_poly",
     "apply_U",
     "bernstein_basis",
-    "bernstein",
     "central_moment",
     "u_norm0",
 ]
@@ -61,9 +59,9 @@ QUAD_TOL = 1e-10
 
 
 def _require_rho(rho) -> None:
-    """Reject rho outside (0, inf), NaN included, naming the parameter."""
-    if not 0.0 < rho < math.inf:
-        raise ValueError(f"rho must be positive and finite, got {rho}")
+    """Reject rho outside (0, inf], NaN included, naming the parameter."""
+    if not 0.0 < rho <= math.inf:
+        raise ValueError(f"rho must be positive (inf included), got {rho}")
 
 
 def _homogeneous(rho) -> tuple:
@@ -71,8 +69,8 @@ def _homogeneous(rho) -> tuple:
 
     Every formula of the family is unchanged when r and w are scaled
     together, so (rho, 1) keeps the finite-rho arithmetic and (1, 0)
-    gives the sampling (Bernstein) operator. Callers check rho, which
-    may be any value in (0, inf].
+    gives the sampling (Bernstein) operator. Every rho that passes
+    ``_require_rho``, inf included, has this form.
     """
     if rho == math.inf:
         return 1.0, 0.0
@@ -232,38 +230,17 @@ def functional_moment(n: int, k: int, rho: float, m: int) -> float:
     """m-th raw moment of the interior averaging functional at node k.
 
     Equals the product over i < m of (k rho + i) / (n rho + i), the
-    moment of the Beta density with parameters (k rho, (n-k) rho).
+    moment of the Beta density with parameters (k rho, (n-k) rho); at
+    rho = inf it is (k/n)^m, the moment of the point mass at k/n.
     """
     if not 1 <= k <= n - 1:
         raise ValueError(f"node index {k} outside 1..{n - 1}")
     _require_rho(rho)
     if m < 0:
         raise ValueError("moment order must be nonnegative")
+    r, w = _homogeneous(rho)
     i = np.arange(m, dtype=float)
-    return float(np.prod((k * rho + i) / (n * rho + i)))
-
-
-def apply_F(n: int, k: int, rho: float, f: FunctionHandle,
-            q: QuadratureRule) -> float:
-    """Quadrature value of the interior averaging functional at node k.
-
-    The rule must have been built for exponents (k rho - 1,
-    (n-k) rho - 1); mismatched rules are rejected rather than silently
-    integrating against the wrong density.
-    """
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"node index {k} outside 1..{n - 1}")
-    _require_rho(rho)
-    want_alpha = k * rho - 1.0
-    want_beta = (n - k) * rho - 1.0
-    tol_a = 1e-12 * max(1.0, abs(want_alpha))
-    tol_b = 1e-12 * max(1.0, abs(want_beta))
-    if abs(q.alpha - want_alpha) > tol_a or abs(q.beta - want_beta) > tol_b:
-        raise ValueError(
-            f"quadrature exponents ({q.alpha}, {q.beta}) do not match the "
-            f"functional's ({want_alpha}, {want_beta})"
-        )
-    return q.integrate(f)
+    return float(np.prod((k * r + i * w) / (n * r + i * w)))
 
 
 def _leading_block(n: int, rho: float, d: int) -> np.ndarray:
@@ -481,7 +458,8 @@ def apply_U(n: int, rho: float, f: FunctionHandle, x):
     ``_interior_values``, which raises a ValueError naming the node and
     the size where they do not by 80 nodes), then blended with the
     Bernstein basis at x together with the endpoint interpolation
-    terms.
+    terms. At rho = inf the functionals are samples at k/n and the
+    value is that of the Bernstein polynomial of f.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -494,34 +472,12 @@ def apply_U(n: int, rho: float, f: FunctionHandle, x):
     return float(val) if val.ndim == 0 else val
 
 
-def bernstein(n: int, f: FunctionHandle) -> Polynomial:
-    """The Bernstein polynomial of f of order n, in monomial form.
-
-    Polynomial inputs go through the family's column recurrence at
-    rho = inf. Generic inputs use the forward-difference coefficients
-        c_m = C(n, m) * diff^m f(0),
-    accurate for moderate n and smooth f; n is capped with the shared
-    degree cap either way.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > DEGREE_CAP:
-        raise ValueError(f"n={n} exceeds the degree cap {DEGREE_CAP}")
-    if f.poly is not None:
-        cols = _leading_block(n, math.inf, f.poly.degree)
-        return Polynomial(cols @ f.poly.coeffs)
-    vals = np.asarray(f(np.arange(n + 1) / n), dtype=float)
-    out = np.empty(n + 1)
-    cur = vals
-    out[0] = cur[0]
-    for m in range(1, n + 1):
-        cur = np.diff(cur)
-        out[m] = math.comb(n, m) * cur[0]
-    return Polynomial(out)
-
-
 def central_moment(n: int, rho: float, y: float, r: int) -> float:
-    """Closed forms of the centered operator moments up to order four."""
+    """Closed forms of the centered operator moments up to order four.
+
+    With rho = a / w from ``_homogeneous`` (r is the order here); at
+    rho = inf they are the moments of the Bernstein operator.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     _require_rho(rho)
@@ -534,21 +490,26 @@ def central_moment(n: int, rho: float, y: float, r: int) -> float:
         return 1.0
     if r == 1:
         return 0.0
+    a, w = _homogeneous(rho)
     if r == 2:
-        return (rho + 1.0) * psi / (n * rho + 1.0)
+        return (a + w) * psi / (n * a + w)
     if r == 3:
         dpsi = 1.0 - 2.0 * y
-        return ((rho + 1.0) * (rho + 2.0) * psi * dpsi
-                / ((n * rho + 1.0) * (n * rho + 2.0)))
-    num = (3.0 * rho * (rho + 1.0) ** 2 * psi * psi * n
-           - 6.0 * (rho + 1.0) * (rho * rho + 3.0 * rho + 3.0) * psi * psi
-           + (rho + 1.0) * (rho + 2.0) * (rho + 3.0) * psi)
-    return num / ((n * rho + 1.0) * (n * rho + 2.0) * (n * rho + 3.0))
+        return ((a + w) * (a + 2.0 * w) * psi * dpsi
+                / ((n * a + w) * (n * a + 2.0 * w)))
+    num = (3.0 * a * (a + w) ** 2 * psi * psi * n
+           - 6.0 * (a + w) * (a * a + 3.0 * a * w + 3.0 * w * w) * psi * psi
+           + (a + w) * (a + 2.0 * w) * (a + 3.0 * w) * psi)
+    return num / ((n * a + w) * (n * a + 2.0 * w) * (n * a + 3.0 * w))
 
 
 def u_norm0(n: int, rho: float) -> float:
-    """Operator norm on the pinned space: (n-1) rho / (n rho + 1)."""
+    """Operator norm on the pinned space: (n-1) rho / (n rho + 1).
+
+    At rho = inf it is (n-1)/n.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     _require_rho(rho)
-    return (n - 1.0) * rho / (n * rho + 1.0)
+    r, w = _homogeneous(rho)
+    return (n - 1.0) * r / (n * r + w)

@@ -110,9 +110,9 @@ def _cofactor_transfer(n: int, rho: float) -> np.ndarray:
     built from these ratios in log space and normalized, so no
     factorial or Beta value is ever formed. At rho = inf (w = 0) the
     rows are the binomial pmfs with success probability k/n: the
-    transfer matrix of the sampling operator. Callers check rho, which
-    may be any value in (0, inf]. Each matrix holds (n-1)^2 floats, so
-    only the last two are kept.
+    transfer matrix of the sampling operator. Every rho the entry points
+    accept, inf included, gives a matrix. Each matrix holds (n-1)^2
+    floats, so only the last two are kept.
     """
     if n < 2:
         raise ValueError("the transfer matrix needs n >= 2")
@@ -223,10 +223,12 @@ def _sum_series(n: int, rho: float, f: C0Function) -> SeriesResult:
 def apply_series(n: int, rho: float, f: C0Function) -> SeriesResult:
     """Sum the scaled operator series applied to a pinned function.
 
-    The result is again pinned; its cofactor is polynomial whenever the
-    monomial solve ran (input cofactor polynomial with the pinned form
-    inside Pi_n and under the degree cap) and a closure over Bernstein
-    coefficients after the transfer solve otherwise. The sum is exact
+    rho ranges over (0, inf]; rho = inf sums the series of the sampling
+    (Bernstein) operator. The result is again pinned; its cofactor is
+    polynomial whenever the monomial solve ran (input cofactor
+    polynomial with the pinned form inside Pi_n and under the degree
+    cap) and a closure over Bernstein coefficients after the transfer
+    solve otherwise. The sum is exact
     up to rounding; ``iterations`` is the a priori truncation count for
     the fixed tolerance 1e-9 and ``tail_bound`` the sup bound on the
     terms past it.
@@ -251,7 +253,8 @@ def apply_series_poly(n: int, rho: float, p: Polynomial) -> Polynomial:
     _require_rho(rho)
     if p.degree > n:
         raise ValueError(f"degree {p.degree} exceeds n={n}")
-    scale = rho / (n * rho + 1.0)
+    r, w = _homogeneous(rho)
+    scale = r / (n * r + w)
     mat = build_u_matrix(n, rho)
     sys = compute_eigensystem(mat)
     mu = dual_coefficients(sys, p)
@@ -274,12 +277,11 @@ def apply_series_poly(n: int, rho: float, p: Polynomial) -> Polynomial:
 
 
 def apply_series_bernstein(n: int, f: C0Function) -> SeriesResult:
-    """Series sum for the endpoint-interpolation (sampling) operator.
+    """``apply_series(n, inf, f)``: the series of the sampling operator.
 
-    The family's member rho = inf, summed by the same engine as
-    ``apply_series``: the averaging functionals become point
-    evaluations at k/n, the scale becomes 1/n and the contraction
-    factor (n-1)/n.
+    Kept as a second name for the family's member rho = inf, whose
+    averaging functionals are point evaluations at k/n, whose scale is
+    1/n and whose contraction factor is (n-1)/n.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -292,16 +294,17 @@ def poly_limit(p: Polynomial, rho: float) -> Polynomial:
     """Large-n limit of the series sum on a pinned polynomial.
 
     Each limit dual coefficient of index j >= 2 is damped by
-    2 rho / ((rho + 1) j (j - 1)) and attached to the limit
-    eigenpolynomial of the same index. Degrees zero and one carry no
-    pinned component and contribute nothing.
+    2 rho / ((rho + 1) j (j - 1)), or 2 / (j (j - 1)) at rho = inf, and
+    attached to the limit eigenpolynomial of the same index. Degrees
+    zero and one carry no pinned component and contribute nothing.
     """
     _require_rho(rho)
     require_pinned(p)
+    r, w = _homogeneous(rho)
     out = np.zeros(max(p.degree + 1, 1))
     for j in range(2, p.degree + 1):
         mu = limit_dual(j, FunctionHandle.from_polynomial(p))
-        damp = (rho / (rho + 1.0)) * 2.0 / (j * (j - 1.0))
+        damp = (r / (r + w)) * 2.0 / (j * (j - 1.0))
         pj = limit_eigenpoly(j)
         out[: j + 1] += damp * mu * pj.padded(j + 1)
     return Polynomial(out)

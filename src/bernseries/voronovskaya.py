@@ -1,9 +1,10 @@
 """Limit differential operator, its explicit inverse, and the residual.
 
 The limiting object of the scaled operator series acts on pinned
-functions as y -> (rho+1)/(2 rho) * x(1-x) y''. It is bijective on
-pinned polynomials, and its negated inverse has the closed integral
-representation
+functions as y -> (rho+1)/(2 rho) * x(1-x) y'', with the factor 1/2 at
+rho = inf: every formula here reads rho = r / w through
+``operators._homogeneous``. It is bijective on pinned polynomials, and
+its negated inverse has the closed integral representation
 
     (2 rho / (rho+1)) * [ (1-x) I0(x) + x I1(x) ],
     I0(x) = integral of t h(t) over [0, x],
@@ -31,7 +32,7 @@ from .polyfun import (
     require_pinned,
     sup_norm,
 )
-from .operators import _cached_beta_rule, _require_rho
+from .operators import _cached_beta_rule, _homogeneous, _require_rho
 from .series import apply_series
 
 __all__ = [
@@ -59,7 +60,8 @@ def apply_A_rho(rho: float, y: Polynomial) -> C0Function:
     _require_rho(rho)
     require_pinned(y)
     second = y.derivative().derivative()
-    c = (rho + 1.0) / (2.0 * rho)
+    r, w = _homogeneous(rho)
+    c = (r + w) / (2.0 * r)
     return C0Function(second * c)
 
 
@@ -122,7 +124,8 @@ def f_infty(h: FunctionHandle, x):
 def inverse_neg(rho: float, f: C0Function, x):
     """Negated inverse image of a pinned function at x."""
     _require_rho(rho)
-    c = 2.0 * rho / (rho + 1.0)
+    r, w = _homogeneous(rho)
+    c = 2.0 * r / (r + w)
     return c * f_infty(f.h, x)
 
 
@@ -134,7 +137,8 @@ def inverse_neg_polynomial(rho: float, f: C0Function) -> Polynomial:
     _require_rho(rho)
     if f.h.poly is None:
         raise ValueError("cofactor carries no exact coefficients")
-    c = 2.0 * rho / (rho + 1.0)
+    r, w = _homogeneous(rho)
+    c = 2.0 * r / (r + w)
     return f_infty_polynomial(f.h.poly) * c
 
 
@@ -155,7 +159,8 @@ def inverse_norm_check(rho: float, f: C0Function,
             lambda x, _r=rho, _f=f: inverse_neg(_r, _f, x)
         )
     lhs = sup_norm(handle, grid)
-    rhs = rho / (4.0 * (rho + 1.0)) * f.norm0
+    r, w = _homogeneous(rho)
+    rhs = r / (4.0 * (r + w)) * f.norm0
     return lhs, rhs
 
 

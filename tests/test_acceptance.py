@@ -25,7 +25,6 @@ from bernseries import (
     apply_series_poly,
     apply_U,
     apply_U_poly,
-    bernstein,
     build_u_matrix,
     check_bound,
     compute_eigensystem,
@@ -192,7 +191,7 @@ def test_criterion_11_parameter_extremes():
     cube = Polynomial([0.0, 0.0, 0.0, 1.0])
     f = FunctionHandle.from_polynomial(cube)
     xs = GRID129.points
-    sampled = poly_eval(bernstein(n, f), xs)
+    sampled = apply_U(n, math.inf, f, xs)
     big = apply_U(n, 1e4, f, xs)
     assert np.max(np.abs(big - sampled)) <= 1e-3
     chord = poly_eval(cube, 0.0) * (1 - xs) + poly_eval(cube, 1.0) * xs

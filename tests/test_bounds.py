@@ -14,6 +14,7 @@ from bernseries import (
     check_bound,
     convergence_table,
     epsilon_step,
+    standard_corpus,
     theorem52_rhs,
 )
 from bernseries.operators import QUAD_TOL
@@ -26,6 +27,10 @@ class TestEpsilonStep:
     def test_formula(self):
         assert epsilon_step(16, 1.0) == math.sqrt(3.0 / 18.0)
         assert abs(epsilon_step(10, 2.0) - math.sqrt(4.0 / 22.0)) < 1e-16
+
+    def test_sampling_step(self):
+        # at rho = inf the step is 1/sqrt(n)
+        assert epsilon_step(16, math.inf) == 0.25
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -44,6 +49,11 @@ class TestAdmissibleN:
     def test_exact_threshold_passes(self):
         # rho = 2 puts the threshold exactly at 7
         assert admissible_n(7, 2.0)
+
+    def test_sampling_threshold_is_four(self):
+        assert admissible_n(4, math.inf) and not admissible_n(3, math.inf)
+        with pytest.raises(ValueError, match=r"threshold 4 for rho=inf"):
+            theorem52_rhs(E1, 3, math.inf, 0.5)
 
 
 class TestTheorem52Rhs:
@@ -114,6 +124,16 @@ class TestCheckBound:
             check_bound(E1, 16, 1.0, tol=1e-3)
         with pytest.raises(TypeError):
             convergence_table(E1, 1.0, [16], tol=1e-3)
+
+
+    @pytest.mark.parametrize("n", [16, 256, 4096])
+    def test_holds_at_infinite_rho(self, n):
+        # the sampling member; measured at most lhs / rhs = 0.171, on
+        # affine at n = 16
+        for name, h in standard_corpus().items():
+            rep = check_bound(h, n, math.inf)
+            assert rep.satisfied, (name, n, rep.margin)
+            assert rep.epsilon == 1.0 / math.sqrt(n)
 
 
 class TestBernsteinLimitRhs:

@@ -13,10 +13,8 @@ from bernseries import (
     Polynomial,
     QuadratureRule,
     UOperatorMatrix,
-    apply_F,
     apply_U,
     apply_U_poly,
-    bernstein,
     bernstein_basis,
     build_u_matrix,
     central_moment,
@@ -217,8 +215,7 @@ class TestStackedRules:
             assert np.array_equal(weights[k - 1], q.weights)
 
     def test_first_moment_check_names_the_row(self):
-        # rules handed the exponents of another node fail on that row:
-        # the check that stood behind apply_F's exponent match
+        # rules handed the exponents of another node fail on that row
         n, rho = 16, 0.7
         ks = np.array([3, 5])
         nodes, weights = _interior_rules(n, rho, 20, ks)
@@ -258,19 +255,6 @@ class TestFunctionalMoment:
             functional_moment(4, 4, 1.0, 2)
         with pytest.raises(ValueError):
             functional_moment(4, 1, -1.0, 2)
-
-
-class TestApplyF:
-    def test_oracle(self):
-        q = QuadratureRule.beta_rule(0.0, 0.0, 6)  # n=2, k=1, rho=1
-        f = FunctionHandle.from_polynomial(Polynomial([0.0, 0.0, 1.0]))
-        assert abs(apply_F(2, 1, 1.0, f, q) - 1.0 / 3.0) < 1e-14
-
-    def test_rejects_mismatched_rule(self):
-        q = QuadratureRule.beta_rule(0.0, 0.0, 6)
-        f = FunctionHandle.from_polynomial(PSI)
-        with pytest.raises(ValueError):
-            apply_F(3, 1, 1.0, f, q)  # wants exponents (0, 1)
 
 
 def _u_matrix_from_moments(n, rho):
@@ -524,26 +508,31 @@ class TestBernsteinBasis:
 
 
 class TestBernstein:
+    # the Bernstein operator is the member rho = inf of the family
+
     def test_small_oracle(self):
-        p = bernstein(2, FunctionHandle.from_polynomial(
-            Polynomial([0.0, 0.0, 1.0])))
+        p = apply_U_poly(build_u_matrix(2, math.inf),
+                         Polynomial([0.0, 0.0, 1.0]))
         assert np.max(np.abs(p.padded(3) - [0.0, 0.5, 0.5])) < 1e-15
 
     def test_reproduces_affine(self):
-        p = bernstein(8, FunctionHandle.from_polynomial(Polynomial([2.0, -3.0])))
-        assert np.max(np.abs(p.padded(2) - [2.0, -3.0])) < 1e-13
+        affine = Polynomial([2.0, -3.0])
+        p = apply_U_poly(build_u_matrix(8, math.inf), affine)
+        assert np.max(np.abs((p - affine).coeffs)) < 1e-13
 
     def test_polynomial_and_sampling_routes_agree(self, rng):
+        # the monomial matrix against the blend of samples at k/n
         n = 9
+        xs = np.linspace(0.0, 1.0, 17)
+        mat = build_u_matrix(n, math.inf)
         for _ in range(8):
             p = Polynomial(rng.uniform(-1, 1, size=int(rng.integers(1, 8))))
-            via_poly = bernstein(n, FunctionHandle.from_polynomial(p))
-            via_vals = bernstein(
-                n, FunctionHandle.from_callable(lambda x, _p=p: poly_eval(_p, x))
-            )
-            m = max(via_poly.degree, via_vals.degree) + 1
-            assert np.max(np.abs(via_poly.padded(m) - via_vals.padded(m))) \
-                < 1e-12
+            via_poly = poly_eval(apply_U_poly(mat, p), xs)
+            via_vals = apply_U(
+                n, math.inf,
+                FunctionHandle.from_callable(lambda x, _p=p: poly_eval(_p, x)),
+                xs)
+            assert np.max(np.abs(via_poly - via_vals)) < 1e-12
 
     def test_sampling_block_against_mpmath_reference(self):
         # at rho = inf the recurrence gives the Bernstein images of
@@ -566,9 +555,9 @@ class TestBernstein:
 
     def test_interpolates_endpoints(self):
         fn = FunctionHandle.from_callable(lambda x: np.sin(2.5 * x) + 1.0)
-        p = bernstein(12, fn)
-        assert abs(poly_eval(p, 0.0) - 1.0) < 1e-11
-        assert abs(poly_eval(p, 1.0) - (math.sin(2.5) + 1.0)) < 1e-11
+        assert abs(apply_U(12, math.inf, fn, 0.0) - 1.0) < 1e-11
+        assert abs(apply_U(12, math.inf, fn, 1.0)
+                   - (math.sin(2.5) + 1.0)) < 1e-11
 
 
 class TestCentralMoment:

@@ -77,3 +77,7 @@ def test_package_exports_match_the_modules():
             module = importlib.import_module(f"bernseries.{path.stem}")
             union.update(module.__all__)
     assert sorted(bernseries.__all__) == sorted(union)
+    # the Bernstein operator is build_u_matrix / apply_U at rho = inf,
+    # not a name of its own
+    assert {"bernstein", "apply_F"}.isdisjoint(union)
+    assert len(bernseries.__all__) == 60

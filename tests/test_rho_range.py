@@ -1,12 +1,16 @@
-"""Every public entry point that takes rho rejects a rho outside (0, inf)."""
+"""Every public entry point that takes rho accepts rho in (0, inf] and
+rejects anything else; rho = inf is the sampling (Bernstein) member."""
 
+import dataclasses
+import inspect
+import json
 import math
 
 import numpy as np
 import pytest
 
 import bernseries as bs
-from bernseries.cli import ExperimentConfig, main
+from bernseries.cli import ExperimentConfig, _render_json, main
 
 H = bs.Polynomial([1.0, -0.5])
 F = bs.C0Function(H)
@@ -15,8 +19,6 @@ HANDLE = bs.FunctionHandle.from_polynomial(bs.PSI)
 # name -> call with the rho under test
 ENTRY_POINTS = {
     "functional_moment": lambda r: bs.functional_moment(8, 3, r, 2),
-    "apply_F": lambda r: bs.apply_F(
-        8, 3, r, HANDLE, bs.QuadratureRule.beta_rule(2.0, 4.0, 20)),
     "u_matrix_leading_block": lambda r: bs.u_matrix_leading_block(8, r, 4),
     "UOperatorMatrix": lambda r: bs.UOperatorMatrix(1, r, np.eye(2)),
     "build_u_matrix": lambda r: bs.build_u_matrix(8, r),
@@ -25,7 +27,7 @@ ENTRY_POINTS = {
     "u_norm0": lambda r: bs.u_norm0(8, r),
     "eigenvalue": lambda r: bs.eigenvalue(8, r, 2),
     "limit_eigenvalue": lambda r: bs.limit_eigenvalue(r, 2),
-    "asymptotic_report": lambda r: bs.asymptotic_report(r, 2, [8]),
+    "asymptotic_report": lambda r: bs.asymptotic_report(r, 4, [8]),
     "apply_series": lambda r: bs.apply_series(8, r, F),
     "apply_series_poly": lambda r: bs.apply_series_poly(8, r, bs.PSI),
     "poly_limit": lambda r: bs.poly_limit(bs.PSI, r),
@@ -33,7 +35,7 @@ ENTRY_POINTS = {
     "inverse_neg": lambda r: bs.inverse_neg(r, F, 0.5),
     "inverse_neg_polynomial": lambda r: bs.inverse_neg_polynomial(r, F),
     "inverse_norm_check": lambda r: bs.inverse_norm_check(r, F),
-    "residual_H": lambda r: bs.residual_H(8, r, H, 0.5),
+    "residual_H": lambda r: bs.residual_H(8, r, H, 0.3),
     "epsilon_step": lambda r: bs.epsilon_step(8, r),
     "admissible_n": lambda r: bs.admissible_n(8, r),
     "theorem52_rhs": lambda r: bs.theorem52_rhs(H, 64, r, 0.5),
@@ -43,12 +45,51 @@ ENTRY_POINTS = {
         command="eigen", n_list=[4], rho_list=[r]),
 }
 
+# Records that carry the rho they were computed at; they are built by
+# the entry points above, which check it.
+RECORD_TYPES = {"BoundReport", "ConvergenceRecord", "EigenSystem"}
+
+_XS = np.linspace(0.0, 1.0, 9)
+
+
+def _leaves(obj):
+    """The numbers an entry point returns, as a list of float arrays.
+
+    The rho an output carries back and the sizes and grids it echoes
+    are left out; a pinned function is read on a grid, a summed series
+    by its value and its truncation count. The series' a priori tail
+    bound q^(K+1) / (1 - q) is left out too: it turns the 1e-9 move of
+    q between rho = 1e8 and inf into a 2e-7 move at K = 155.
+    """
+    if isinstance(obj, (tuple, list)):
+        return [leaf for item in obj for leaf in _leaves(item)]
+    if isinstance(obj, bs.SeriesResult):
+        return [np.asarray(obj.value(_XS)), np.asarray(float(obj.iterations))]
+    if isinstance(obj, bs.C0Function):
+        return [np.asarray(obj.value(_XS))]
+    if isinstance(obj, bs.Polynomial):
+        return [obj.coeffs]
+    if dataclasses.is_dataclass(obj):
+        return [leaf for field in dataclasses.fields(obj)
+                if field.name not in ("n", "rho", "rho_list", "grid")
+                for leaf in _leaves(getattr(obj, field.name))]
+    if isinstance(obj, str) or obj is None:
+        return []
+    return [np.asarray(obj, dtype=float)]
+
 
 @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf],
                          ids=["zero", "negative", "nan", "inf"])
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
 def test_rejects_rho_outside_range(name, rho):
-    with pytest.raises(ValueError, match="rho must be positive and finite"):
+    # 0, negative values and NaN lie outside (0, inf]; inf is its upper
+    # end, accepted with a finite result
+    if rho == math.inf:
+        leaves = _leaves(ENTRY_POINTS[name](rho))
+        assert all(np.all(np.isfinite(leaf)) for leaf in leaves)
+        return
+    with pytest.raises(ValueError, match=r"rho must be positive \(inf "
+                                         r"included\)"):
         ENTRY_POINTS[name](rho)
 
 
@@ -59,10 +100,86 @@ def test_valid_rho_reaches_every_entry_point():
         call(1.0)
 
 
+def test_entry_points_cover_every_public_rho_parameter():
+    # a new public callable with a rho parameter must join the table
+    found = {name for name in bs.__all__
+             if callable(getattr(bs, name))
+             and "rho" in inspect.signature(getattr(bs, name)).parameters}
+    assert found == (set(ENTRY_POINTS) - {"ExperimentConfig"}) | RECORD_TYPES
+    # the CLI's configuration takes a list of rho values instead
+    assert "rho_list" in inspect.signature(ExperimentConfig).parameters
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_infinite_rho_continues_large_rho(name):
+    # every output at rho = inf is the limit of the outputs at large
+    # rho; measured at most 2.8e-8 relative, on asymptotic_report
+    got = _leaves(ENTRY_POINTS[name](math.inf))
+    near = _leaves(ENTRY_POINTS[name](1e8))
+    assert len(got) == len(near)
+    for a, b in zip(got, near):
+        assert a.shape == b.shape
+        scale = float(np.max(np.abs(b), initial=0.0))
+        assert np.max(np.abs(a - b), initial=0.0) <= 1e-7 * scale
+
+
 def test_cli_rejects_nan_rho(tmp_path, capsys):
     code = main(["eigen", "--n", "6", "--rho", "nan",
                  "--out", str(tmp_path / "eigen.csv")])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error: rho must be positive and finite")
+    assert err.startswith("error: rho must be positive (inf included)")
     assert not (tmp_path / "eigen.csv").exists()
+
+
+_SUBCOMMANDS = {
+    "apply": ["--n", "7", "--fn", "h=cheb6"],
+    "eigen": ["--n", "6"],
+    "series": ["--n", "12", "--fn", "h=square"],
+    "voronovskaya": ["--n", "10", "--fn", "h=affine"],
+    # n = 2 is below the admissibility threshold 4: a NaN bound cell
+    "converge": ["--n", "2,8,16", "--fn", "h=affine"],
+    "bound": ["--n", "16", "--fn", "h=affine"],
+}
+
+
+def _no_constant(token):
+    raise ValueError(f"non-JSON constant {token} in the output")
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+def test_cli_accepts_infinite_rho(command, tmp_path, capsys):
+    # JSON output writes rho = inf as "inf", the token --rho reads, and
+    # no other constant that is not JSON; CSV prints the same token
+    argv = [command] + _SUBCOMMANDS[command] + ["--rho", "inf",
+                                                "--grid-size", "9"]
+    assert main(argv + ["--format", "json",
+                        "--out", str(tmp_path / "out.json")]) == 0
+    doc = json.loads((tmp_path / "out.json").read_text(),
+                     parse_constant=_no_constant)
+    rhos = [row["rho"] for row in doc["rows"] if "rho" in row]
+    if "summary" in doc:
+        rhos.append(doc["summary"]["rho"])
+    assert rhos and set(rhos) == {"inf"}
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+    text = (tmp_path / "out.csv").read_text()
+    assert ",inf," in text or "# rho=inf\n" in text
+    capsys.readouterr()
+
+
+def test_json_rejects_other_infinities():
+    # only rho has a token for inf; NaN is null
+    assert json.loads(_render_json("c", ["rho", "v"], [[math.inf, math.nan]],
+                                   None))["rows"] == [{"rho": "inf", "v": None}]
+    with pytest.raises(ValueError):
+        _render_json("c", ["rho", "v"], [[1.0, math.inf]], None)
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+def test_cli_rejects_nan_rho_in_every_subcommand(command, tmp_path, capsys):
+    out = tmp_path / f"{command}.json"
+    code = main([command] + _SUBCOMMANDS[command]
+                + ["--rho", "nan", "--format", "json", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: rho must be positive")
+    assert not out.exists()
