@@ -62,23 +62,24 @@ _COMMANDS = {
 class ExperimentConfig:
     """Fully resolved experiment description.
 
-    ``fn_kind`` is "h-name", "h-coeffs", or "f-coeffs"; the latter is
-    accepted by the apply command only, since every other command works
-    through the cofactor.
+    ``fn`` is a function spec as ``--fn`` takes it, parsed on
+    construction: ``h=NAME`` (a corpus cofactor), ``h=c0,c1,...``
+    (inline cofactor coefficients) or ``f=c0,c1,...`` (the function
+    itself). The last is accepted by the apply command only, since
+    every other command works through the cofactor.
     """
 
     command: str
     n_list: List[int]
     rho_list: List[float]
-    fn_kind: str = "h-name"
-    fn_name: str = "one"
-    fn_coeffs: Optional[List[float]] = None
+    fn: str = "h=one"
     grid_kind: str = "uniform"
     grid_size: int = 129
     out_path: Optional[str] = None
     fmt: str = "csv"
 
     def __post_init__(self):
+        self._fn = _parse_fn(self.fn)
         if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
         if not self.n_list:
@@ -95,7 +96,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown grid kind {self.grid_kind!r}")
         if self.grid_size < 2:
             raise ValueError("grid size must be at least 2")
-        if self.fn_kind == "f-coeffs" and self.command != "apply":
+        if self._fn[0] == "f" and self.command != "apply":
             raise ValueError(
                 "a raw function spec (f=...) is only supported by apply; "
                 "give the cofactor instead (h=...)"
@@ -112,11 +113,10 @@ class ExperimentConfig:
         return GridSpec.chebyshev(self.grid_size)
 
     def cofactor(self) -> Polynomial:
-        if self.fn_kind == "h-name":
-            return corpus_entry(self.fn_name)
-        if self.fn_kind == "h-coeffs":
-            return Polynomial(self.fn_coeffs)
-        raise ValueError("a raw function spec has no cofactor")
+        key, poly = self._fn
+        if key != "h":
+            raise ValueError("a raw function spec has no cofactor")
+        return poly
 
     def resolved_out(self) -> str:
         if self.out_path:
@@ -136,7 +136,8 @@ def _round12(v) -> float:
     return float(_fmt(v))
 
 
-def _parse_fn(spec: str) -> Tuple[str, str, Optional[List[float]]]:
+def _parse_fn(spec: str) -> Tuple[str, Polynomial]:
+    """The key ("h" or "f") of a function spec and its polynomial."""
     if "=" not in spec:
         raise ValueError(
             f"function spec {spec!r} must look like h=NAME, h=c0,c1,... "
@@ -151,14 +152,13 @@ def _parse_fn(spec: str) -> Tuple[str, str, Optional[List[float]]]:
         raise ValueError("empty function payload")
     try:
         coeffs = [float(tok) for tok in payload.split(",")]
-        kind = "h-coeffs" if key == "h" else "f-coeffs"
-        return kind, "", coeffs
     except ValueError:
         if key == "f":
             raise ValueError(
                 "f= takes inline coefficients; corpus names are cofactors"
             ) from None
-        return "h-name", payload, None
+        return key, corpus_entry(payload)
+    return key, Polynomial(coeffs)
 
 
 def _execute(cfg: ExperimentConfig):
@@ -167,12 +167,10 @@ def _execute(cfg: ExperimentConfig):
     pts = grid.points
     if cfg.command == "apply":
         n, rho = cfg.n_list[0], cfg.rho_list[0]
-        if cfg.fn_kind == "f-coeffs":
-            f = FunctionHandle.from_polynomial(Polynomial(cfg.fn_coeffs))
-        else:
-            f = FunctionHandle.from_polynomial(
-                Polynomial([0.0, 1.0, -1.0]) * cfg.cofactor()
-            )
+        key, poly = cfg._fn
+        if key == "h":
+            poly = Polynomial([0.0, 1.0, -1.0]) * poly
+        f = FunctionHandle.from_polynomial(poly)
         uvals = apply_U(n, rho, f, pts)
         fvals = f(pts)
         rows = [[x, fv, uv] for x, fv, uv in zip(pts, fvals, uvals)]
@@ -345,14 +343,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        kind, name, coeffs = _parse_fn(args.fn)
         config = ExperimentConfig(
             command=args.command,
             n_list=[int(tok) for tok in str(args.n).split(",")],
             rho_list=[float(tok) for tok in str(args.rho).split(",")],
-            fn_kind=kind,
-            fn_name=name or "one",
-            fn_coeffs=coeffs,
+            fn=args.fn,
             grid_kind=args.grid,
             grid_size=args.grid_size,
             out_path=args.out,

@@ -36,6 +36,7 @@ from .polyfun import (
 from .operators import (
     UOperatorMatrix,
     _cached_beta_rule,
+    _checked_legendre,
     _homogeneous,
     _require_rho,
     u_matrix_leading_block,
@@ -189,7 +190,9 @@ def limit_dual(j: int, f: FunctionHandle) -> float:
     integral of f against the degree-(j-2) Jacobi(1,1) polynomial
     rescaled to [0, 1], weighted by a central binomial factor. The
     integral uses a Legendre rule, sized to be exact when f carries
-    polynomial coefficients and of 64 nodes otherwise.
+    polynomial coefficients and of 64 nodes otherwise, checked against
+    128 nodes: when the two differ by more than QUAD_TOL (relative above
+    magnitude one) a ValueError names the index.
     """
     if j < 0:
         raise ValueError("index must be nonnegative")
@@ -197,15 +200,18 @@ def limit_dual(j: int, f: FunctionHandle) -> float:
         return 0.5 * (f(0.0) + f(1.0))
     if j == 1:
         return f(1.0) - f(0.0)
+    core = jacobi11(j - 2)
+
+    def integrate(rule):
+        return rule.integrate(
+            lambda t: np.asarray(f(t)) * poly_eval(core, 2.0 * t - 1.0))
+
     if f.poly is not None:
         size = max(20, (f.poly.degree + j - 2) // 2 + 1)
+        integral = integrate(_cached_beta_rule(0.0, 0.0, size))
     else:
-        size = 64
-    quad = _cached_beta_rule(0.0, 0.0, size)
-    core = jacobi11(j - 2)
-    integral = quad.integrate(
-        lambda t: np.asarray(f(t)) * poly_eval(core, 2.0 * t - 1.0)
-    )
+        integral = float(_checked_legendre(
+            integrate, 64, lambda i: f"limit dual of index {j}"))
     return 0.5 * math.comb(2 * j, j) * (
         (-1.0) ** j * f(0.0) + f(1.0) - j * integral
     )

@@ -221,9 +221,32 @@ class QuadratureRule:
 
 @functools.lru_cache(maxsize=64)
 def _cached_beta_rule(alpha: float, beta: float, size: int) -> QuadratureRule:
-    """``QuadratureRule.beta_rule``, kept for the Legendre rules reused
-    by the limit inverse and the limit dual coefficients."""
+    """``QuadratureRule.beta_rule``, kept for the Legendre rules of
+    ``_checked_legendre`` and of the limit dual coefficients."""
     return QuadratureRule.beta_rule(alpha, beta, size)
+
+
+def _checked_legendre(apply_rule, size: int, where) -> np.ndarray:
+    """Legendre-rule values on [0, 1], checked against twice the nodes.
+
+    ``apply_rule`` maps a Legendre ``QuadratureRule`` to an array of
+    values and runs on the rules of ``size`` and ``2 * size`` nodes. The
+    ``size``-node values are returned when every entry agrees with the
+    larger rule to QUAD_TOL (relative above magnitude one); otherwise the
+    ValueError names ``where(i)`` of the first entry i that does not, and
+    both sizes.
+    """
+    lo = np.asarray(apply_rule(_cached_beta_rule(0.0, 0.0, size)))
+    hi = np.asarray(apply_rule(_cached_beta_rule(0.0, 0.0, 2 * size)))
+    gap = np.abs(hi - lo).ravel()
+    bad = ~(gap <= QUAD_TOL * np.maximum(1.0, np.abs(lo).ravel()))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"{where(i)}: the {size}- and {2 * size}-node Legendre rules "
+            f"differ by {gap[i]:.3g}, more than QUAD_TOL"
+        )
+    return lo
 
 
 def functional_moment(n: int, k: int, rho: float, m: int) -> float:

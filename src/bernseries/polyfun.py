@@ -280,19 +280,25 @@ def poly_calculus(p: Polynomial):
     return deriv, anti
 
 
-def require_pinned(p: Polynomial) -> None:
+def require_pinned(p) -> None:
     """Reject a polynomial that does not vanish at both endpoints.
 
-    Both endpoint values must stay within ENDPOINT_TOL times the
-    coefficient magnitude.
+    ``p`` is a Polynomial or an array whose columns are monomial
+    coefficients of one polynomial each, of any length. Both endpoint
+    values of each must stay within ENDPOINT_TOL times its coefficient
+    magnitude.
     """
-    scale = max(1.0, float(np.max(np.abs(p.coeffs))))
-    v0 = float(p.coeffs[0])
-    v1 = float(np.sum(p.coeffs))
-    if abs(v0) > ENDPOINT_TOL * scale or abs(v1) > ENDPOINT_TOL * scale:
+    c = p.coeffs if isinstance(p, Polynomial) else np.asarray(p)
+    c = c.reshape(c.shape[0], -1)
+    tol = ENDPOINT_TOL * np.maximum(1.0, np.max(np.abs(c), axis=0))
+    v0 = c[0]
+    v1 = np.sum(c, axis=0)
+    bad = ~((np.abs(v0) <= tol) & (np.abs(v1) <= tol))
+    if bad.any():
+        i = int(np.argmax(bad))
         raise ValueError(
             f"polynomial does not vanish at the endpoints "
-            f"(p(0)={v0:.3e}, p(1)={v1:.3e})"
+            f"(p(0)={v0[i]:.3e}, p(1)={v1[i]:.3e})"
         )
 
 

@@ -8,17 +8,17 @@ geometrically. One engine sums the series of every member with one
 linear solve against I minus the operator on a finite space; nothing is
 iterated or truncated:
 
-* a monomial solve for inputs carrying polynomial coefficients whose
-  pinned form fits inside Pi_n and under the degree cap: the operator
-  is upper triangular on the cofactor monomials x(1-x) x^m, so the sum
-  is one back-substitution;
-* a transfer solve for everything else: the operator maps the pinned
-  space into the weight times a degree n-2 Bernstein span, and a dense
+* a monomial solve for inputs carrying polynomial coefficients, at
+  every n and every degree up to the cap: the operator is upper
+  triangular on the cofactor monomials x(1-x) x^m, so the sum is one
+  back-substitution;
+* a transfer solve for callables: the operator maps the pinned space
+  into the weight times a degree n-2 Bernstein span, and a dense
   nonnegative transfer matrix with row sums q < 1 reproduces it on
   Bernstein coefficients without any basis conversion, so I minus that
-  matrix is a well conditioned M-matrix at any n. Its first vector is
-  exact on polynomial coefficients, uses the interior Beta rules of
-  ``apply_U`` on callables, and samples the input at k/n at rho = inf.
+  matrix is a well conditioned M-matrix at any n. Its first vector
+  takes the interior Beta rules of ``apply_U``, which sample the input
+  at k/n at rho = inf.
 
 An eigen-expansion route sums the series in closed form through the
 eigenvalues, available on polynomials up to the eigen cap, and is kept
@@ -35,12 +35,10 @@ import math
 import numpy as np
 
 from .polyfun import (
-    DEGREE_CAP,
     C0Function,
     FunctionHandle,
     Polynomial,
     _solve_upper,
-    deflate_by_psi,
     limit_eigenpoly,
     require_pinned,
 )
@@ -132,28 +130,6 @@ def _cofactor_transfer(n: int, rho: float) -> np.ndarray:
     return W
 
 
-def _first_vector_poly(n: int, rho: float, h: Polynomial) -> np.ndarray:
-    """Cofactor Bernstein coefficients of the image of the weighted input.
-
-    Exact in the coefficients of h for any degree: the averaging
-    functional of the weighted monomial t^m times the weight telescopes
-    into a moment difference, leaving one cumulative product per node.
-    With rho = r / w the moments are products of (k r + i w) / (n r + i w),
-    so rho = inf samples h at the nodes.
-    """
-    r, w = _homogeneous(rho)
-    hm = h.coeffs
-    I = np.arange(hm.size, dtype=float)
-    D = n * r + I * w
-    g0 = np.empty(n - 1)
-    for k in range(1, n):
-        factor = n * (n - 1.0) / (k * (n - k))
-        cum1 = np.cumprod((k * r + I * w) / D)
-        R = ((n - k) * r / (D + w)) * cum1
-        g0[k - 1] = factor * float(hm @ R)
-    return g0
-
-
 def _first_vector_generic(n: int, rho: float, f: C0Function) -> np.ndarray:
     """Quadrature form of the first vector for inputs without coefficients.
 
@@ -170,16 +146,20 @@ def _sum_monomial(n: int, rho: float, h: Polynomial,
                   scale: float) -> Polynomial:
     """Cofactor of the series sum by one triangular solve.
 
-    Column m of C is the image of x(1-x) x^m with the weight divided
-    back out; C is upper triangular with the eigenvalues of index
-    m + 2 on its diagonal, so the sum scale * (I - C)^(-1) h is exact.
+    Column m of P is the image of x(1-x) x^m; dropping its constant row
+    and taking running sums down the rest divides x(1-x) back out and
+    gives column m of C. C is upper triangular with the eigenvalues of
+    index m + 2 on its diagonal, zero past index n, so the sum
+    scale * (I - C)^(-1) h is exact at every n and degree.
     """
     e = h.degree
     M = _leading_block(n, rho, e + 2)
-    C = np.empty((e + 1, e + 1))
-    for m in range(e + 1):
-        C[:, m] = deflate_by_psi(Polynomial(M[:, m + 1] - M[:, m + 2])
-                                 ).padded(e + 1)
+    P = M[:, 1:-1] - M[:, 2:]
+    require_pinned(P)
+    C = np.zeros((e + 1, e + 1))
+    # The last running sum is P(1) - P(0), which vanishes; so do the
+    # sums below the diagonal, past the degree of each image.
+    C[: P.shape[0] - 2] = np.triu(np.cumsum(P[1:], axis=0)[:-1])
     return Polynomial(_solve_upper(np.eye(e + 1) - C, scale * h.coeffs))
 
 
@@ -195,27 +175,19 @@ def _sum_series(n: int, rho: float, f: C0Function) -> SeriesResult:
     """Series engine of every member rho in (0, inf]; callers check n, rho, f."""
     r, w = _homogeneous(rho)
     scale = r / (n * r + w)
-    if n == 1:
+    hp = f.h.poly
+    if hp is None and n == 1:
         # A single-node operator annihilates the pinned space, so the
         # series collapses to its first term.
-        if f.h.poly is not None:
-            h_out = f.h.poly * scale
-        else:
-            h_out = lambda x, _h=f.h, _s=scale: _s * np.asarray(_h(x))
+        h_out = lambda x, _h=f.h, _s=scale: _s * np.asarray(_h(x))
         return SeriesResult(h_out, 0, 0.0)
     q = (n - 1.0) * r / (n * r + w)
     K = _truncation_count(q, scale, f.norm0, _TOL)
     tail = scale * f.norm0 * q ** (K + 1) / (1.0 - q)
-    hp = f.h.poly
-    if hp is not None and hp.degree + 2 <= min(n, DEGREE_CAP):
-        h_out = _sum_monomial(n, rho, hp, scale)
-        return SeriesResult(h_out, K, tail)
-    W = _cofactor_transfer(n, rho)
     if hp is not None:
-        g0 = _first_vector_poly(n, rho, hp)
-    else:
-        g0 = _first_vector_generic(n, rho, f)
-    acc = np.linalg.solve(np.eye(n - 1) - W, g0)
+        return SeriesResult(_sum_monomial(n, rho, hp, scale), K, tail)
+    g0 = _first_vector_generic(n, rho, f)
+    acc = np.linalg.solve(np.eye(n - 1) - _cofactor_transfer(n, rho), g0)
     h_out = _weighted_bernstein_closure(f.h, acc, n - 2, scale)
     return SeriesResult(h_out, K, tail)
 
@@ -225,13 +197,12 @@ def apply_series(n: int, rho: float, f: C0Function) -> SeriesResult:
 
     rho ranges over (0, inf]; rho = inf sums the series of the sampling
     (Bernstein) operator. The result is again pinned; its cofactor is
-    polynomial whenever the monomial solve ran (input cofactor
-    polynomial with the pinned form inside Pi_n and under the degree
-    cap) and a closure over Bernstein coefficients after the transfer
-    solve otherwise. The sum is exact
-    up to rounding; ``iterations`` is the a priori truncation count for
-    the fixed tolerance 1e-9 and ``tail_bound`` the sup bound on the
-    terms past it.
+    polynomial exactly when the input's is (the monomial solve, at
+    every n) and a closure over Bernstein coefficients after the
+    transfer solve on a callable. The sum is exact up to rounding;
+    ``iterations`` is the a priori truncation count for the fixed
+    tolerance 1e-9 and ``tail_bound`` the sup bound on the terms past
+    it.
     """
     if n < 1:
         raise ValueError("n must be at least 1")

@@ -32,7 +32,7 @@ from .polyfun import (
     require_pinned,
     sup_norm,
 )
-from .operators import _cached_beta_rule, _homogeneous, _require_rho
+from .operators import _checked_legendre, _homogeneous, _require_rho
 from .series import apply_series
 
 __all__ = [
@@ -92,7 +92,10 @@ def f_infty(h: FunctionHandle, x):
     Polynomial cofactors go through exact antiderivatives; the
     piecewise and the expanded global form are compared at every
     requested point as a guard on the expansion. Generic cofactors use
-    two affinely mapped copies of a 32-node Legendre rule.
+    two affinely mapped copies of a 32-node Legendre rule, checked
+    against 64 nodes: a point where the two differ by more than
+    QUAD_TOL (relative above magnitude one) raises a ValueError that
+    names it.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs < 0.0) or np.any(xs > 1.0):
@@ -110,14 +113,16 @@ def f_infty(h: FunctionHandle, x):
             )
         out = glob
     else:
-        quad = _cached_beta_rule(0.0, 0.0, 32)
-        u = quad.nodes
-        w = quad.weights
-        left = xs[:, None] * u[None, :]
-        right = xs[:, None] + (1.0 - xs)[:, None] * u[None, :]
-        i0 = xs ** 2 * (np.asarray(h(left)) @ (w * u))
-        i1 = (1.0 - xs) ** 2 * (np.asarray(h(right)) @ (w * (1.0 - u)))
-        out = (1.0 - xs) * i0 + xs * i1
+        def kernel(rule):
+            u, w = rule.nodes, rule.weights
+            left = xs[:, None] * u[None, :]
+            right = xs[:, None] + (1.0 - xs)[:, None] * u[None, :]
+            i0 = xs ** 2 * (np.asarray(h(left)) @ (w * u))
+            i1 = (1.0 - xs) ** 2 * (np.asarray(h(right)) @ (w * (1.0 - u)))
+            return (1.0 - xs) * i0 + xs * i1
+
+        out = _checked_legendre(
+            kernel, 32, lambda i: f"inverse integral at x={xs[i]:.6g}")
     return float(out[0]) if np.ndim(x) == 0 else out
 
 

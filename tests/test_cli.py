@@ -1,5 +1,6 @@
 """Command-line experiment driver: parsing, outputs, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bernseries import EIGEN_N_CAP, voronovskaya
+from bernseries import EIGEN_N_CAP, corpus_entry, voronovskaya
 from bernseries.cli import (OUT_DIR_ENV, ExperimentConfig, _build_parser,
                             _parse_fn, main)
 
@@ -28,15 +29,17 @@ def run_cli(args, capsys):
 
 class TestParseFn:
     def test_corpus_name(self):
-        assert _parse_fn("h=cheb6") == ("h-name", "cheb6", None)
+        key, poly = _parse_fn("h=cheb6")
+        assert key == "h"
+        assert np.array_equal(poly.coeffs, corpus_entry("cheb6").coeffs)
 
     def test_inline_cofactor(self):
-        kind, name, coeffs = _parse_fn("h=1,-2,0.5")
-        assert kind == "h-coeffs" and coeffs == [1.0, -2.0, 0.5]
+        key, poly = _parse_fn("h=1,-2,0.5")
+        assert key == "h" and poly.coeffs.tolist() == [1.0, -2.0, 0.5]
 
     def test_inline_function(self):
-        kind, _, coeffs = _parse_fn("f=0,1")
-        assert kind == "f-coeffs" and coeffs == [0.0, 1.0]
+        key, poly = _parse_fn("f=0,1")
+        assert key == "f" and poly.coeffs.tolist() == [0.0, 1.0]
 
     def test_rejects_junk(self):
         with pytest.raises(ValueError):
@@ -62,9 +65,37 @@ class TestConfigValidation:
                          rho_list=[0.5, 1.0])
 
     def test_raw_function_only_for_apply(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="only supported by apply"):
             ExperimentConfig(command="series", n_list=[8], rho_list=[1.0],
-                             fn_kind="f-coeffs", fn_coeffs=[0.0, 1.0])
+                             fn="f=0,1")
+        cfg = ExperimentConfig(command="apply", n_list=[8], rho_list=[1.0],
+                               fn="f=0,1,-1")
+        with pytest.raises(ValueError, match="no cofactor"):
+            cfg.cofactor()
+
+    @pytest.mark.parametrize("spec, message", [
+        ("bogus", "must look like"),
+        ("g=1,2", "key must be h or f"),
+        ("h=", "empty function payload"),
+        ("h=1,nan", "coefficients must be finite"),
+        ("f=cheb6", "corpus names are cofactors"),
+        ("h=nosuch", "unknown corpus entry"),
+    ])
+    def test_rejects_bad_spec(self, spec, message):
+        # the spec is parsed on construction, so a bad one never
+        # reaches a run
+        with pytest.raises((ValueError, KeyError), match=message):
+            ExperimentConfig(command="series", n_list=[8], rho_list=[1.0],
+                             fn=spec)
+
+    def test_fields(self):
+        # one field carries the function spec
+        names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert names == ["command", "n_list", "rho_list", "fn", "grid_kind",
+                         "grid_size", "out_path", "fmt"]
+        cfg = ExperimentConfig(command="series", n_list=[8], rho_list=[1.0])
+        assert cfg.fn == "h=one"
+        assert cfg.cofactor().coeffs.tolist() == [1.0]
 
 
 class TestEigenCommand:

@@ -167,6 +167,42 @@ class TestLimitDual:
         )
         assert abs(a - b) < 1e-12
 
+    def test_callable_against_mpmath_reference(self):
+        # 30-digit integral against the Jacobi(1,1) polynomial in its
+        # explicit sum form. The binomial factor j C(2j, j) / 2 scales
+        # the rounding of the integral, so the bound does too; measured
+        # 4.8e-15 at j = 2 up to 6.6e-11 at j = 8.
+        import mpmath
+
+        def jacobi11(k, x):
+            return mpmath.fsum(
+                mpmath.binomial(k + 1, k - s) * mpmath.binomial(k + 1, s)
+                * ((x - 1) / 2) ** s * ((x + 1) / 2) ** (k - s)
+                for s in range(k + 1))
+
+        f = FunctionHandle.from_callable(np.cos)
+        for j in range(2, 9):
+            with mpmath.workdps(30):
+                core = mpmath.quad(
+                    lambda t: mpmath.cos(t) * jacobi11(j - 2, 2 * t - 1),
+                    [0, 1])
+                want = float(mpmath.binomial(2 * j, j) / 2 * (
+                    (-1) ** j + mpmath.cos(1) - j * core))
+            bound = 2e-15 * j * math.comb(2 * j, j)
+            assert abs(limit_dual(j, f) - want) < bound
+
+    @pytest.mark.parametrize("j", [2, 6])
+    def test_callable_kink_raises_naming_index_and_sizes(self, j):
+        # the 64- and 128-node integrals differ by 3.0e-4 (j = 2) and
+        # 1.9e-4 (j = 6) on sqrt|x - 1/2|, and j C(2j, j) / 2 scales
+        # that into the value
+        for h in (lambda t: np.abs(np.asarray(t) - 0.5),
+                  lambda t: np.sqrt(np.abs(np.asarray(t) - 0.5))):
+            with pytest.raises(
+                    ValueError, match=f"limit dual of index {j}: the 64- "
+                                      "and 128-node Legendre"):
+                limit_dual(j, FunctionHandle.from_callable(h))
+
 
 class TestAsymptoticReport:
     def test_gap_closed_form_at_rho_one(self):

@@ -18,16 +18,18 @@ from bernseries import (
     apply_U,
     bernstein_basis,
     corpus_entry,
+    deflate_by_psi,
     poly_eval,
     poly_limit,
+    standard_corpus,
     u_norm0,
 )
-from bernseries.operators import _interior_stack
+from bernseries.operators import _interior_stack, _leading_block
+from bernseries.polyfun import _solve_upper
 from bernseries.series import (
     _TOL,
     _cofactor_transfer,
     _first_vector_generic,
-    _first_vector_poly,
     _truncation_count,
     _weighted_bernstein_closure,
 )
@@ -126,12 +128,15 @@ class TestApplySeries:
         assert len(calls) == 1
 
     def test_single_node_collapses(self):
-        f = C0Function(Polynomial([1.0, -2.0]))
-        res = apply_series(1, 3.0, f)
-        assert res.iterations == 0
-        assert res.tail_bound == 0.0
-        want = (3.0 / 4.0) * np.asarray(f.h(XS))
-        assert np.max(np.abs(np.asarray(res.h(XS)) - want)) < 1e-15
+        # a polynomial cofactor (monomial solve) and a callable alike
+        h = Polynomial([1.0, -2.0])
+        for f in (C0Function(h), C0Function(lambda x: h(x))):
+            res = apply_series(1, 3.0, f)
+            assert (res.h.poly is None) == (f.h.poly is None)
+            assert res.iterations == 0
+            assert res.tail_bound == 0.0
+            want = (3.0 / 4.0) * np.asarray(f.h(XS))
+            assert np.max(np.abs(np.asarray(res.h(XS)) - want)) < 1e-15
 
     def test_sign_of_summed_image(self):
         # h = -1 represents x^2 - x; the sum keeps the sign and halves
@@ -174,6 +179,73 @@ class TestApplySeries:
             apply_series(4, 1.0, PSI)
 
 
+class TestRouteByInput:
+    """A polynomial cofactor takes the monomial solve at every n and
+    degree; only callables reach the transfer solve."""
+
+    @pytest.mark.parametrize("rho", [0.1, 1.0, 10.0, math.inf])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_corpus_below_pinned_degree(self, n, rho):
+        # n < deg + 2 for every corpus cofactor of degree above n - 2;
+        # relative above magnitude one, measured 5.7e-13 (absdev8)
+        for name, h in standard_corpus().items():
+            res = apply_series(n, rho, C0Function(h))
+            assert isinstance(res.h.poly, Polynomial), name
+            ref = apply_series(n, rho, C0Function(lambda x, _h=h: _h(x)))
+            assert ref.h.poly is None
+            want = np.asarray(ref.h(XS))
+            err = np.max(np.abs(res.h(XS) - want))
+            assert err < 2e-12 * max(1.0, np.max(np.abs(want))), name
+            assert res.iterations == ref.iterations
+
+    @pytest.mark.parametrize("rho", [0.1, 1.0, 10.0, math.inf])
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_degree_cap_cofactor(self, n, rho):
+        # a cofactor at the degree cap, whose pinned form (degree 62)
+        # exceeds the cap; measured 1.5e-14 relative above one
+        h = Polynomial(np.random.default_rng(60).uniform(-1.0, 1.0, 61))
+        assert h.degree == 60
+        res = apply_series(n, rho, C0Function(h))
+        assert isinstance(res.h.poly, Polynomial)
+        assert res.h.poly.degree <= 60
+        want = np.asarray(apply_series(n, rho, C0Function(
+            lambda x: h(x))).h(XS))
+        err = np.max(np.abs(res.h(XS) - want))
+        assert err < 1e-13 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("rho", [0.1, 1.0, 10.0, math.inf])
+    def test_matches_column_loop(self, rho):
+        # the one-step assembly of C against deflating each image as a
+        # Polynomial: the running sums are the same, so the bits are
+        # too wherever the pinned images fit inside Pi_n
+        for n in (16, 64, 4096):
+            for name, h in standard_corpus().items():
+                e = h.degree
+                M = _leading_block(n, rho, e + 2)
+                C = np.empty((e + 1, e + 1))
+                for m in range(e + 1):
+                    C[:, m] = deflate_by_psi(Polynomial(
+                        M[:, m + 1] - M[:, m + 2])).padded(e + 1)
+                scale = (1.0 / n if rho == math.inf
+                         else rho / (n * rho + 1.0))
+                want = _solve_upper(np.eye(e + 1) - C, scale * h.coeffs)
+                got = apply_series(n, rho, C0Function(h)).h.poly.coeffs
+                assert np.array_equal(got, Polynomial(want).coeffs), name
+
+    def test_rejects_unpinned_image(self, monkeypatch):
+        # the endpoint check on the images of x(1-x) x^m stays in force
+        from bernseries import series
+
+        def skewed(n, rho, d, _real=series._leading_block):
+            M = _real(n, rho, d).copy()
+            M[0, 2] = 1e-6
+            return M
+
+        monkeypatch.setattr(series, "_leading_block", skewed)
+        with pytest.raises(ValueError, match="does not vanish"):
+            apply_series(8, 1.0, C0Function(Polynomial([1.0, 2.0])))
+
+
 class TestTransferEngines:
     def test_row_sums_equal_contraction(self):
         for n, rho in ((6, 0.5), (16, 2.0), (25, 0.1)):
@@ -185,16 +257,18 @@ class TestTransferEngines:
 
     def test_columns_match_first_vector(self):
         # column j is the image of the weight times the degree n-2
-        # Bernstein basis polynomial j, which the exact first vector
-        # computes independently from the monomial form
-        for n, rho in ((12, 0.7), (9, 30.0), (14, 0.05)):
+        # Bernstein basis polynomial j, which the quadrature first
+        # vector computes independently from that basis polynomial as
+        # a callable (its Beta rules are exact on these degrees)
+        for n, rho in ((12, 0.7), (9, 30.0), (14, 0.05), (10, math.inf)):
             W = _cofactor_transfer(n, rho)
             d = n - 2
             for j in range(d + 1):
-                c = np.zeros(d + 1)
-                for i in range(d - j + 1):
-                    c[j + i] = math.comb(d, j) * math.comb(d - j, i) * (-1) ** i
-                col = _first_vector_poly(n, rho, Polynomial(c))
+                def b(x, _j=j):
+                    x = np.asarray(x)
+                    return math.comb(d, _j) * x ** _j * (1.0 - x) ** (d - _j)
+
+                col = _first_vector_generic(n, rho, C0Function(b))
                 assert np.max(np.abs(W[:, j] - col)) < 1e-11
 
     def test_row_sums_at_large_n_rho(self):
@@ -234,12 +308,14 @@ class TestTransferEngines:
 
     def test_transfer_route_matches_monomial_route(self):
         # both engines on one polynomial cofactor at large n rho, where
-        # iterated sums used to drift apart
+        # iterated sums used to drift apart: the transfer solve takes
+        # the cofactor as a callable
         n, rho = 1024, 10.0
         h = corpus_entry("cheb6")
         scale = rho / (n * rho + 1.0)
         W = _cofactor_transfer(n, rho)
-        acc = np.linalg.solve(np.eye(n - 1) - W, _first_vector_poly(n, rho, h))
+        g0 = _first_vector_generic(n, rho, C0Function(lambda x: h(x)))
+        acc = np.linalg.solve(np.eye(n - 1) - W, g0)
         transfer = _weighted_bernstein_closure(h, acc, n - 2, scale)
         xs = np.linspace(0.0, 1.0, 9)
         monomial = apply_series(n, rho, C0Function(h)).h(xs)
@@ -257,13 +333,6 @@ class TestTransferEngines:
         after = _interior_stack.cache_info()
         assert after.hits - before.hits == 2
         assert after.misses == before.misses
-
-    def test_first_vector_routes_agree(self):
-        n, rho = 12, 0.7
-        h = Polynomial([1.0, -0.4, 0.2, 0.05])
-        a = _first_vector_poly(n, rho, h)
-        b = _first_vector_generic(n, rho, C0Function(h))
-        assert np.max(np.abs(a - b)) < 1e-10
 
 
 class TestApplySeriesBernstein:
