@@ -25,6 +25,7 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from .polyfun import (
+    C0Function,
     FunctionHandle,
     GridSpec,
     _as_handle,
@@ -202,9 +203,11 @@ def convergence_table(h, rho: float, n_list: Iterable[int],
     handle = _as_handle(h)
     if grid is None:
         grid = DEFAULT_BOUND_GRID
+    # One pinned input for the sweep, so its norm is estimated once.
+    f = C0Function(handle)
     records = []
     for n in n_list:
-        vals, _, iters = _residual_profile(n, rho, handle, grid.points)
+        vals, _, iters = _residual_profile(n, rho, f, grid.points)
         sup_h = float(np.max(np.abs(vals)))
         if admissible_n(n, rho):
             bracket = _bracket52(handle, n, rho, grid)

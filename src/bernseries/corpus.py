@@ -8,10 +8,11 @@ non-smooth profile.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import OrderedDict
 from importlib import resources
-from typing import Dict
+from typing import Tuple
 
 from .polyfun import Polynomial
 
@@ -20,7 +21,12 @@ __all__ = ["CORPUS_VERSION", "standard_corpus", "corpus_entry"]
 CORPUS_VERSION = 1
 
 
-def _load_raw() -> dict:
+@functools.lru_cache(maxsize=None)
+def _entries() -> Tuple[Tuple[str, Polynomial], ...]:
+    """The file's (name, cofactor) pairs, read and checked once per process.
+
+    Polynomials are immutable, so every caller can share them.
+    """
     path = resources.files("bernseries").joinpath("data/corpus.json")
     raw = json.loads(path.read_text(encoding="utf-8"))
     if raw.get("version") != CORPUS_VERSION:
@@ -28,16 +34,13 @@ def _load_raw() -> dict:
             f"corpus file version {raw.get('version')!r} does not match "
             f"the supported version {CORPUS_VERSION}"
         )
-    return raw
+    return tuple((entry["name"], Polynomial(entry["coeffs"]))
+                 for entry in raw["entries"])
 
 
 def standard_corpus() -> "OrderedDict[str, Polynomial]":
-    """Name-to-cofactor map in the file's order."""
-    raw = _load_raw()
-    out: "OrderedDict[str, Polynomial]" = OrderedDict()
-    for entry in raw["entries"]:
-        out[entry["name"]] = Polynomial(entry["coeffs"])
-    return out
+    """Name-to-cofactor map in the file's order, a new map on every call."""
+    return OrderedDict(_entries())
 
 
 def corpus_entry(name: str) -> Polynomial:

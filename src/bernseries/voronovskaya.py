@@ -80,7 +80,11 @@ def f_infty_polynomial(h: Polynomial) -> Polynomial:
     coefficients of x P and x Q cancel exactly, so the degree is that
     of the pinned input x(1-x) h.
     """
-    P, Q = _antiderivative_pieces(h)
+    return _expand_pieces(*_antiderivative_pieces(h))
+
+
+def _expand_pieces(P: Polynomial, Q: Polynomial) -> Polynomial:
+    """P - x P + Q(1) x - x Q, the global form of the pieces (P, Q)."""
     e1 = Polynomial([0.0, 1.0])
     q1 = float(np.sum(Q.coeffs))
     return P - e1 * P + Polynomial([0.0, q1]) - e1 * Q
@@ -105,7 +109,7 @@ def f_infty(h: FunctionHandle, x):
         q1 = float(np.sum(Q.coeffs))
         piece = ((1.0 - xs) * poly_eval(P, xs)
                  + xs * (q1 - poly_eval(Q, xs)))
-        glob = poly_eval(f_infty_polynomial(h.poly), xs)
+        glob = poly_eval(_expand_pieces(P, Q), xs)
         scale = max(1.0, float(np.max(np.abs(piece))))
         if np.max(np.abs(piece - glob)) > _PIECE_TOL * scale:
             raise RuntimeError(

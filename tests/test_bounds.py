@@ -185,3 +185,14 @@ class TestConvergenceTable:
     def test_residual_sup_shrinks(self):
         recs = convergence_table(E1, 2.0, [8, 64])
         assert recs[1].sup_h < 0.5 * recs[0].sup_h
+
+    @pytest.mark.parametrize("h", [standard_corpus()["cheb6"], np.cos])
+    def test_input_norm_once_per_sweep(self, monkeypatch, h):
+        from bernseries import polyfun
+        calls = []
+        real = polyfun.sup_norm
+        monkeypatch.setattr(polyfun, "sup_norm",
+                            lambda *a: calls.append(a) or real(*a))
+        recs = convergence_table(h, 1.0, [8, 16, 32, 64])
+        assert len(recs) == 4
+        assert len(calls) == 1

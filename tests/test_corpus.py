@@ -1,9 +1,12 @@
 """Bundled cofactor corpus: integrity of the shipped coefficients."""
 
+import json
+
 import numpy as np
 import pytest
 
-from bernseries import CORPUS_VERSION, corpus_entry, poly_eval, standard_corpus
+from bernseries import (CORPUS_VERSION, corpus, corpus_entry, poly_eval,
+                        standard_corpus)
 
 
 def test_version():
@@ -40,3 +43,21 @@ def test_absdev8_tracks_absolute_deviation():
 def test_unknown_name():
     with pytest.raises(KeyError, match="one"):
         corpus_entry("missing")
+
+
+def test_file_read_once_per_process(monkeypatch):
+    corpus._entries.cache_clear()
+    reads = []
+    real = json.loads
+    monkeypatch.setattr(json, "loads",
+                        lambda *a, **k: reads.append(a) or real(*a, **k))
+    assert corpus_entry("cheb6").degree == 6
+    assert corpus_entry("one").degree == 0
+    assert len(reads) == 1
+
+
+def test_each_call_returns_a_new_map():
+    first = standard_corpus()
+    first.clear()
+    assert list(standard_corpus()) == [
+        "one", "affine", "square", "quartic", "cheb6", "absdev8"]

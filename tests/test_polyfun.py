@@ -1,7 +1,10 @@
 """Polynomial container, weight handling, special polynomials, moduli."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bernseries import (
     DEFAULT_SUP_GRID,
@@ -23,6 +26,42 @@ from bernseries import (
     sup_norm,
 )
 from bernseries.polyfun import _solve_upper
+
+
+def _omega2_per_step(f, delta, pts):
+    """The order-2 grid modulus one step at a time: three calls of f per
+    step on the grid points the step keeps inside [0, 1]. The batched
+    ``omega`` must equal it bit for bit."""
+    best = 0.0
+    for t in delta * np.arange(1, 33) / 32.0:
+        mask = (pts >= t - 1e-15) & (pts <= 1.0 - t + 1e-15)
+        if not np.any(mask):
+            continue
+        x = pts[mask]
+        xp = np.clip(x + t, 0.0, 1.0)
+        xm = np.clip(x - t, 0.0, 1.0)
+        d2 = np.abs(np.asarray(f(xp)) - 2.0 * np.asarray(f(x))
+                    + np.asarray(f(xm)))
+        best = max(best, float(d2.max()))
+    return best
+
+
+@st.composite
+def _grids(draw):
+    inner = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True,
+                                    exclude_max=True),
+                          max_size=300, unique=True))
+    return GridSpec(np.concatenate(([0.0], np.sort(inner), [1.0])))
+
+
+_HANDLES = st.one_of(
+    st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=9).map(
+        lambda c: FunctionHandle.from_polynomial(Polynomial(c))),
+    st.floats(0.0, 1.0).map(lambda c: FunctionHandle.from_callable(
+        lambda x: np.abs(x - c))),
+    st.just(FunctionHandle.from_callable(np.exp)),
+)
+_DELTAS = st.floats(0.0, 0.5, exclude_min=True)
 
 
 class TestPolynomial:
@@ -244,6 +283,13 @@ class TestSupNorm:
         f = FunctionHandle.from_polynomial(Polynomial([0.0, 1.0]))
         assert sup_norm(f, g) >= 1.0 - 1e-15
 
+    def test_non_finite_value_is_named(self):
+        f = FunctionHandle.from_callable(
+            lambda x: np.where(np.abs(x - 0.7) < 0.01, np.nan, x))
+        with pytest.raises(ValueError,
+                           match=r"sup_norm: .* not finite at x=0\.6953125$"):
+            sup_norm(f, GridSpec.uniform(129))
+
 
 class TestOmega:
     def test_first_order_affine(self):
@@ -284,6 +330,49 @@ class TestOmega:
                                 want = max(want, abs(vals[j] - vals[i]))
                     got = omega(FunctionHandle.from_callable(fn), 1, delta, g)
                     assert got == want
+
+    @settings(max_examples=60)
+    @given(f=_HANDLES, g=_grids(), delta=_DELTAS)
+    def test_second_order_matches_per_step_loop(self, f, g, delta):
+        assert omega(f, 2, delta, g) == _omega2_per_step(f, delta, g.points)
+
+    def test_second_order_blocks_match_per_step_loop(self, rng):
+        # 3000 points take the 32 steps in several blocks
+        inner = np.sort(rng.uniform(0.0, 1.0, 2998))
+        g = GridSpec(np.concatenate(([0.0], inner, [1.0])))
+        f = FunctionHandle.from_callable(lambda x: np.abs(x - 0.37))
+        for delta in (0.002, 0.1, 0.5):
+            assert omega(f, 2, delta, g) == _omega2_per_step(f, delta,
+                                                            g.points)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_memory_stays_linear_in_the_grid(self, order):
+        f = FunctionHandle.from_polynomial(Polynomial([1.0, -2.0, 0.5, 3.0]))
+        g = GridSpec.uniform(20001)
+        tracemalloc.start()
+        try:
+            omega(f, order, 0.5, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_non_finite_value_is_named(self, order):
+        f = FunctionHandle.from_callable(
+            lambda x: np.where(np.abs(x - 0.7) < 0.01, np.nan, x))
+        with pytest.raises(ValueError, match=r"not finite at x=0\.6953125$"):
+            omega(f, order, 0.1, GridSpec.uniform(129))
+
+    def test_non_finite_offset_value_is_named(self):
+        # finite on the grid, infinite between its points: only the
+        # second-order offsets x + t and x - t reach those
+        g = GridSpec.uniform(129)
+        f = FunctionHandle.from_callable(
+            lambda x: np.where(np.isin(x, g.points), x, np.inf))
+        assert omega(f, 1, 0.1, g) == 0.09375
+        with pytest.raises(ValueError, match="omega: .* not finite at x="):
+            omega(f, 2, 0.1, g)
 
     def test_validation(self):
         f = FunctionHandle.from_polynomial(PSI)

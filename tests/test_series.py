@@ -127,6 +127,11 @@ class TestApplySeries:
         assert res.norm0 == real(res.h)
         assert len(calls) == 1
 
+    def test_non_finite_input_is_named(self):
+        f = C0Function(lambda x: np.where(np.abs(x - 0.7) < 0.01, np.nan, x))
+        with pytest.raises(ValueError, match="sup_norm: .* not finite at x="):
+            apply_series(16, 1.0, f)
+
     def test_single_node_collapses(self):
         # a polynomial cofactor (monomial solve) and a callable alike
         h = Polynomial([1.0, -2.0])
