@@ -31,8 +31,9 @@ img = apply_A_rho(rho, y)
 print("image of a pinned cubic:")
 print(np.array2string(img(xs), precision=6))
 
-# The negated inverse is an integral against an explicit kernel; on
-# polynomial input the antiderivatives are formed exactly.
+# The negated inverse is an integral against the Green's function of
+# y'' = -h with y(0) = y(1) = 0; on polynomial input it is the double
+# antiderivative H(1) x - H(x), formed coefficient by coefficient.
 f = C0Function(Polynomial([1.0, 1.0]))
 F = inverse_neg_polynomial(rho, f)
 print(f"\nnegated inverse coefficients:\n{F.coeffs}")

@@ -25,9 +25,9 @@ import numpy as np
 
 from .polyfun import (
     DEFAULT_SUP_GRID,
-    FunctionHandle,
     GridSpec,
     Polynomial,
+    _as_handle,
     _solve_upper,
     jacobi11,
     limit_eigenpoly,
@@ -182,8 +182,8 @@ def limit_eigenvalue(rho: float, j: int) -> float:
     return -((r + w) / (2.0 * r)) * (j - 1.0) * j
 
 
-def limit_dual(j: int, f: FunctionHandle) -> float:
-    """Limit dual functional of index j applied to f.
+def limit_dual(j: int, f) -> float:
+    """Limit dual of index j applied to f, a handle, Polynomial or callable.
 
     Index 0 averages the endpoint values, index 1 takes their
     difference. Higher indices combine the endpoint values with the
@@ -196,6 +196,7 @@ def limit_dual(j: int, f: FunctionHandle) -> float:
     """
     if j < 0:
         raise ValueError("index must be nonnegative")
+    f = _as_handle(f)
     if j == 0:
         return 0.5 * (f(0.0) + f(1.0))
     if j == 1:
@@ -250,8 +251,7 @@ def asymptotic_report(rho: float, j: int, n_list: Iterable[int],
     lam_star = limit_eigenvalue(rho, j)
     p_star = limit_eigenpoly(j)
     star_vals = poly_eval(p_star, grid.points)
-    dual_stars = [limit_dual(j, FunctionHandle.from_polynomial(p))
-                  for p in test_polys]
+    dual_stars = [limit_dual(j, p) for p in test_polys]
     records = []
     for n in n_list:
         if n < d:

@@ -414,8 +414,8 @@ def sup_norm(f: FunctionHandle, g: Optional[GridSpec] = None) -> float:
     This is a lower estimate of the true sup: the refinement only
     sharpens the value near the discrete maximizer. It makes one array
     evaluation of f on the grid and 62 scalar ones, in O(grid) memory.
-    A non-finite grid value raises a ValueError that names the least
-    grid point where f is not finite.
+    A non-finite value raises a ValueError that names the least grid
+    point, or the refinement point, where f is not finite.
     """
     if g is None:
         g = DEFAULT_SUP_GRID
@@ -425,24 +425,29 @@ def sup_norm(f: FunctionHandle, g: Optional[GridSpec] = None) -> float:
     best = float(vals[i])
     a = pts[i - 1] if i > 0 else pts[i]
     b = pts[i + 1] if i + 1 < pts.size else pts[i]
+
+    def at(t):
+        v = abs(float(f(t)))
+        if not math.isfinite(v):
+            _finite("sup_norm", np.array([t]), v)
+        return v
+
     if b > a:
         invphi = (math.sqrt(5.0) - 1.0) / 2.0
         c = b - invphi * (b - a)
         d = a + invphi * (b - a)
-        fc = abs(float(f(c)))
-        fd = abs(float(f(d)))
+        fc, fd = at(c), at(d)
         best = max(best, fc, fd)
         for _ in range(60):
             if fc >= fd:
                 b, d, fd = d, c, fc
                 c = b - invphi * (b - a)
-                fc = abs(float(f(c)))
-                best = max(best, fc)
+                fc = at(c)
             else:
                 a, c, fc = c, d, fd
                 d = a + invphi * (b - a)
-                fd = abs(float(f(d)))
-                best = max(best, fd)
+                fd = at(d)
+            best = max(best, fc, fd)
     return best
 
 

@@ -64,6 +64,10 @@ __all__ = [
 # series is summed exactly, so it shapes no computed value.
 _TOL = 1e-9
 
+# Largest pinned degree that ``poly_limit`` takes: its limit duals lose
+# digits with the index, and past it the error passes QUAD_TOL.
+_POLY_LIMIT_DEGREE = 24
+
 
 class SeriesResult(C0Function):
     """Summed series value with the truncation metadata attached.
@@ -268,13 +272,20 @@ def poly_limit(p: Polynomial, rho: float) -> Polynomial:
     2 rho / ((rho + 1) j (j - 1)), or 2 / (j (j - 1)) at rho = inf, and
     attached to the limit eigenpolynomial of the same index. Degrees
     zero and one carry no pinned component and contribute nothing.
+    A pinned degree above 24, where the limit duals lose more digits
+    than QUAD_TOL allows, raises a ValueError.
     """
     _require_rho(rho)
     require_pinned(p)
+    if p.degree > _POLY_LIMIT_DEGREE:
+        raise ValueError(
+            f"pinned degree {p.degree} exceeds {_POLY_LIMIT_DEGREE}, the "
+            f"largest degree whose limit duals stay within QUAD_TOL"
+        )
     r, w = _homogeneous(rho)
     out = np.zeros(max(p.degree + 1, 1))
     for j in range(2, p.degree + 1):
-        mu = limit_dual(j, FunctionHandle.from_polynomial(p))
+        mu = limit_dual(j, p)
         damp = (r / (r + w)) * 2.0 / (j * (j - 1.0))
         pj = limit_eigenpoly(j)
         out[: j + 1] += damp * mu * pj.padded(j + 1)

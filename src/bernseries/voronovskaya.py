@@ -3,17 +3,14 @@
 The limiting object of the scaled operator series acts on pinned
 functions as y -> (rho+1)/(2 rho) * x(1-x) y'', with the factor 1/2 at
 rho = inf: every formula here reads rho = r / w through
-``operators._homogeneous``. It is bijective on pinned polynomials, and
-its negated inverse has the closed integral representation
-
-    (2 rho / (rho+1)) * [ (1-x) I0(x) + x I1(x) ],
-    I0(x) = integral of t h(t) over [0, x],
-    I1(x) = integral of (1-t) h(t) over [x, 1],
-
-for an input given through its cofactor h. For polynomial cofactors
-the two pieces are exact antiderivatives and collapse into one global
-polynomial; both forms are evaluated and cross-checked. The residual
-operator measures how far the finite-n series sum is from this limit.
+``operators._homogeneous``. On an input x(1-x) h its negated inverse
+is 2 rho / (rho+1) times the pinned solution of y'' = -h, the
+Green's-function integral (1-x) I0(x) + x I1(x), with I0 the integral
+of t h(t) over [0, x] and I1 that of (1-t) h(t) over [x, 1]. For a
+polynomial cofactor it is the double antiderivative H(1) x - H(x),
+with H'' = h and H(0) = H'(0) = 0, formed coefficient by coefficient.
+The residual operator measures how far the finite-n series sum is from
+this limit.
 """
 
 from __future__ import annotations
@@ -21,13 +18,15 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .polyfun import (
+    DEGREE_CAP,
     C0Function,
     FunctionHandle,
     GridSpec,
     Polynomial,
-    poly_eval,
+    _as_handle,
     psi_values,
     require_pinned,
     sup_norm,
@@ -45,10 +44,6 @@ __all__ = [
     "residual_H",
 ]
 
-# Relative agreement demanded between the piecewise and the expanded
-# global form of the inverse integral kernel.
-_PIECE_TOL = 1e-12
-
 
 def apply_A_rho(rho: float, y: Polynomial) -> C0Function:
     """Image of a pinned polynomial under the limit operator.
@@ -65,57 +60,43 @@ def apply_A_rho(rho: float, y: Polynomial) -> C0Function:
     return C0Function(second * c)
 
 
-def _antiderivative_pieces(h: Polynomial) -> Tuple[Polynomial, Polynomial]:
-    """(P, Q) with P' = t h and Q' = (1-t) h, both zero at the origin."""
-    th = Polynomial(np.concatenate(([0.0], h.coeffs)))
-    P = th.antiderivative()
-    Q = (h - th).antiderivative()
-    return P, Q
+def _green_coeffs(h: Polynomial) -> np.ndarray:
+    """Coefficients of H(1) x - H(x), H = sum of h_i x^(i+2) / ((i+1)(i+2)).
+
+    H(1) sums the terms from the top down, as Horner's scheme does, so
+    the value at 1 is exactly 0.
+    """
+    i = np.arange(h.coeffs.size, dtype=float)
+    a = h.coeffs / ((i + 1.0) * (i + 2.0))
+    return np.concatenate(([0.0, npoly.polyval(1.0, a)], -a))
 
 
 def f_infty_polynomial(h: Polynomial) -> Polynomial:
-    """Global polynomial form of the inverse integral kernel.
-
-    Expanding both pieces gives P - x P + Q(1) x - x Q; the top
-    coefficients of x P and x Q cancel exactly, so the degree is that
-    of the pinned input x(1-x) h.
-    """
-    return _expand_pieces(*_antiderivative_pieces(h))
-
-
-def _expand_pieces(P: Polynomial, Q: Polynomial) -> Polynomial:
-    """P - x P + Q(1) x - x Q, the global form of the pieces (P, Q)."""
-    e1 = Polynomial([0.0, 1.0])
-    q1 = float(np.sum(Q.coeffs))
-    return P - e1 * P + Polynomial([0.0, q1]) - e1 * Q
+    """``f_infty`` of a polynomial cofactor as a Polynomial, of degree
+    h.degree + 2; above DEGREE_CAP - 2 a ValueError names both."""
+    if h.degree > DEGREE_CAP - 2:
+        raise ValueError(f"cofactor degree {h.degree}: its inverse would "
+                         f"exceed DEGREE_CAP = {DEGREE_CAP}")
+    return Polynomial(_green_coeffs(h))
 
 
-def f_infty(h: FunctionHandle, x):
+def f_infty(h, x):
     """Value of the inverse integral kernel at x (scalar or array).
 
-    Polynomial cofactors go through exact antiderivatives; the
-    piecewise and the expanded global form are compared at every
-    requested point as a guard on the expansion. Generic cofactors use
-    two affinely mapped copies of a 32-node Legendre rule, checked
-    against 64 nodes: a point where the two differ by more than
-    QUAD_TOL (relative above magnitude one) raises a ValueError that
-    names it.
+    ``h`` is the cofactor (a FunctionHandle, Polynomial or callable).
+    Polynomial cofactors evaluate the coefficients of H(1) x - H(x)
+    (see ``f_infty_polynomial``) at every degree up to DEGREE_CAP.
+    Generic cofactors use two affinely mapped copies of a 32-node
+    Legendre rule, checked against 64 nodes: a point where the two
+    differ by more than QUAD_TOL (relative above magnitude one) raises
+    a ValueError that names it.
     """
+    h = _as_handle(h)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs < 0.0) or np.any(xs > 1.0):
         raise ValueError("evaluation points must lie in [0, 1]")
     if h.poly is not None:
-        P, Q = _antiderivative_pieces(h.poly)
-        q1 = float(np.sum(Q.coeffs))
-        piece = ((1.0 - xs) * poly_eval(P, xs)
-                 + xs * (q1 - poly_eval(Q, xs)))
-        glob = poly_eval(_expand_pieces(P, Q), xs)
-        scale = max(1.0, float(np.max(np.abs(piece))))
-        if np.max(np.abs(piece - glob)) > _PIECE_TOL * scale:
-            raise RuntimeError(
-                "piecewise and expanded inverse integrals disagree"
-            )
-        out = glob
+        out = npoly.polyval(xs, _green_coeffs(h.poly))
     else:
         def kernel(rule):
             u, w = rule.nodes, rule.weights
@@ -133,6 +114,8 @@ def f_infty(h: FunctionHandle, x):
 def inverse_neg(rho: float, f: C0Function, x):
     """Negated inverse image of a pinned function at x."""
     _require_rho(rho)
+    if not isinstance(f, C0Function):
+        raise TypeError("f must be a C0Function")
     r, w = _homogeneous(rho)
     c = 2.0 * r / (r + w)
     return c * f_infty(f.h, x)
@@ -141,9 +124,12 @@ def inverse_neg(rho: float, f: C0Function, x):
 def inverse_neg_polynomial(rho: float, f: C0Function) -> Polynomial:
     """Negated inverse image with exact coefficients.
 
-    Available only when the cofactor carries polynomial coefficients.
+    Available only when the cofactor carries polynomial coefficients,
+    of degree up to DEGREE_CAP - 2 (see ``f_infty_polynomial``).
     """
     _require_rho(rho)
+    if not isinstance(f, C0Function):
+        raise TypeError("f must be a C0Function")
     if f.h.poly is None:
         raise ValueError("cofactor carries no exact coefficients")
     r, w = _homogeneous(rho)
@@ -158,15 +144,12 @@ def inverse_norm_check(rho: float, f: C0Function,
 
     Returns (lhs, rhs): the grid sup of the inverse image against
     rho / (4 (rho+1)) times the pinned norm of f. Equality is attained
-    by the weight function itself at the midpoint.
+    by the weight function itself at the midpoint. The sup is that of
+    ``inverse_neg`` for every kind of cofactor.
     """
     _require_rho(rho)
-    if f.h.poly is not None:
-        handle = FunctionHandle.from_polynomial(inverse_neg_polynomial(rho, f))
-    else:
-        handle = FunctionHandle.from_callable(
-            lambda x, _r=rho, _f=f: inverse_neg(_r, _f, x)
-        )
+    handle = FunctionHandle.from_callable(
+        lambda x, _r=rho, _f=f: inverse_neg(_r, _f, x))
     lhs = sup_norm(handle, grid)
     r, w = _homogeneous(rho)
     rhs = r / (4.0 * (r + w)) * f.norm0

@@ -81,3 +81,29 @@ def test_package_exports_match_the_modules():
     # not a name of its own
     assert {"bernstein", "apply_F"}.isdisjoint(union)
     assert len(bernseries.__all__) == 60
+
+
+_FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_below_ten(x):
+    assert x < 10
+"""
+
+
+def test_failing_property_reports_its_counterexample(tmp_path):
+    # warnings are errors under the project's pytest configuration; a
+    # failing @given test must still end in a report that shows the
+    # counterexample, not in INTERNALERROR
+    test = tmp_path / "test_property.py"
+    test.write_text(_FAILING_PROPERTY)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "-p", "no:cacheprovider", str(test)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    out = proc.stdout + proc.stderr
+    assert proc.returncode == 1, out
+    assert "Falsifying example" in out
+    assert "INTERNALERROR" not in out

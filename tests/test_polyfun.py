@@ -290,6 +290,18 @@ class TestSupNorm:
                            match=r"sup_norm: .* not finite at x=0\.6953125$"):
             sup_norm(f, GridSpec.uniform(129))
 
+    def test_non_finite_refinement_value_is_named(self):
+        # every grid value is finite; the NaN lies between the grid
+        # points around the maximizer, where only the refinement looks
+        def f(x):
+            x = np.asarray(x, dtype=float)
+            return np.where((x > 0.5005) & (x < 0.503), np.nan,
+                            1.0 - (x - 0.501) ** 2)
+
+        with pytest.raises(ValueError,
+                           match=r"sup_norm: .* not finite at x=0\.50144"):
+            sup_norm(FunctionHandle.from_callable(f))
+
 
 class TestOmega:
     def test_first_order_affine(self):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from bernseries import (
     PSI,
+    QUAD_TOL,
     C0Function,
     FunctionHandle,
     Polynomial,
@@ -19,6 +20,7 @@ from bernseries import (
     bernstein_basis,
     corpus_entry,
     deflate_by_psi,
+    inverse_neg_polynomial,
     poly_eval,
     poly_limit,
     standard_corpus,
@@ -448,6 +450,28 @@ class TestPolyLimit:
     def test_rejects_unpinned(self):
         with pytest.raises(ValueError):
             poly_limit(Polynomial([0.0, 1.0]), 1.0)
+
+    @pytest.mark.parametrize("rho", [0.1, 1.0, math.inf])
+    def test_matches_inverse_up_to_the_degree_cap(self, rho):
+        # the limit duals lose digits with the index: the worst of these
+        # inputs is 8.8e-12 relative, against 1.5e-10 at pinned degree 25
+        rng = np.random.default_rng(2414)
+        xs = np.linspace(0.0, 1.0, 257)
+        for degree in range(2, 25):
+            for _ in range(6):
+                h = Polynomial(rng.uniform(-1.0, 1.0, size=degree - 1))
+                want = poly_eval(inverse_neg_polynomial(rho, C0Function(h)),
+                                 xs)
+                got = poly_eval(poly_limit(PSI * h, rho), xs)
+                err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+                assert err <= QUAD_TOL
+
+    @pytest.mark.parametrize("degree", [25, 30, 60])
+    def test_rejects_degree_above_the_cap(self, degree):
+        p = PSI * Polynomial([0.0] * (degree - 2) + [1.0])
+        with pytest.raises(ValueError,
+                           match=f"pinned degree {degree} exceeds 24"):
+            poly_limit(p, 1.0)
 
 
 def psi_times(res: SeriesResult, xs: np.ndarray) -> np.ndarray:

@@ -4,18 +4,23 @@ import numpy as np
 import pytest
 
 from bernseries import (
+    DEGREE_CAP,
     PSI,
     C0Function,
     FunctionHandle,
     Polynomial,
     apply_A_rho,
+    check_bound,
+    convergence_table,
     f_infty,
     f_infty_polynomial,
     inverse_neg,
     inverse_neg_polynomial,
     inverse_norm_check,
+    limit_dual,
     poly_eval,
     residual_H,
+    standard_corpus,
 )
 
 XS = np.linspace(0.0, 1.0, 41)
@@ -119,6 +124,33 @@ class TestFInfty:
             inverse_neg(1.0, C0Function(handle), 0.75)
 
 
+    def test_polynomial_against_mpmath_reference(self):
+        # y = sum h_i (x - x^(i+2)) / ((i+1)(i+2)) in 30 digits, on the
+        # corpus and one random cofactor of each degree 0-60. The bound
+        # is 2 eps times the sum of |h_i| / ((i+1)(i+2)): the worst
+        # measured is 0.9 of it, and the expanded piecewise form this
+        # replaced reached 2.6 (1.0 on cheb6, at 1.5e-13).
+        import mpmath
+        rng = np.random.default_rng(1406)
+        cases = list(standard_corpus().values()) + [
+            Polynomial(rng.uniform(-1.0, 1.0, size=d + 1))
+            for d in range(DEGREE_CAP + 1)]
+        xs = np.linspace(0.0, 1.0, 33)
+        for h in cases:
+            i = np.arange(h.degree + 1)
+            scale = np.sum(np.abs(h.coeffs) / ((i + 1.0) * (i + 2.0)))
+            with mpmath.workdps(30):
+                c = [mpmath.mpf(float(v)) for v in h.coeffs]
+                want = np.array([float(mpmath.fsum(
+                    ci * (x - x ** (k + 2)) / ((k + 1) * (k + 2))
+                    for k, ci in enumerate(c)))
+                    for x in map(mpmath.mpf, xs)])
+            got = f_infty(h, xs)
+            assert got[0] == 0.0 and got[-1] == 0.0
+            bound = 2.0 * np.finfo(float).eps * scale
+            assert np.max(np.abs(got - want)) <= bound
+
+
 class TestFInftyPolynomial:
     def test_second_derivative_recovers_negated_input(self, rng):
         # the global form satisfies F'' = -h, which pins it uniquely
@@ -128,6 +160,16 @@ class TestFInftyPolynomial:
             F = f_infty_polynomial(h)
             r = F.derivative().derivative() + h
             assert np.max(np.abs(r.padded(h.degree + 1))) < 1e-12
+
+    @pytest.mark.parametrize("degree", [59, 60])
+    def test_degree_above_the_cap_minus_two_raises(self, degree):
+        h = Polynomial([0.0] * degree + [1.0])
+        with pytest.raises(ValueError, match=(
+                f"cofactor degree {degree}: .* exceed DEGREE_CAP = 60")):
+            f_infty_polynomial(h)
+        with pytest.raises(ValueError, match=f"cofactor degree {degree}"):
+            inverse_neg_polynomial(1.0, C0Function(h))
+        assert f_infty_polynomial(Polynomial([0.0] * 58 + [1.0])).degree == 60
 
     def test_endpoints_vanish(self, rng):
         for _ in range(5):
@@ -177,9 +219,9 @@ class TestInverseNormCheck:
             assert lhs <= rhs + 1e-10
 
     def test_callable_matches_polynomial(self):
-        # polynomial cofactors take the sup of the exact inverse
-        # polynomial, callables the sup of the quadrature form;
-        # measured 1.3e-15 relative
+        # both take the sup of inverse_neg: polynomial cofactors through
+        # the double antiderivative, callables through the quadrature
+        # form; measured 7.7e-16 relative
         h = Polynomial([1.0, -2.0, 0.5, 3.0])
         for rho in (0.5, 4.0):
             want = inverse_norm_check(rho, C0Function(h))
@@ -217,3 +259,64 @@ class TestResidual:
         xs = np.linspace(0, 1, 65)
         sups = [np.max(np.abs(residual_H(n, 1.0, h, xs))) for n in (8, 32)]
         assert sups[1] < 0.5 * sups[0]
+
+
+class TestCofactorsAtTheDegreeCap:
+    # cofactors of degree 58-60 go through every entry point and agree
+    # with the callable route; measured at most 2.5e-16 apart
+    @pytest.fixture(params=[58, 59, 60])
+    def pair(self, request):
+        rng = np.random.default_rng(request.param)
+        h = Polynomial(rng.uniform(-1.0, 1.0, size=request.param + 1))
+        assert h.degree == request.param
+        return h, (lambda x, _h=h: poly_eval(_h, x))
+
+    def test_residual(self, pair):
+        h, g = pair
+        xs = np.linspace(0.0, 1.0, 33)
+        a, b = residual_H(256, 1.0, h, xs), residual_H(256, 1.0, g, xs)
+        assert np.max(np.abs(a - b)) < 1e-14
+
+    def test_check_bound(self, pair):
+        a, b = (check_bound(h, 64, 1.0) for h in pair)
+        assert np.max(np.abs(a.lhs - b.lhs)) < 1e-14
+        assert np.array_equal(a.rhs, b.rhs)
+        assert a.satisfied and b.satisfied
+
+    def test_convergence_table(self, pair):
+        a, b = (convergence_table(h, 0.5, [16, 64]) for h in pair)
+        for ra, rb in zip(a, b):
+            assert abs(ra.sup_h - rb.sup_h) < 1e-14
+            assert ra.sup_rhs == rb.sup_rhs
+
+    def test_inverse_norm_check(self, pair):
+        a, b = (inverse_norm_check(2.0, C0Function(h)) for h in pair)
+        assert abs(a[0] - b[0]) < 1e-14
+        assert a[0] <= a[1]
+
+
+_HANDLE = FunctionHandle.from_callable(np.cos)
+_POLY = Polynomial([0.5, -1.0, 2.0])
+
+
+@pytest.mark.parametrize("call, same_as", [
+    (lambda: f_infty(np.cos, 0.5), lambda: f_infty(_HANDLE, 0.5)),
+    (lambda: f_infty(_POLY, 0.5),
+     lambda: f_infty(FunctionHandle.from_polynomial(_POLY), 0.5)),
+    (lambda: limit_dual(2, np.cos), lambda: limit_dual(2, _HANDLE)),
+    (lambda: limit_dual(3, _POLY),
+     lambda: limit_dual(3, FunctionHandle.from_polynomial(_POLY))),
+    (lambda: inverse_neg(1.0, _POLY, 0.5), TypeError),
+    (lambda: inverse_neg_polynomial(1.0, _POLY), TypeError),
+    (lambda: inverse_norm_check(1.0, _POLY), TypeError),
+], ids=["f_infty-callable", "f_infty-polynomial", "limit_dual-callable",
+        "limit_dual-polynomial", "inverse_neg", "inverse_neg_polynomial",
+        "inverse_norm_check"])
+def test_input_kinds(call, same_as):
+    # bare cofactors are wrapped where a cofactor is asked for; a bare
+    # cofactor where a pinned function is asked for is a TypeError
+    if same_as is TypeError:
+        with pytest.raises(TypeError, match="f must be a C0Function"):
+            call()
+    else:
+        assert call() == same_as()
