@@ -18,8 +18,8 @@ from bernseries import (
     Polynomial,
     apply_series,
     apply_series_poly,
+    inverse_neg_polynomial,
     poly_eval,
-    poly_limit,
     u_norm0,
 )
 
@@ -57,8 +57,9 @@ sb = apply_series(12, math.inf, f)
 print(f"\nsampling-series at n=12: truncation count {sb.iterations}")
 print(np.array2string(sb.value(xs), precision=8))
 
-# As n grows both sums approach an explicit limit polynomial.
-lim = poly_limit(PSI * Polynomial([1.0, -1.0, 0.5]), rho)
+# As n grows the sums approach the negated inverse of the limit
+# differential operator, an explicit polynomial.
+lim = inverse_neg_polynomial(rho, f)
 for m in (8, 32):
     r = apply_series(m, rho, f)
     d = np.max(np.abs(r.value(xs) - poly_eval(lim, xs)))

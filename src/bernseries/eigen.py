@@ -193,6 +193,11 @@ def limit_dual(j: int, f) -> float:
     polynomial coefficients and of 64 nodes otherwise, checked against
     128 nodes: when the two differ by more than QUAD_TOL (relative above
     magnitude one) a ValueError names the index.
+
+    The endpoint terms and j times the integral nearly cancel, and the
+    factor j C(2j, j) / 2 multiplies the rounding of the integral into
+    the value, so the accuracy falls as j grows: on cos the value at
+    j = 8 is off by 6.6e-11 absolute and at j = 10 by 0.4% relative.
     """
     if j < 0:
         raise ValueError("index must be nonnegative")

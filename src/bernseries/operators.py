@@ -37,6 +37,7 @@ from .polyfun import (
     DEGREE_CAP,
     FunctionHandle,
     Polynomial,
+    _require_unit_interval,
 )
 
 __all__ = [
@@ -482,11 +483,13 @@ def apply_U(n: int, rho: float, f: FunctionHandle, x):
     the size where they do not by 80 nodes), then blended with the
     Bernstein basis at x together with the endpoint interpolation
     terms. At rho = inf the functionals are samples at k/n and the
-    value is that of the Bernstein polynomial of f.
+    value is that of the Bernstein polynomial of f. Points outside
+    [0, 1], NaN among them, raise a ValueError that names the first.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     _require_rho(rho)
+    _require_unit_interval(x)
     basis = bernstein_basis(n, x)
     val = f(0.0) * basis[0] + f(1.0) * basis[n]
     for k, fk in enumerate(_interior_values(n, rho, f), start=1):

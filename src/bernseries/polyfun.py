@@ -408,6 +408,18 @@ def _finite(caller: str, x: np.ndarray, vals) -> np.ndarray:
     return vals
 
 
+def _require_unit_interval(x) -> np.ndarray:
+    """x as an array of at least one dimension, after checking that
+    every point lies in [0, 1]; NaN does not, and the error names the
+    first point that fails."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    bad = ~((xs >= 0.0) & (xs <= 1.0))
+    if bad.any():
+        raise ValueError("evaluation points must lie in [0, 1], "
+                         f"x={xs.flat[np.argmax(bad)]:.17g}")
+    return xs
+
+
 def sup_norm(f: FunctionHandle, g: Optional[GridSpec] = None) -> float:
     """Grid maximum of |f| with one golden-section refinement pass.
 

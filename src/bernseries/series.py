@@ -25,6 +25,11 @@ eigenvalues, available on polynomials up to the eigen cap, and is kept
 as an independent check on the engine. The reported ``iterations`` and
 ``tail_bound`` are the a priori truncation count for the fixed
 tolerance ``_TOL`` and its bound; neither changes the sum.
+
+This module sums series at a given n and computes no limits. Their
+large-n limit is the negated inverse of the limit differential
+operator, ``voronovskaya.inverse_neg`` (exact coefficients from
+``inverse_neg_polynomial``).
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from .polyfun import (
     FunctionHandle,
     Polynomial,
     _solve_upper,
-    limit_eigenpoly,
     require_pinned,
 )
 from .operators import (
@@ -50,23 +54,18 @@ from .operators import (
     bernstein_basis,
     build_u_matrix,
 )
-from .eigen import compute_eigensystem, dual_coefficients, limit_dual
+from .eigen import compute_eigensystem, dual_coefficients
 
 __all__ = [
     "SeriesResult",
     "apply_series",
     "apply_series_poly",
     "apply_series_bernstein",
-    "poly_limit",
 ]
 
 # Tolerance behind the reported truncation count and tail bound. The
 # series is summed exactly, so it shapes no computed value.
 _TOL = 1e-9
-
-# Largest pinned degree that ``poly_limit`` takes: its limit duals lose
-# digits with the index, and past it the error passes QUAD_TOL.
-_POLY_LIMIT_DEGREE = 24
 
 
 class SeriesResult(C0Function):
@@ -263,30 +262,3 @@ def apply_series_bernstein(n: int, f: C0Function) -> SeriesResult:
     if not isinstance(f, C0Function):
         raise TypeError("f must be a C0Function")
     return _sum_series(n, math.inf, f)
-
-
-def poly_limit(p: Polynomial, rho: float) -> Polynomial:
-    """Large-n limit of the series sum on a pinned polynomial.
-
-    Each limit dual coefficient of index j >= 2 is damped by
-    2 rho / ((rho + 1) j (j - 1)), or 2 / (j (j - 1)) at rho = inf, and
-    attached to the limit eigenpolynomial of the same index. Degrees
-    zero and one carry no pinned component and contribute nothing.
-    A pinned degree above 24, where the limit duals lose more digits
-    than QUAD_TOL allows, raises a ValueError.
-    """
-    _require_rho(rho)
-    require_pinned(p)
-    if p.degree > _POLY_LIMIT_DEGREE:
-        raise ValueError(
-            f"pinned degree {p.degree} exceeds {_POLY_LIMIT_DEGREE}, the "
-            f"largest degree whose limit duals stay within QUAD_TOL"
-        )
-    r, w = _homogeneous(rho)
-    out = np.zeros(max(p.degree + 1, 1))
-    for j in range(2, p.degree + 1):
-        mu = limit_dual(j, p)
-        damp = (r / (r + w)) * 2.0 / (j * (j - 1.0))
-        pj = limit_eigenpoly(j)
-        out[: j + 1] += damp * mu * pj.padded(j + 1)
-    return Polynomial(out)

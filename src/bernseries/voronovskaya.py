@@ -27,6 +27,7 @@ from .polyfun import (
     GridSpec,
     Polynomial,
     _as_handle,
+    _require_unit_interval,
     psi_values,
     require_pinned,
     sup_norm,
@@ -92,9 +93,7 @@ def f_infty(h, x):
     a ValueError that names it.
     """
     h = _as_handle(h)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs < 0.0) or np.any(xs > 1.0):
-        raise ValueError("evaluation points must lie in [0, 1]")
+    xs = _require_unit_interval(x)
     if h.poly is not None:
         out = npoly.polyval(xs, _green_coeffs(h.poly))
     else:
@@ -125,7 +124,9 @@ def inverse_neg_polynomial(rho: float, f: C0Function) -> Polynomial:
     """Negated inverse image with exact coefficients.
 
     Available only when the cofactor carries polynomial coefficients,
-    of degree up to DEGREE_CAP - 2 (see ``f_infty_polynomial``).
+    of degree up to DEGREE_CAP - 2 (see ``f_infty_polynomial``). This is
+    the large-n limit of ``apply_series(n, rho, f)``: the series sum on
+    x(1-x) h tends to this polynomial as n grows, for every such h.
     """
     _require_rho(rho)
     if not isinstance(f, C0Function):

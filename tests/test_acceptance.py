@@ -33,10 +33,10 @@ from bernseries import (
     inverse_neg,
     inverse_neg_polynomial,
     inverse_norm_check,
+    limit_dual,
     limit_eigenpoly,
     limit_eigenvalue,
     poly_eval,
-    poly_limit,
     residual_H,
     standard_corpus,
     theorem52_rhs,
@@ -153,7 +153,11 @@ def test_criterion_08_series_limit_equals_inverse():
         h = Polynomial(rng.uniform(-1, 1, size=int(rng.integers(1, 10))))
         p = PSI * h
         want = inverse_neg(rho, C0Function(h), GRID129.points)
-        got = poly_eval(poly_limit(p, rho), GRID129.points)
+        # the eigen side: the limit duals of p over minus the limit
+        # eigenvalues, on the limit eigenpolynomials
+        got = sum(-limit_dual(j, p) / limit_eigenvalue(rho, j)
+                  * poly_eval(limit_eigenpoly(j), GRID129.points)
+                  for j in range(2, p.degree + 1))
         assert np.max(np.abs(got - want)) <= 1e-8
     assert time.perf_counter() - t0 < 2.0
 

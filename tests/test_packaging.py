@@ -80,7 +80,7 @@ def test_package_exports_match_the_modules():
     # the Bernstein operator is build_u_matrix / apply_U at rho = inf,
     # not a name of its own
     assert {"bernstein", "apply_F"}.isdisjoint(union)
-    assert len(bernseries.__all__) == 60
+    assert len(bernseries.__all__) == 59
 
 
 _FAILING_PROPERTY = """

@@ -30,7 +30,6 @@ ENTRY_POINTS = {
     "asymptotic_report": lambda r: bs.asymptotic_report(r, 4, [8]),
     "apply_series": lambda r: bs.apply_series(8, r, F),
     "apply_series_poly": lambda r: bs.apply_series_poly(8, r, bs.PSI),
-    "poly_limit": lambda r: bs.poly_limit(bs.PSI, r),
     "apply_A_rho": lambda r: bs.apply_A_rho(r, bs.PSI),
     "inverse_neg": lambda r: bs.inverse_neg(r, F, 0.5),
     "inverse_neg_polynomial": lambda r: bs.inverse_neg_polynomial(r, F),

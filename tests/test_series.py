@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from bernseries import (
     PSI,
-    QUAD_TOL,
     C0Function,
     FunctionHandle,
     Polynomial,
@@ -22,7 +21,6 @@ from bernseries import (
     deflate_by_psi,
     inverse_neg_polynomial,
     poly_eval,
-    poly_limit,
     standard_corpus,
     u_norm0,
 )
@@ -429,49 +427,24 @@ class TestApplySeriesPoly:
             apply_series_poly(3, 1.0, Polynomial([0.0] * 4 + [1.0]))
 
 
-class TestPolyLimit:
+class TestLargeNLimit:
+    # the series sums tend to the negated limit inverse as n grows
     def test_weight(self):
         for rho in (0.5, 1.0, 4.0):
-            out = poly_limit(PSI, rho)
+            out = inverse_neg_polynomial(rho, C0Function(Polynomial([1.0])))
             want = PSI * (rho / (rho + 1.0))
             assert np.max(np.abs(out.padded(3) - want.padded(3))) < 1e-14
 
     def test_is_large_n_limit(self):
         h = Polynomial([1.0, -2.0, 1.5])
         rho = 0.8
-        want = poly_eval(poly_limit(PSI * h, rho), XS)
+        want = poly_eval(inverse_neg_polynomial(rho, C0Function(h)), XS)
         dist = []
         for n in (10, 20, 40):
             res = apply_series(n, rho, C0Function(h))
             dist.append(np.max(np.abs(psi_times(res, XS) - want)))
         assert dist[0] > dist[1] > dist[2]
         assert dist[2] < 0.35 * dist[0]
-
-    def test_rejects_unpinned(self):
-        with pytest.raises(ValueError):
-            poly_limit(Polynomial([0.0, 1.0]), 1.0)
-
-    @pytest.mark.parametrize("rho", [0.1, 1.0, math.inf])
-    def test_matches_inverse_up_to_the_degree_cap(self, rho):
-        # the limit duals lose digits with the index: the worst of these
-        # inputs is 8.8e-12 relative, against 1.5e-10 at pinned degree 25
-        rng = np.random.default_rng(2414)
-        xs = np.linspace(0.0, 1.0, 257)
-        for degree in range(2, 25):
-            for _ in range(6):
-                h = Polynomial(rng.uniform(-1.0, 1.0, size=degree - 1))
-                want = poly_eval(inverse_neg_polynomial(rho, C0Function(h)),
-                                 xs)
-                got = poly_eval(poly_limit(PSI * h, rho), xs)
-                err = np.max(np.abs(got - want)) / np.max(np.abs(want))
-                assert err <= QUAD_TOL
-
-    @pytest.mark.parametrize("degree", [25, 30, 60])
-    def test_rejects_degree_above_the_cap(self, degree):
-        p = PSI * Polynomial([0.0] * (degree - 2) + [1.0])
-        with pytest.raises(ValueError,
-                           match=f"pinned degree {degree} exceeds 24"):
-            poly_limit(p, 1.0)
 
 
 def psi_times(res: SeriesResult, xs: np.ndarray) -> np.ndarray:

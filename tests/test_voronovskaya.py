@@ -10,6 +10,7 @@ from bernseries import (
     FunctionHandle,
     Polynomial,
     apply_A_rho,
+    apply_U,
     check_bound,
     convergence_table,
     f_infty,
@@ -320,3 +321,23 @@ def test_input_kinds(call, same_as):
             call()
     else:
         assert call() == same_as()
+
+
+_ONE = Polynomial([1.0])
+
+
+@pytest.mark.parametrize("x", [np.nan, -0.5, 2.0], ids=["nan", "below",
+                                                          "above"])
+@pytest.mark.parametrize("call", [
+    lambda x: f_infty(_ONE, x),
+    lambda x: inverse_neg(1.0, C0Function(_ONE), x),
+    lambda x: residual_H(8, 1.0, Polynomial([1.0, 2.0]), x),
+    lambda x: apply_U(8, 1.0, FunctionHandle.from_polynomial(PSI),
+                      np.array([0.25, x])),
+], ids=["f_infty", "inverse_neg", "residual_H", "apply_U"])
+def test_evaluation_points_outside_the_interval_raise(call, x):
+    # NaN fails every comparison, so it has to be caught as a point
+    # outside [0, 1]; apply_U used to extrapolate (-1.56 at x = 2)
+    with pytest.raises(ValueError, match=r"evaluation points must lie in "
+                                         rf"\[0, 1\], x={x:.17g}$"):
+        call(x)
