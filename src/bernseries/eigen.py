@@ -36,9 +36,9 @@ from .polyfun import (
 from .operators import (
     UOperatorMatrix,
     _cached_beta_rule,
-    _checked_legendre,
     _homogeneous,
     _require_rho,
+    _settle,
     u_matrix_leading_block,
 )
 
@@ -189,10 +189,12 @@ def limit_dual(j: int, f) -> float:
     difference. Higher indices combine the endpoint values with the
     integral of f against the degree-(j-2) Jacobi(1,1) polynomial
     rescaled to [0, 1], weighted by a central binomial factor. The
-    integral uses a Legendre rule, sized to be exact when f carries
-    polynomial coefficients and of 64 nodes otherwise, checked against
-    128 nodes: when the two differ by more than QUAD_TOL (relative above
-    magnitude one) a ValueError names the index.
+    integral takes Legendre rules on the rungs of 64 and 128 nodes
+    (``operators._settle``) for every kind of f, and returns the
+    128-node value once it agrees with the 64-node one to QUAD_TOL
+    (relative above magnitude one); when they differ by more, a
+    ValueError names the index. A polynomial f is integrated exactly on
+    both rungs while f.poly.degree + j - 2 <= 127.
 
     The endpoint terms and j times the integral nearly cancel, and the
     factor j C(2j, j) / 2 multiplies the rounding of the integral into
@@ -208,16 +210,13 @@ def limit_dual(j: int, f) -> float:
         return f(1.0) - f(0.0)
     core = jacobi11(j - 2)
 
-    def integrate(rule):
-        return rule.integrate(
+    def rung(size, idx):
+        return _cached_beta_rule(0.0, 0.0, size).integrate(
             lambda t: np.asarray(f(t)) * poly_eval(core, 2.0 * t - 1.0))
 
-    if f.poly is not None:
-        size = max(20, (f.poly.degree + j - 2) // 2 + 1)
-        integral = integrate(_cached_beta_rule(0.0, 0.0, size))
-    else:
-        integral = float(_checked_legendre(
-            integrate, 64, lambda i: f"limit dual of index {j}"))
+    integral = float(_settle(rung, (64, 128),
+                             lambda i: f"limit dual of index {j}",
+                             "Legendre")[0])
     return 0.5 * math.comb(2 * j, j) * (
         (-1.0) ** j * f(0.0) + f(1.0) - j * integral
     )

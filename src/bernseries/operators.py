@@ -20,9 +20,11 @@ with Gauss quadrature built for the exact Beta weight, so
 integrable endpoint singularities at small rho are absorbed by the
 rule instead of being sampled. The rules come from the Golub-Welsch
 method: the interior rules of one (n, rho) and size are stacked and
-diagonalized by batched symmetric eigensolves, and each node's rule
-grows from 20 nodes until two sizes agree to QUAD_TOL. The module
-needs numpy only.
+diagonalized by batched symmetric eigensolves. ``_settle`` is the
+package's one ladder of rule sizes (these rules and the Legendre rules
+of ``f_infty`` and ``limit_dual``), ``_bernstein_sum`` its one
+Bernstein blend (``apply_U`` and the series). The module needs numpy
+only.
 """
 
 from __future__ import annotations
@@ -78,14 +80,15 @@ def _homogeneous(rho) -> tuple:
     return rho, 1.0
 
 
-# Sizes of the interior Beta rules, in the order they are tried: a node
-# keeps the value of a size that agrees with the size before it, and a
-# node whose last two sizes still differ is an error.
+# The rungs of the interior Beta rules, climbed by ``_settle``.
 _RULE_SIZES = (20, 40, 80)
 # Floats per block of stacked Jacobi matrices handed to one eigensolve:
 # a whole 40-node stack at n = 4096 would hold 52 MB of matrices and
 # eigenvectors, a block holds 4 MB.
 _EIGH_BLOCK = 1 << 18
+# Floats of Bernstein basis values per block of ``_bernstein_sum``: a
+# whole 40-node stack at n = 1024 would need 0.3 GB, a block 2 MB.
+_BERNSTEIN_BLOCK = 1 << 18
 
 
 def _golub_welsch(alpha, beta, size: int) -> tuple:
@@ -222,32 +225,37 @@ class QuadratureRule:
 
 @functools.lru_cache(maxsize=64)
 def _cached_beta_rule(alpha: float, beta: float, size: int) -> QuadratureRule:
-    """``QuadratureRule.beta_rule``, kept for the Legendre rules of
-    ``_checked_legendre`` and of the limit dual coefficients."""
+    """``QuadratureRule.beta_rule``, kept for the Legendre rungs of
+    ``f_infty`` and ``limit_dual``."""
     return QuadratureRule.beta_rule(alpha, beta, size)
 
 
-def _checked_legendre(apply_rule, size: int, where) -> np.ndarray:
-    """Legendre-rule values on [0, 1], checked against twice the nodes.
+def _settle(values, sizes, where, family: str) -> np.ndarray:
+    """Quadrature values climbing a ladder of rule sizes.
 
-    ``apply_rule`` maps a Legendre ``QuadratureRule`` to an array of
-    values and runs on the rules of ``size`` and ``2 * size`` nodes. The
-    ``size``-node values are returned when every entry agrees with the
-    larger rule to QUAD_TOL (relative above magnitude one); otherwise the
-    ValueError names ``where(i)`` of the first entry i that does not, and
-    both sizes.
+    ``values(size, idx)`` gives the values of the items ``idx`` (an
+    index array, or ``slice(None)`` for all) by the rules of ``size``
+    nodes, for each rung of ``sizes`` in order. An item keeps the value
+    of the first rung that agrees with the one before it to QUAD_TOL
+    (relative above magnitude one); only open items climb on. An item
+    open at the last rung raises a ValueError naming ``where(i)``, the
+    last two sizes and the ``family`` of the rules.
     """
-    lo = np.asarray(apply_rule(_cached_beta_rule(0.0, 0.0, size)))
-    hi = np.asarray(apply_rule(_cached_beta_rule(0.0, 0.0, 2 * size)))
-    gap = np.abs(hi - lo).ravel()
-    bad = ~(gap <= QUAD_TOL * np.maximum(1.0, np.abs(lo).ravel()))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"{where(i)}: the {size}- and {2 * size}-node Legendre rules "
-            f"differ by {gap[i]:.3g}, more than QUAD_TOL"
-        )
-    return lo
+    last = np.atleast_1d(values(sizes[0], slice(None)))
+    out = np.empty_like(last)
+    todo = np.arange(last.size)
+    for size in sizes[1:]:
+        cur = np.atleast_1d(values(size, todo))
+        gap = np.abs(cur - last)
+        ok = gap <= QUAD_TOL * np.maximum(1.0, np.abs(cur))
+        out[todo[ok]] = cur[ok]
+        todo, last, gap = todo[~ok], cur[~ok], gap[~ok]
+        if todo.size == 0:
+            return out
+    raise ValueError(
+        f"{where(int(todo[0]))}: the {sizes[-2]}- and {sizes[-1]}-node "
+        f"{family} rules differ by {gap[0]:.3g}, more than QUAD_TOL"
+    )
 
 
 def functional_moment(n: int, k: int, rho: float, m: int) -> float:
@@ -392,6 +400,21 @@ def bernstein_basis(n: int, x) -> np.ndarray:
     return b
 
 
+def _bernstein_sum(c, x):
+    """Sum of c times the degree len(c) - 1 Bernstein basis at x,
+    elementwise on x of any shape. x is taken in flattened blocks, so
+    the basis never holds more than ``_BERNSTEIN_BLOCK`` floats."""
+    c = np.asarray(c, dtype=float)
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    out = np.empty(flat.size)
+    step = max(1, _BERNSTEIN_BLOCK // c.size)
+    for lo in range(0, flat.size, step):
+        out[lo:lo + step] = c @ bernstein_basis(c.size - 1,
+                                                flat[lo:lo + step])
+    return out.reshape(x.shape)
+
+
 def _interior_rules(n: int, rho: float, size: int, ks) -> tuple:
     """Stacked Gauss rules of ``size`` nodes for the functionals at ks.
 
@@ -431,47 +454,35 @@ def _interior_stack(n: int, rho: float, size: int) -> tuple:
     return nodes, weights
 
 
-def _interior_values(n: int, rho: float, f: FunctionHandle) -> np.ndarray:
+def _interior_values(n: int, rho: float, f) -> np.ndarray:
     """The n - 1 interior functional values F_1 f .. F_{n-1} f.
 
-    Node k averages f against the Beta weight with exponents
-    (k rho - 1, (n-k) rho - 1). Every node is integrated by Gauss rules
-    of 20 and 40 nodes, each size one stack over all nodes with one
-    evaluation of f; a node whose two values differ by more than
-    QUAD_TOL (relative above magnitude one) goes on to a rule of twice
-    the size, compared with the last, and keeps the value of the
-    larger rule once two sizes agree. So every value agrees with a rule
-    of half its size to QUAD_TOL, and polynomials of degree below 80
-    are integrated exactly. A node that still disagrees at 80 nodes
-    raises a ValueError naming the node and the size. At rho = inf the
-    functionals are point evaluations at k/n.
+    ``f`` is any elementwise callable. Node k averages f against the
+    Beta weight with exponents (k rho - 1, (n-k) rho - 1) on the rungs
+    20, 40 and 80 of ``_settle``: 20 and 40 are one stack over all
+    nodes each, with one evaluation of f, and only the nodes still open
+    take 80. So polynomials of degree below 80 are integrated exactly,
+    and a node open at 80 raises a ValueError naming it and the size.
+    At rho = inf the functionals are point evaluations at k/n.
     """
     if _homogeneous(rho)[1] == 0.0:
         return np.asarray(f(np.arange(1, n) / n), dtype=float)
     if n < 2:
         return np.empty(0)
     ks = np.arange(1, n)
-    vals = np.empty(n - 1)
-    nodes, weights = _interior_stack(n, rho, _RULE_SIZES[0])
-    last = np.sum(weights * f(nodes), axis=1)
-    for size in _RULE_SIZES[1:]:
-        if ks.size == n - 1:
+
+    def values(size, idx):
+        if ks[idx].size == n - 1:
             nodes, weights = _interior_stack(n, rho, size)
         else:
-            nodes, weights = _interior_rules(n, rho, size, ks)
-        cur = np.sum(weights * f(nodes), axis=1)
-        gap = np.abs(cur - last)
-        settled = gap <= QUAD_TOL * np.maximum(1.0, np.abs(cur))
-        vals[ks[settled] - 1] = cur[settled]
-        ks, last, gap = ks[~settled], cur[~settled], gap[~settled]
-        if ks.size == 0:
-            return vals
-    raise ValueError(
-        f"Beta quadrature at interior node k={ks[0]} (n={n}, rho={rho}) "
-        f"does not settle by {_RULE_SIZES[-1]} nodes: the "
-        f"{_RULE_SIZES[-2]}- and {_RULE_SIZES[-1]}-node rules differ by "
-        f"{gap[0]:.3g}, more than QUAD_TOL"
-    )
+            nodes, weights = _interior_rules(n, rho, size, ks[idx])
+        return np.sum(weights * f(nodes), axis=1)
+
+    return _settle(
+        values, _RULE_SIZES,
+        lambda i: (f"Beta quadrature at interior node k={ks[i]} (n={n}, "
+                   f"rho={rho}) does not settle by {_RULE_SIZES[-1]} nodes"),
+        "Beta")
 
 
 def apply_U(n: int, rho: float, f: FunctionHandle, x):
@@ -480,21 +491,19 @@ def apply_U(n: int, rho: float, f: FunctionHandle, x):
     Interior functionals are evaluated by Beta-weight Gauss rules grown
     from 20 nodes until two sizes agree to QUAD_TOL (see
     ``_interior_values``, which raises a ValueError naming the node and
-    the size where they do not by 80 nodes), then blended with the
-    Bernstein basis at x together with the endpoint interpolation
-    terms. At rho = inf the functionals are samples at k/n and the
-    value is that of the Bernstein polynomial of f. Points outside
-    [0, 1], NaN among them, raise a ValueError that names the first.
+    the size where they do not by 80 nodes). Together with the endpoint
+    values they are the Bernstein coefficients of the result, summed at
+    x by ``_bernstein_sum``. At rho = inf the functionals are samples
+    at k/n and the value is that of the Bernstein polynomial of f.
+    Points outside [0, 1], NaN among them, raise a ValueError that
+    names the first.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     _require_rho(rho)
     _require_unit_interval(x)
-    basis = bernstein_basis(n, x)
-    val = f(0.0) * basis[0] + f(1.0) * basis[n]
-    for k, fk in enumerate(_interior_values(n, rho, f), start=1):
-        val = val + fk * basis[k]
-    val = np.asarray(val, dtype=float)
+    c = np.concatenate(([f(0.0)], _interior_values(n, rho, f), [f(1.0)]))
+    val = _bernstein_sum(c, x)
     return float(val) if val.ndim == 0 else val
 
 

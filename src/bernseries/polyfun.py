@@ -30,7 +30,6 @@ __all__ = [
     "PSI",
     "psi_values",
     "poly_eval",
-    "poly_calculus",
     "deflate_by_psi",
     "jacobi11",
     "limit_eigenpoly",
@@ -101,10 +100,14 @@ class Polynomial:
         return poly_eval(self, x)
 
     def derivative(self) -> "Polynomial":
-        return poly_calculus(self)[0]
+        """Exact coefficient-level derivative."""
+        if self.degree == 0:
+            return Polynomial.zero()
+        return Polynomial(npoly.polyder(self._coeffs))
 
     def antiderivative(self) -> "Polynomial":
-        return poly_calculus(self)[1]
+        """Exact coefficient-level antiderivative, zero at x = 0."""
+        return Polynomial(npoly.polyint(self._coeffs))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -244,7 +247,9 @@ class C0Function:
 
     The represented function vanishes at both endpoints by construction.
     ``norm0`` caches the sup of |h|, the natural norm of the pinned
-    space, estimated on the default sup grid on first read.
+    space, estimated on the default sup grid on first read. ``value``
+    takes points in [0, 1] only: one outside, NaN among them, raises
+    the ValueError of ``_require_unit_interval``.
     """
 
     def __init__(self, h):
@@ -255,6 +260,7 @@ class C0Function:
         return float(sup_norm(self.h))
 
     def value(self, x):
+        _require_unit_interval(x)
         return psi_values(x) * self.h(x)
 
     __call__ = value
@@ -265,19 +271,6 @@ def poly_eval(p: Polynomial, x):
     out = npoly.polyval(np.asarray(x, dtype=float), p.coeffs)
     out = np.asarray(out, dtype=float)
     return float(out) if out.ndim == 0 else out
-
-
-def poly_calculus(p: Polynomial):
-    """Exact coefficient-level (derivative, antiderivative) pair.
-
-    The antiderivative takes zero constant term.
-    """
-    if p.degree == 0:
-        deriv = Polynomial.zero()
-    else:
-        deriv = Polynomial(npoly.polyder(p.coeffs))
-    anti = Polynomial(npoly.polyint(p.coeffs))
-    return deriv, anti
 
 
 def require_pinned(p) -> None:

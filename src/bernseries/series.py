@@ -18,7 +18,8 @@ iterated or truncated:
   Bernstein coefficients without any basis conversion, so I minus that
   matrix is a well conditioned M-matrix at any n. Its first vector
   takes the interior Beta rules of ``apply_U``, which sample the input
-  at k/n at rho = inf.
+  at k/n at rho = inf; the result blends the solved coefficients as
+  ``apply_U`` does, elementwise on any shape of x in [0, 1].
 
 An eigen-expansion route sums the series in closed form through the
 eigenvalues, available on polynomials up to the eigen cap, and is kept
@@ -41,17 +42,16 @@ import numpy as np
 
 from .polyfun import (
     C0Function,
-    FunctionHandle,
     Polynomial,
     _solve_upper,
     require_pinned,
 )
 from .operators import (
+    _bernstein_sum,
     _homogeneous,
     _interior_values,
     _leading_block,
     _require_rho,
-    bernstein_basis,
     build_u_matrix,
 )
 from .eigen import compute_eigensystem, dual_coefficients
@@ -90,7 +90,8 @@ def _truncation_count(q: float, scale: float, norm0: float,
     K counts operator applications of the truncated sum, which then
     holds K + 1 terms; it is reported, not iterated.
     """
-    if norm0 == 0.0 or q == 0.0:
+    # scale * norm0 also underflows to zero on a subnormal norm0
+    if q == 0.0 or scale * norm0 == 0.0:
         return 0
     t = tol * (1.0 - q) / (scale * norm0)
     if t >= 1.0:
@@ -140,9 +141,8 @@ def _first_vector_generic(n: int, rho: float, f: C0Function) -> np.ndarray:
     both share the Beta rules of one (n, rho); at rho = inf they are
     samples at the nodes.
     """
-    handle = FunctionHandle.from_callable(f.value)
     k = np.arange(1, n)
-    return n * (n - 1.0) / (k * (n - k)) * _interior_values(n, rho, handle)
+    return n * (n - 1.0) / (k * (n - k)) * _interior_values(n, rho, f.value)
 
 
 def _sum_monomial(n: int, rho: float, h: Polynomial,
@@ -166,14 +166,6 @@ def _sum_monomial(n: int, rho: float, h: Polynomial,
     return Polynomial(_solve_upper(np.eye(e + 1) - C, scale * h.coeffs))
 
 
-def _weighted_bernstein_closure(h, acc: np.ndarray, degree: int,
-                                scale: float):
-    def h_out(x, _h=h, _acc=acc, _d=degree, _s=scale):
-        return _s * (_h(x) + _acc @ bernstein_basis(_d, x))
-
-    return h_out
-
-
 def _sum_series(n: int, rho: float, f: C0Function) -> SeriesResult:
     """Series engine of every member rho in (0, inf]; callers check n, rho, f."""
     r, w = _homogeneous(rho)
@@ -191,7 +183,8 @@ def _sum_series(n: int, rho: float, f: C0Function) -> SeriesResult:
         return SeriesResult(_sum_monomial(n, rho, hp, scale), K, tail)
     g0 = _first_vector_generic(n, rho, f)
     acc = np.linalg.solve(np.eye(n - 1) - _cofactor_transfer(n, rho), g0)
-    h_out = _weighted_bernstein_closure(f.h, acc, n - 2, scale)
+    h_out = lambda x, _h=f.h, _acc=acc, _s=scale: _s * (
+        _h(x) + _bernstein_sum(_acc, x))
     return SeriesResult(h_out, K, tail)
 
 

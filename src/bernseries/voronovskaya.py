@@ -32,7 +32,7 @@ from .polyfun import (
     require_pinned,
     sup_norm,
 )
-from .operators import _checked_legendre, _homogeneous, _require_rho
+from .operators import _cached_beta_rule, _homogeneous, _require_rho, _settle
 from .series import apply_series
 
 __all__ = [
@@ -87,26 +87,30 @@ def f_infty(h, x):
     ``h`` is the cofactor (a FunctionHandle, Polynomial or callable).
     Polynomial cofactors evaluate the coefficients of H(1) x - H(x)
     (see ``f_infty_polynomial``) at every degree up to DEGREE_CAP.
-    Generic cofactors use two affinely mapped copies of a 32-node
-    Legendre rule, checked against 64 nodes: a point where the two
-    differ by more than QUAD_TOL (relative above magnitude one) raises
-    a ValueError that names it.
+    Generic cofactors use two affinely mapped copies of a Legendre rule
+    on the rungs of 32 and 64 nodes (``operators._settle``): each point
+    returns its 64-node value once that agrees with the 32-node one to
+    QUAD_TOL (relative above magnitude one), and a point where the two
+    differ by more raises a ValueError that names it.
     """
     h = _as_handle(h)
     xs = _require_unit_interval(x)
     if h.poly is not None:
         out = npoly.polyval(xs, _green_coeffs(h.poly))
     else:
-        def kernel(rule):
-            u, w = rule.nodes, rule.weights
-            left = xs[:, None] * u[None, :]
-            right = xs[:, None] + (1.0 - xs)[:, None] * u[None, :]
-            i0 = xs ** 2 * (np.asarray(h(left)) @ (w * u))
-            i1 = (1.0 - xs) ** 2 * (np.asarray(h(right)) @ (w * (1.0 - u)))
-            return (1.0 - xs) * i0 + xs * i1
+        flat = xs.reshape(-1)
 
-        out = _checked_legendre(
-            kernel, 32, lambda i: f"inverse integral at x={xs[i]:.6g}")
+        def kernel(size, idx):
+            rule = _cached_beta_rule(0.0, 0.0, size)
+            u, w, t = rule.nodes, rule.weights, flat[idx]
+            i0 = t ** 2 * (h(t[:, None] * u) @ (w * u))
+            right = t[:, None] + (1.0 - t)[:, None] * u
+            i1 = (1.0 - t) ** 2 * (h(right) @ (w * (1.0 - u)))
+            return (1.0 - t) * i0 + t * i1
+
+        out = _settle(kernel, (32, 64),
+                      lambda i: f"inverse integral at x={flat[i]:.6g}",
+                      "Legendre").reshape(xs.shape)
     return float(out[0]) if np.ndim(x) == 0 else out
 
 

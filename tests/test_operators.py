@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,10 +28,12 @@ from bernseries import (
 from bernseries import operators
 from bernseries.operators import (
     QUAD_TOL,
+    _bernstein_sum,
     _interior_rules,
     _interior_stack,
     _leading_block,
     _rule_defect,
+    _settle,
 )
 
 
@@ -505,6 +508,62 @@ class TestBernsteinBasis:
         for k in range(n + 1):
             want = math.comb(n, k) * xs ** k * (1 - xs) ** (n - k)
             assert np.max(np.abs(b[k] - want)) < 1e-13
+
+
+class TestBernsteinSum:
+    @pytest.mark.parametrize("n", [0, 1, 5, 62])
+    def test_elementwise_on_any_shape(self, n, rng):
+        c = rng.uniform(-1.0, 1.0, n + 1)
+        for x in (0.37, rng.uniform(0.0, 1.0, 13),
+                  rng.uniform(0.0, 1.0, (max(n - 1, 1), 3)),
+                  rng.uniform(0.0, 1.0, (2, 3, 4))):
+            got = _bernstein_sum(c, x)
+            assert got.shape == np.shape(x)
+            want = c @ bernstein_basis(n, np.ravel(x))
+            assert np.max(np.abs(np.ravel(got) - want)) < 1e-15
+
+    def test_blocks_agree_with_one_block(self, monkeypatch, rng):
+        c = rng.uniform(-1.0, 1.0, 17)
+        x = rng.uniform(0.0, 1.0, (7, 5))
+        whole = _bernstein_sum(c, x)
+        # 100 floats of basis: five points to a block
+        monkeypatch.setattr(operators, "_BERNSTEIN_BLOCK", 100)
+        assert np.max(np.abs(_bernstein_sum(c, x) - whole)) < 1e-15
+
+    def test_memory_is_bounded_by_the_block(self, rng):
+        # the basis of all 400000 points would hold 54 MB; measured
+        # peak 9.4 MB, the result array included
+        c = rng.uniform(-1.0, 1.0, 17)
+        x = rng.uniform(0.0, 1.0, (8000, 50))
+        tracemalloc.start()
+        try:
+            _bernstein_sum(c, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+
+class TestSettle:
+    def test_items_keep_the_first_agreeing_rung(self):
+        # item 0 agrees at the second rung, item 1 at the third; only
+        # open items are asked for the next rung
+        table = {10: [1.0, 5.0], 20: [1.0 + 1e-12, 4.0], 40: [9.0, 4.0]}
+        asked = []
+
+        def values(size, idx):
+            asked.append((size, np.arange(2)[idx].tolist()))
+            return np.asarray(table[size])[idx]
+
+        got = _settle(values, (10, 20, 40), str, "Test")
+        assert got.tolist() == [1.0 + 1e-12, 4.0]
+        assert asked == [(10, [0, 1]), (20, [0, 1]), (40, [1])]
+
+    def test_open_item_names_where_and_both_sizes(self):
+        with pytest.raises(ValueError, match=r"^item 1: the 20- and 40-node "
+                           r"Test rules differ by 0\.5, more than QUAD_TOL"):
+            _settle(lambda size, idx: np.array([1.0, size / 40.0])[idx],
+                    (20, 40), lambda i: f"item {i}", "Test")
 
 
 class TestBernstein:

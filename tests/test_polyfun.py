@@ -20,7 +20,6 @@ from bernseries import (
     jacobi11,
     limit_eigenpoly,
     omega,
-    poly_calculus,
     poly_eval,
     psi_values,
     sup_norm,
@@ -95,10 +94,12 @@ class TestPolynomial:
 
     def test_calculus_round_trip(self):
         p = Polynomial([0.5, -1.0, 3.0])
-        d, a = poly_calculus(p)
-        assert np.array_equal(d.coeffs, [-1.0, 6.0])
+        assert np.array_equal(p.derivative().coeffs, [-1.0, 6.0])
+        a = p.antiderivative()
+        assert np.array_equal(a.coeffs, [0.0, 0.5, -0.5, 1.0])
         back = a.derivative()
         assert np.max(np.abs(back.coeffs - p.coeffs)) < 1e-15
+        assert Polynomial([2.0]).derivative().is_zero
 
     def test_degree_cap_enforced(self):
         with pytest.raises(ValueError):
@@ -431,6 +432,15 @@ class TestC0Function:
         assert f.norm0 == real(f.h, DEFAULT_SUP_GRID)
         assert f.norm0 == real(f.h, DEFAULT_SUP_GRID)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("x", [2.0, -1e-3, np.nan])
+    def test_value_outside_the_interval_raises(self, x):
+        f = C0Function(np.cos)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            f.value(x)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            f([0.5, x])
+        assert isinstance(f.value(0.5), float)
 
     def test_wrapped_function_rejected_as_cofactor(self):
         # a C0Function is callable, but it stands for x(1-x) h: wrapping

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from bernseries import (
     PSI,
@@ -24,14 +25,18 @@ from bernseries import (
     standard_corpus,
     u_norm0,
 )
-from bernseries.operators import _interior_stack, _leading_block
+from bernseries.operators import (
+    _bernstein_sum,
+    _homogeneous,
+    _interior_stack,
+    _leading_block,
+)
 from bernseries.polyfun import _solve_upper
 from bernseries.series import (
     _TOL,
     _cofactor_transfer,
     _first_vector_generic,
     _truncation_count,
-    _weighted_bernstein_closure,
 )
 
 XS = np.linspace(0.0, 1.0, 41)
@@ -93,6 +98,8 @@ class TestTruncationCount:
     def test_zero_cases(self):
         assert _truncation_count(0.5, 0.1, 0.0, 1e-9) == 0
         assert _truncation_count(0.0, 0.1, 1.0, 1e-9) == 0
+        # scale * norm0 underflows to zero, a division by zero
+        assert _truncation_count(0.5, 0.1, 5e-324, 1e-9) == 0
 
     def test_tolerance_is_not_a_parameter(self):
         f = C0Function(Polynomial([1.0]))
@@ -321,10 +328,10 @@ class TestTransferEngines:
         W = _cofactor_transfer(n, rho)
         g0 = _first_vector_generic(n, rho, C0Function(lambda x: h(x)))
         acc = np.linalg.solve(np.eye(n - 1) - W, g0)
-        transfer = _weighted_bernstein_closure(h, acc, n - 2, scale)
         xs = np.linspace(0.0, 1.0, 9)
+        transfer = scale * (h(xs) + _bernstein_sum(acc, xs))
         monomial = apply_series(n, rho, C0Function(h)).h(xs)
-        assert np.max(np.abs(transfer(xs) - monomial)) < 1e-12
+        assert np.max(np.abs(transfer - monomial)) < 1e-12
 
     def test_generic_rules_shared_with_apply_U(self):
         # apply_U and the generic first vector draw the same stacks of
@@ -445,6 +452,65 @@ class TestLargeNLimit:
             dist.append(np.max(np.abs(psi_times(res, XS) - want)))
         assert dist[0] > dist[1] > dist[2]
         assert dist[2] < 0.35 * dist[0]
+
+
+RHOS = st.one_of(st.floats(math.log(1e-4), math.log(1e4)).map(math.exp),
+                 st.just(math.inf))
+COEFFS = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=9).map(
+    np.array)
+# bare callables (the transfer solve) and Polynomial cofactors (the
+# monomial solve)
+COFACTORS = st.one_of(
+    st.sampled_from([np.cos, np.exp]),
+    COEFFS.map(lambda c: (lambda x: npoly.polyval(x, c))),
+    COEFFS.map(Polynomial))
+
+
+class TestSeriesIdentity:
+    # S = apply_series(n, rho, f) solves S - U S = (r / (n r + w)) f,
+    # which needs no reference value
+
+    @settings(max_examples=60)
+    @given(n=st.integers(1, 64), rho=RHOS, h=COFACTORS)
+    def test_series_minus_its_image_is_the_scaled_input(self, n, rho, h):
+        # measured at most 8.7e-16 over 600 examples
+        f = C0Function(h)
+        S = apply_series(n, rho, f)
+        r, w = _homogeneous(rho)
+        xs = np.linspace(0.0, 1.0, 33)
+        fx = f.value(xs)
+        gap = S.value(xs) - apply_U(n, rho, S, xs) - r / (n * r + w) * fx
+        assert np.max(np.abs(gap)) <= 1e-14 * max(1.0, np.max(np.abs(fx)))
+
+    def test_two_dimensional_points_match_elementwise_loop(self, rng):
+        # with n - 1 rows a contraction along the wrong axis of the
+        # basis still has matching shapes, so only values can show it
+        n = 16
+        S = apply_series(n, 1.0, C0Function(np.cos))
+        x = rng.uniform(0.0, 1.0, (n - 1, 3))
+        want = np.array([[S.value(float(t)) for t in row] for row in x])
+        assert S.value(x).shape == x.shape
+        assert np.max(np.abs(S.value(x) - want)) < 1e-15
+
+    @pytest.mark.parametrize("h", [np.cos, Polynomial([1.0, -2.0, 0.5])],
+                             ids=["transfer", "monomial"])
+    def test_operator_applies_to_a_series(self, h):
+        # apply_U evaluates the series on 2-D stacks of Beta nodes
+        n, rho = 16, 1.0
+        f = C0Function(h)
+        S = apply_series(n, rho, f)
+        got = apply_U(n, rho, S, 0.3)
+        assert isinstance(got, float)
+        assert abs(S.value(0.3) - got - f.value(0.3) / (n + 1.0)) < 1e-15
+
+    @pytest.mark.parametrize("x", [2.0, -0.5, math.nan, [0.5, math.nan]])
+    @pytest.mark.parametrize("h", [np.cos, Polynomial([1.0, -2.0, 0.5])],
+                             ids=["transfer", "monomial"])
+    def test_value_outside_the_interval_raises(self, h, x):
+        # a returned function rejects points as the entry points do
+        S = apply_series(8, 1.0, C0Function(h))
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            S.value(x)
 
 
 def psi_times(res: SeriesResult, xs: np.ndarray) -> np.ndarray:

@@ -95,6 +95,10 @@ class TestFInfty:
         b = f_infty(FunctionHandle.from_callable(
             lambda t: np.asarray(t) ** 4), XS)
         assert np.max(np.abs(a - b)) < 1e-14
+        # elementwise on points of any shape, as the polynomial route is
+        grid = XS[:40].reshape(8, 5)
+        assert np.array_equal(f_infty(np.cos, grid),
+                              f_infty(np.cos, XS[:40]).reshape(8, 5))
 
     def test_callable_against_mpmath_reference(self):
         # both pieces integrated in 30 digits; measured 7e-17
