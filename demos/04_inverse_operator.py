@@ -15,7 +15,6 @@ from bernseries import (
     C0Function,
     Polynomial,
     apply_A_rho,
-    f_infty_polynomial,
     inverse_neg_polynomial,
     inverse_norm_check,
     poly_eval,
@@ -44,10 +43,11 @@ back = apply_A_rho(rho, F)
 err = np.max(np.abs(back(xs) + poly_eval(PSI * Polynomial([1.0, 1.0]), xs)))
 print(f"round-trip error: {err:.2e}")
 
-# The core integral satisfies a clean second-derivative identity that
-# pins it down together with the endpoint zeros.
+# The core integral (the inverse at rho = 1, where its factor
+# 2 rho / (rho+1) is exactly one) satisfies a clean second-derivative
+# identity that pins it down together with the endpoint zeros.
 h = Polynomial([0.5, -1.0, 2.0])
-G = f_infty_polynomial(h)
+G = inverse_neg_polynomial(1.0, C0Function(h))
 resid = G.derivative().derivative() + h
 print(f"second-derivative identity residual: "
       f"{np.max(np.abs(resid.padded(h.degree + 1))):.2e}")

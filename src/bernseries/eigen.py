@@ -2,8 +2,11 @@
 
 The operator restricted to Pi_n is upper triangular on monomials with
 distinct positive diagonal entries beyond index one, so each eigenvalue
-carries a unique monic eigenpolynomial obtained by back-substitution.
-Dual functionals on polynomials are coefficient solves against the
+carries a unique monic eigenpolynomial obtained by back-substitution;
+the leading block of size d + 1 holds those of index 0..d at any n >= d.
+``_eigenbasis`` is the one assembly: of the full system, of the report
+below and of ``series.apply_series_poly`` at every n >= deg p. Dual
+functionals on polynomials are coefficient solves against the
 triangular change of basis from eigenpolynomials to monomials.
 
 The limiting objects are the scaled eigenvalue slopes, the monic limit
@@ -28,6 +31,7 @@ from .polyfun import (
     GridSpec,
     Polynomial,
     _as_handle,
+    _finite,
     _solve_upper,
     jacobi11,
     limit_eigenpoly,
@@ -55,8 +59,10 @@ __all__ = [
 ]
 
 # Monomial-basis eigen solves stay well conditioned only up to about
-# this n; beyond it the change of basis has entries large enough that
-# dual reconstructions drop under ten significant digits.
+# this block size (n for the full system, the degree for
+# ``apply_series_poly``); beyond it the change of basis has entries
+# large enough that dual reconstructions drop under ten significant
+# digits.
 EIGEN_N_CAP = 30
 
 
@@ -77,27 +83,38 @@ def eigenvalue(n: int, rho: float, j: int) -> float:
     return v
 
 
-def _triangular_eigenbasis(M: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
-    """Monic eigenvectors of an upper-triangular operator matrix.
+def _eigenbasis(n: int, rho: float, M: np.ndarray) -> tuple:
+    """Closed-form eigenvalues and monic eigenbasis of the leading block
+    M (rows and columns 0..d, any d <= n) of the matrix at (n, rho).
 
-    Column j solves (M - lambda_j I) v = 0 with v_j pinned to one by
-    back-substitution over rows j-1 .. 0. Indices 0 and 1 are the known
-    exact eigenvectors of the constant and of x - 1/2, bypassing the
-    0/0 the shared unit eigenvalue would produce.
+    Raises if the diagonal drifts from the eigenvalues beyond 1e-10, or
+    if consecutive ones come closer than a relative 1e-12 gap, which
+    would poison the back-substitution. Column j solves
+    (M - lambda_j I) v = 0 with v_j = 1 over rows j-1 .. 0; indices 0
+    and 1 are the exact 1 and x - 1/2, bypassing the 0/0 of the shared
+    unit eigenvalue.
     """
     d = M.shape[0] - 1
-    basis = np.zeros((d + 1, d + 1))
-    basis[0, 0] = 1.0
-    if d >= 1:
-        basis[0, 1] = -0.5
-        basis[1, 1] = 1.0
+    lam = np.array([eigenvalue(n, rho, j) for j in range(d + 1)])
+    drift = float(np.max(np.abs(np.diag(M) - lam)))
+    if drift > 1e-10:
+        raise RuntimeError(
+            f"matrix diagonal disagrees with the eigenvalue formula "
+            f"by {drift:.3e}"
+        )
     for j in range(2, d + 1):
-        v = np.zeros(d + 1)
-        v[j] = 1.0
+        if lam[j - 1] - lam[j] <= 1e-12 * lam[j - 1]:
+            raise RuntimeError(
+                f"near-degenerate eigenvalue gap between indices "
+                f"{j - 1} and {j}"
+            )
+    vecs = np.eye(d + 1)
+    vecs[1:2, 0] = -0.5
+    for j in range(2, d + 1):
+        v = vecs[j]
         for i in range(j - 1, -1, -1):
-            v[i] = (M[i, i + 1:j + 1] @ v[i + 1:j + 1]) / (lambdas[j] - M[i, i])
-        basis[:, j] = v
-    return basis
+            v[i] = (M[i, i + 1:j + 1] @ v[i + 1:j + 1]) / (lam[j] - M[i, i])
+    return lam, np.ascontiguousarray(vecs.T)
 
 
 @dataclass(frozen=True)
@@ -126,32 +143,14 @@ class EigenSystem:
 
 
 def compute_eigensystem(mat: UOperatorMatrix) -> EigenSystem:
-    """Solve the full eigenstructure of a materialized operator matrix.
-
-    Raises if the matrix diagonal drifts from the closed-form
-    eigenvalues beyond 1e-10, or if consecutive eigenvalues come closer
-    than a relative 1e-12 gap, which would poison the back-substitution
-    (neither can occur for positive rho and n within the cap).
-    """
-    n, rho, M = mat.n, mat.rho, mat.M
+    """Solve the full eigenstructure of a materialized operator matrix,
+    with the checks of ``_eigenbasis``."""
+    n, rho = mat.n, mat.rho
     if n > EIGEN_N_CAP:
         raise ValueError(
             f"eigen solves are limited to n <= {EIGEN_N_CAP}; got n={n}"
         )
-    lam = np.array([eigenvalue(n, rho, j) for j in range(n + 1)])
-    drift = float(np.max(np.abs(np.diag(M) - lam)))
-    if drift > 1e-10:
-        raise RuntimeError(
-            f"matrix diagonal disagrees with the eigenvalue formula "
-            f"by {drift:.3e}"
-        )
-    for j in range(2, n + 1):
-        if lam[j - 1] - lam[j] <= 1e-12 * lam[j - 1]:
-            raise RuntimeError(
-                f"near-degenerate eigenvalue gap between indices "
-                f"{j - 1} and {j}"
-            )
-    basis = _triangular_eigenbasis(M, lam)
+    lam, basis = _eigenbasis(n, rho, mat.M)
     polys = tuple(Polynomial(basis[: j + 1, j]) for j in range(n + 1))
     return EigenSystem(n, rho, lam, polys, basis)
 
@@ -193,7 +192,8 @@ def limit_dual(j: int, f) -> float:
     (``operators._settle``) for every kind of f, and returns the
     128-node value once it agrees with the 64-node one to QUAD_TOL
     (relative above magnitude one); when they differ by more, a
-    ValueError names the index. A polynomial f is integrated exactly on
+    ValueError names the index, as does a value of f that is not
+    finite at a node. A polynomial f is integrated exactly on
     both rungs while f.poly.degree + j - 2 <= 127.
 
     The endpoint terms and j times the integral nearly cancel, and the
@@ -212,7 +212,8 @@ def limit_dual(j: int, f) -> float:
 
     def rung(size, idx):
         return _cached_beta_rule(0.0, 0.0, size).integrate(
-            lambda t: np.asarray(f(t)) * poly_eval(core, 2.0 * t - 1.0))
+            lambda t: _finite(f"limit dual of index {j}", t, f(t))
+            * poly_eval(core, 2.0 * t - 1.0))
 
     integral = float(_settle(rung, (64, 128),
                              lambda i: f"limit dual of index {j}",
@@ -242,8 +243,8 @@ def asymptotic_report(rho: float, j: int, n_list: Iterable[int],
     sup-grid distance between the monic eigenpolynomial and its limit,
     and, for each supplied test polynomial, the gap between its
     finite-n dual coefficient of index j and the limit dual value.
-    Leading blocks of the operator matrix keep this cheap for n far
-    beyond the full-matrix cap.
+    Leading blocks of the operator matrix (``_eigenbasis``) keep this
+    cheap for n far beyond the full-matrix cap.
     """
     _require_rho(rho)
     if j < 0:
@@ -263,10 +264,8 @@ def asymptotic_report(rho: float, j: int, n_list: Iterable[int],
                 f"n={n} is too small for index {j} with test polynomials "
                 f"of degree up to {max_deg}"
             )
-        gap = abs(n * (eigenvalue(n, rho, j) - 1.0) - lam_star)
-        block = u_matrix_leading_block(n, rho, d)
-        lam = np.array([eigenvalue(n, rho, jj) for jj in range(d + 1)])
-        basis = _triangular_eigenbasis(block, lam)
+        lam, basis = _eigenbasis(n, rho, u_matrix_leading_block(n, rho, d))
+        gap = abs(n * (lam[j] - 1.0) - lam_star)
         pj = Polynomial(basis[: j + 1, j])
         dist = float(np.max(np.abs(poly_eval(pj, grid.points) - star_vals)))
         gaps = []

@@ -22,7 +22,7 @@ rule instead of being sampled. The rules come from the Golub-Welsch
 method: the interior rules of one (n, rho) and size are stacked and
 diagonalized by batched symmetric eigensolves. ``_settle`` is the
 package's one ladder of rule sizes (these rules and the Legendre rules
-of ``f_infty`` and ``limit_dual``), ``_bernstein_sum`` its one
+of ``inverse_neg`` and ``limit_dual``), ``_bernstein_sum`` its one
 Bernstein blend (``apply_U`` and the series). The module needs numpy
 only.
 """
@@ -39,6 +39,7 @@ from .polyfun import (
     DEGREE_CAP,
     FunctionHandle,
     Polynomial,
+    _finite,
     _require_unit_interval,
 )
 
@@ -47,11 +48,9 @@ __all__ = [
     "QuadratureRule",
     "UOperatorMatrix",
     "functional_moment",
-    "u_matrix_leading_block",
     "build_u_matrix",
     "apply_U_poly",
     "apply_U",
-    "bernstein_basis",
     "central_moment",
     "u_norm0",
 ]
@@ -226,7 +225,7 @@ class QuadratureRule:
 @functools.lru_cache(maxsize=64)
 def _cached_beta_rule(alpha: float, beta: float, size: int) -> QuadratureRule:
     """``QuadratureRule.beta_rule``, kept for the Legendre rungs of
-    ``f_infty`` and ``limit_dual``."""
+    ``inverse_neg`` and ``limit_dual``."""
     return QuadratureRule.beta_rule(alpha, beta, size)
 
 
@@ -462,11 +461,15 @@ def _interior_values(n: int, rho: float, f) -> np.ndarray:
     20, 40 and 80 of ``_settle``: 20 and 40 are one stack over all
     nodes each, with one evaluation of f, and only the nodes still open
     take 80. So polynomials of degree below 80 are integrated exactly,
-    and a node open at 80 raises a ValueError naming it and the size.
-    At rho = inf the functionals are point evaluations at k/n.
+    and a node open at 80 raises a ValueError naming it and the size,
+    as does a value of f that is not finite. At rho = inf the
+    functionals are point evaluations at k/n.
     """
+    def at(x):
+        return _finite(f"interior functionals (n={n}, rho={rho})", x, f(x))
+
     if _homogeneous(rho)[1] == 0.0:
-        return np.asarray(f(np.arange(1, n) / n), dtype=float)
+        return at(np.arange(1, n) / n)
     if n < 2:
         return np.empty(0)
     ks = np.arange(1, n)
@@ -476,7 +479,7 @@ def _interior_values(n: int, rho: float, f) -> np.ndarray:
             nodes, weights = _interior_stack(n, rho, size)
         else:
             nodes, weights = _interior_rules(n, rho, size, ks[idx])
-        return np.sum(weights * f(nodes), axis=1)
+        return np.sum(weights * at(nodes), axis=1)
 
     return _settle(
         values, _RULE_SIZES,

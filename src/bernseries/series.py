@@ -22,10 +22,11 @@ iterated or truncated:
   ``apply_U`` does, elementwise on any shape of x in [0, 1].
 
 An eigen-expansion route sums the series in closed form through the
-eigenvalues, available on polynomials up to the eigen cap, and is kept
-as an independent check on the engine. The reported ``iterations`` and
-``tail_bound`` are the a priori truncation count for the fixed
-tolerance ``_TOL`` and its bound; neither changes the sum.
+one eigen assembly, on polynomials up to the eigen cap at every n >=
+their degree, and is kept as an independent check on the engine. The
+reported ``iterations`` and ``tail_bound`` are the a priori truncation
+count for the fixed tolerance ``_TOL`` and its bound; neither changes
+the sum.
 
 This module sums series at a given n and computes no limits. Their
 large-n limit is the negated inverse of the limit differential
@@ -52,15 +53,13 @@ from .operators import (
     _interior_values,
     _leading_block,
     _require_rho,
-    build_u_matrix,
 )
-from .eigen import compute_eigensystem, dual_coefficients
+from .eigen import EIGEN_N_CAP, _eigenbasis
 
 __all__ = [
     "SeriesResult",
     "apply_series",
     "apply_series_poly",
-    "apply_series_bernstein",
 ]
 
 # Tolerance behind the reported truncation count and tail bound. The
@@ -212,44 +211,44 @@ def apply_series_poly(n: int, rho: float, p: Polynomial) -> Polynomial:
     """Closed-form series sum of a pinned polynomial via the eigensystem.
 
     Expands p over the eigenpolynomials, scales each coefficient by
-    1 / (1 - eigenvalue), and reassembles. The two leading dual
+    1 / (1 - eigenvalue), and reassembles. The eigenpairs come from the
+    leading block of size deg p + 1 (at least 2), so any n >= deg p
+    works; the degree is limited to EIGEN_N_CAP. The two leading dual
     coefficients belong to the unit eigenvalue; for a genuinely pinned
     input they vanish, which is checked and then used. Exact up to the
     conditioning of the triangular solve; no truncation is involved.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     _require_rho(rho)
-    if p.degree > n:
-        raise ValueError(f"degree {p.degree} exceeds n={n}")
+    if p.degree > min(n, EIGEN_N_CAP):
+        raise ValueError(f"degree {p.degree} exceeds n={n} or the eigen "
+                         f"cap {EIGEN_N_CAP}")
     r, w = _homogeneous(rho)
     scale = r / (n * r + w)
-    mat = build_u_matrix(n, rho)
-    sys = compute_eigensystem(mat)
-    mu = dual_coefficients(sys, p)
-    # Conditioning of the dual solve grows with n; near the eigen cap
-    # honest zeros come back around 1e-8 of the coefficient scale.
+    d = max(p.degree, 1)
+    lam, basis = _eigenbasis(n, rho, _leading_block(n, rho, d))
+    mu = _solve_upper(basis, p.padded(d + 1))
+    # Conditioning of the dual solve grows with the degree; near the
+    # eigen cap honest zeros come back around 1e-8 of the coefficient
+    # scale.
     lead_tol = 1e-8 * max(1.0, float(np.max(np.abs(p.coeffs))))
     if abs(mu[0]) > lead_tol or abs(mu[1]) > lead_tol:
         raise ValueError(
             "polynomial does not vanish at both endpoints "
             f"(unit-eigenvalue components {mu[0]:.3e}, {mu[1]:.3e})"
         )
-    out = np.zeros(n + 1)
-    for j in range(2, n + 1):
-        gap = 1.0 - sys.lambdas[j]
+    out = np.zeros(d + 1)
+    for j in range(2, d + 1):
+        gap = 1.0 - lam[j]
         if gap < 1e-14:
             raise RuntimeError(f"eigenvalue of index {j} is too close to one")
-        coeff = scale * mu[j] / gap
-        out[: j + 1] += coeff * sys.basis[: j + 1, j]
+        out[: j + 1] += scale * mu[j] / gap * basis[: j + 1, j]
     return Polynomial(out)
 
 
 def apply_series_bernstein(n: int, f: C0Function) -> SeriesResult:
-    """``apply_series(n, inf, f)``: the series of the sampling operator.
-
-    Kept as a second name for the family's member rho = inf, whose
-    averaging functionals are point evaluations at k/n, whose scale is
-    1/n and whose contraction factor is (n-1)/n.
-    """
+    """``apply_series(n, inf, f)``; not public, ``bench/`` calls it."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if not isinstance(f, C0Function):

@@ -7,10 +7,14 @@ rho = inf: every formula here reads rho = r / w through
 is 2 rho / (rho+1) times the pinned solution of y'' = -h, the
 Green's-function integral (1-x) I0(x) + x I1(x), with I0 the integral
 of t h(t) over [0, x] and I1 that of (1-t) h(t) over [x, 1]. For a
-polynomial cofactor it is the double antiderivative H(1) x - H(x),
-with H'' = h and H(0) = H'(0) = 0, formed coefficient by coefficient.
-The residual operator measures how far the finite-n series sum is from
-this limit.
+polynomial cofactor the kernel is the double antiderivative
+H(1) x - H(x), with H'' = h and H(0) = H'(0) = 0, formed coefficient by
+coefficient; for any other cofactor both integrals take Legendre rules
+on the rungs of 32 and 64 nodes. ``inverse_neg`` is the one entry point
+for the values, by either route, and ``inverse_neg_polynomial`` the one
+for exact coefficients. At rho = 1 the factor 2 rho / (rho+1) is
+exactly 1, so there both return the kernel itself. The residual
+operator measures how far the finite-n series sum is from this limit.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .polyfun import (
     FunctionHandle,
     GridSpec,
     Polynomial,
-    _as_handle,
+    _finite,
     _require_unit_interval,
     psi_values,
     require_pinned,
@@ -37,8 +41,6 @@ from .series import apply_series
 
 __all__ = [
     "apply_A_rho",
-    "f_infty",
-    "f_infty_polynomial",
     "inverse_neg",
     "inverse_neg_polynomial",
     "inverse_norm_check",
@@ -72,74 +74,67 @@ def _green_coeffs(h: Polynomial) -> np.ndarray:
     return np.concatenate(([0.0, npoly.polyval(1.0, a)], -a))
 
 
-def f_infty_polynomial(h: Polynomial) -> Polynomial:
-    """``f_infty`` of a polynomial cofactor as a Polynomial, of degree
-    h.degree + 2; above DEGREE_CAP - 2 a ValueError names both."""
-    if h.degree > DEGREE_CAP - 2:
-        raise ValueError(f"cofactor degree {h.degree}: its inverse would "
-                         f"exceed DEGREE_CAP = {DEGREE_CAP}")
-    return Polynomial(_green_coeffs(h))
-
-
-def f_infty(h, x):
-    """Value of the inverse integral kernel at x (scalar or array).
-
-    ``h`` is the cofactor (a FunctionHandle, Polynomial or callable).
-    Polynomial cofactors evaluate the coefficients of H(1) x - H(x)
-    (see ``f_infty_polynomial``) at every degree up to DEGREE_CAP.
-    Generic cofactors use two affinely mapped copies of a Legendre rule
-    on the rungs of 32 and 64 nodes (``operators._settle``): each point
-    returns its 64-node value once that agrees with the 32-node one to
-    QUAD_TOL (relative above magnitude one), and a point where the two
-    differ by more raises a ValueError that names it.
-    """
-    h = _as_handle(h)
-    xs = _require_unit_interval(x)
-    if h.poly is not None:
-        out = npoly.polyval(xs, _green_coeffs(h.poly))
-    else:
-        flat = xs.reshape(-1)
-
-        def kernel(size, idx):
-            rule = _cached_beta_rule(0.0, 0.0, size)
-            u, w, t = rule.nodes, rule.weights, flat[idx]
-            i0 = t ** 2 * (h(t[:, None] * u) @ (w * u))
-            right = t[:, None] + (1.0 - t)[:, None] * u
-            i1 = (1.0 - t) ** 2 * (h(right) @ (w * (1.0 - u)))
-            return (1.0 - t) * i0 + t * i1
-
-        out = _settle(kernel, (32, 64),
-                      lambda i: f"inverse integral at x={flat[i]:.6g}",
-                      "Legendre").reshape(xs.shape)
-    return float(out[0]) if np.ndim(x) == 0 else out
-
-
 def inverse_neg(rho: float, f: C0Function, x):
-    """Negated inverse image of a pinned function at x."""
+    """Negated inverse image of a pinned function at x (scalar or array).
+
+    It is 2 rho / (rho+1), exactly 1 at rho = 1, times the kernel of the
+    cofactor h of f: for a polynomial h the coefficients of H(1) x - H(x)
+    evaluated, at every degree up to DEGREE_CAP; for any other h two
+    affinely mapped copies of a Legendre rule on the rungs of 32 and 64
+    nodes (``operators._settle``). Each point returns its 64-node value
+    once that agrees with the 32-node one to QUAD_TOL (relative above
+    magnitude one); a point where the two differ by more, or where h is
+    not finite at a node, raises a ValueError that names it.
+    """
     _require_rho(rho)
     if not isinstance(f, C0Function):
         raise TypeError("f must be a C0Function")
     r, w = _homogeneous(rho)
     c = 2.0 * r / (r + w)
-    return c * f_infty(f.h, x)
+    h, xs = f.h, _require_unit_interval(x)
+    if h.poly is not None:
+        out = npoly.polyval(xs, _green_coeffs(h.poly))
+    else:
+        flat = xs.reshape(-1)
+
+        def at(pts):
+            return _finite("inverse integral", pts, h(pts))
+
+        def kernel(size, idx):
+            rule = _cached_beta_rule(0.0, 0.0, size)
+            u, wts, t = rule.nodes, rule.weights, flat[idx]
+            i0 = t ** 2 * (at(t[:, None] * u) @ (wts * u))
+            right = t[:, None] + (1.0 - t)[:, None] * u
+            i1 = (1.0 - t) ** 2 * (at(right) @ (wts * (1.0 - u)))
+            return (1.0 - t) * i0 + t * i1
+
+        out = _settle(kernel, (32, 64),
+                      lambda i: f"inverse integral at x={flat[i]:.6g}",
+                      "Legendre").reshape(xs.shape)
+    return c * float(out[0]) if np.ndim(x) == 0 else c * out
 
 
 def inverse_neg_polynomial(rho: float, f: C0Function) -> Polynomial:
     """Negated inverse image with exact coefficients.
 
     Available only when the cofactor carries polynomial coefficients,
-    of degree up to DEGREE_CAP - 2 (see ``f_infty_polynomial``). This is
-    the large-n limit of ``apply_series(n, rho, f)``: the series sum on
-    x(1-x) h tends to this polynomial as n grows, for every such h.
+    of degree up to DEGREE_CAP - 2 (the image has degree h.degree + 2;
+    above that a ValueError names both). This is the large-n limit of
+    ``apply_series(n, rho, f)``: the series sum on x(1-x) h tends to
+    this polynomial as n grows, for every such h.
     """
     _require_rho(rho)
     if not isinstance(f, C0Function):
         raise TypeError("f must be a C0Function")
-    if f.h.poly is None:
+    h = f.h.poly
+    if h is None:
         raise ValueError("cofactor carries no exact coefficients")
+    if h.degree > DEGREE_CAP - 2:
+        raise ValueError(f"cofactor degree {h.degree}: its inverse would "
+                         f"exceed DEGREE_CAP = {DEGREE_CAP}")
     r, w = _homogeneous(rho)
     c = 2.0 * r / (r + w)
-    return f_infty_polynomial(f.h.poly) * c
+    return Polynomial(_green_coeffs(h)) * c
 
 
 def inverse_norm_check(rho: float, f: C0Function,

@@ -12,8 +12,10 @@ from hypothesis import settings
 from bernseries import Polynomial
 
 # Property tests run without a deadline (the first example of a size
-# pays for cold caches) and keep no example database between runs.
-settings.register_profile("bernseries", deadline=None, database=None)
+# pays for cold caches) and keep no example database between runs; a
+# failure prints the @reproduce_failure line that replays its draw.
+settings.register_profile("bernseries", deadline=None, database=None,
+                          print_blob=True)
 settings.load_profile("bernseries")
 
 _ACCEPTANCE = {}

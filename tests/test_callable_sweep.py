@@ -10,7 +10,7 @@ so that the large n stay a few examples.
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from bernseries import (
@@ -61,6 +61,8 @@ def test_apply_U_matches_monomial_images(n, rho, c):
 
 @settings(max_examples=25)
 @given(n=_log_uniform_n(512), rho=RHOS, c=COEFFS)
+# a subnormal cofactor, once drawn, made the truncation count divide by 0
+@example(n=8, rho=1.0, c=np.array([5e-324]))
 def test_apply_series_matches_polynomial_route(n, rho, c):
     got = apply_series(n, rho, C0Function(_bare(c)))
     want = apply_series(n, rho, C0Function(Polynomial(c)))

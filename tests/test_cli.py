@@ -229,15 +229,15 @@ class TestSeriesAndVoronovskaya:
     def test_voronovskaya_computes_the_inverse_once(self, outdir, capsys,
                                                     monkeypatch):
         # the inverse_value column is the inverse the residual subtracts;
-        # every inverse evaluation goes through the integral kernel
+        # every inverse evaluation goes through inverse_neg
         calls = []
-        original = voronovskaya.f_infty
+        original = voronovskaya.inverse_neg
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(voronovskaya, "f_infty", counting)
+        monkeypatch.setattr(voronovskaya, "inverse_neg", counting)
         code, _, _ = run_cli(
             ["voronovskaya", "--n", "16", "--rho", "1", "--fn", "h=cheb6"],
             capsys)

@@ -16,13 +16,11 @@ from bernseries import (
     UOperatorMatrix,
     apply_U,
     apply_U_poly,
-    bernstein_basis,
     build_u_matrix,
     central_moment,
     eigenvalue,
     functional_moment,
     poly_eval,
-    u_matrix_leading_block,
     u_norm0,
 )
 from bernseries import operators
@@ -34,6 +32,8 @@ from bernseries.operators import (
     _leading_block,
     _rule_defect,
     _settle,
+    bernstein_basis,
+    u_matrix_leading_block,
 )
 
 

@@ -5,6 +5,7 @@ import ast
 import importlib
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -81,7 +82,7 @@ def test_package_exports_match_the_modules():
     # and polynomial calculus is Polynomial's methods, not names of
     # their own
     assert {"bernstein", "apply_F", "poly_calculus"}.isdisjoint(union)
-    assert len(bernseries.__all__) == 58
+    assert len(bernseries.__all__) == 53
 
 
 _FAILING_PROPERTY = """
@@ -97,9 +98,12 @@ def test_below_ten(x):
 def test_failing_property_reports_its_counterexample(tmp_path):
     # warnings are errors under the project's pytest configuration; a
     # failing @given test must still end in a report that shows the
-    # counterexample, not in INTERNALERROR
+    # counterexample, not in INTERNALERROR. Under the suite's profile
+    # (the conftest beside the test) it also prints the line that
+    # replays the draw, since no example database keeps it.
     test = tmp_path / "test_property.py"
     test.write_text(_FAILING_PROPERTY)
+    shutil.copy(ROOT / "tests" / "conftest.py", tmp_path / "conftest.py")
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
          "-p", "no:cacheprovider", str(test)],
@@ -107,4 +111,5 @@ def test_failing_property_reports_its_counterexample(tmp_path):
     out = proc.stdout + proc.stderr
     assert proc.returncode == 1, out
     assert "Falsifying example" in out
+    assert "@reproduce_failure(" in out
     assert "INTERNALERROR" not in out

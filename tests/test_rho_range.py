@@ -19,7 +19,8 @@ HANDLE = bs.FunctionHandle.from_polynomial(bs.PSI)
 # name -> call with the rho under test
 ENTRY_POINTS = {
     "functional_moment": lambda r: bs.functional_moment(8, 3, r, 2),
-    "u_matrix_leading_block": lambda r: bs.u_matrix_leading_block(8, r, 4),
+    "u_matrix_leading_block":
+        lambda r: bs.operators.u_matrix_leading_block(8, r, 4),
     "UOperatorMatrix": lambda r: bs.UOperatorMatrix(1, r, np.eye(2)),
     "build_u_matrix": lambda r: bs.build_u_matrix(8, r),
     "apply_U": lambda r: bs.apply_U(8, r, HANDLE, 0.5),
@@ -104,7 +105,10 @@ def test_entry_points_cover_every_public_rho_parameter():
     found = {name for name in bs.__all__
              if callable(getattr(bs, name))
              and "rho" in inspect.signature(getattr(bs, name)).parameters}
-    assert found == (set(ENTRY_POINTS) - {"ExperimentConfig"}) | RECORD_TYPES
+    # the CLI's configuration and u_matrix_leading_block take rho but
+    # are not in the package's __all__
+    outside_all = {"ExperimentConfig", "u_matrix_leading_block"}
+    assert found == (set(ENTRY_POINTS) - outside_all) | RECORD_TYPES
     # the CLI's configuration takes a list of rho values instead
     assert "rho_list" in inspect.signature(ExperimentConfig).parameters
 

@@ -14,10 +14,8 @@ from bernseries import (
     Polynomial,
     SeriesResult,
     apply_series,
-    apply_series_bernstein,
     apply_series_poly,
     apply_U,
-    bernstein_basis,
     corpus_entry,
     deflate_by_psi,
     inverse_neg_polynomial,
@@ -30,6 +28,7 @@ from bernseries.operators import (
     _homogeneous,
     _interior_stack,
     _leading_block,
+    bernstein_basis,
 )
 from bernseries.polyfun import _solve_upper
 from bernseries.series import (
@@ -37,6 +36,7 @@ from bernseries.series import (
     _cofactor_transfer,
     _first_vector_generic,
     _truncation_count,
+    apply_series_bernstein,
 )
 
 XS = np.linspace(0.0, 1.0, 41)
@@ -433,6 +433,27 @@ class TestApplySeriesPoly:
         with pytest.raises(ValueError):
             apply_series_poly(3, 1.0, Polynomial([0.0] * 4 + [1.0]))
 
+    def test_rejects_degree_above_the_eigen_cap(self):
+        # the dual solve, not n, limits the route: at degree 40 its
+        # unit-eigenvalue components of a pinned input reach 1e-5
+        with pytest.raises(ValueError, match="eigen cap 30"):
+            apply_series_poly(4096, 1.0, PSI * Polynomial([0.0] * 29 + [1.0]))
+
+    @pytest.mark.parametrize("rho", [0.1, 1.0, 10.0, math.inf])
+    @pytest.mark.parametrize("n", [256, 4096])
+    def test_matches_the_monomial_solve_at_large_n(self, n, rho):
+        # the eigenpairs come from the leading block of the input's
+        # degree, so the route runs past the full-matrix cap; measured
+        # at most 4.1e-11 relative
+        rng = np.random.default_rng(4096)
+        cofactors = list(standard_corpus().values()) + [
+            Polynomial(rng.uniform(-1.0, 1.0, size=21))]
+        for h in cofactors:
+            got = poly_eval(apply_series_poly(n, rho, PSI * h), XS)
+            want = apply_series(n, rho, C0Function(h)).value(XS)
+            assert np.max(np.abs(got - want)) <= 1e-9 * max(
+                1.0, np.max(np.abs(want)))
+
 
 class TestLargeNLimit:
     # the series sums tend to the negated limit inverse as n grows
@@ -475,6 +496,18 @@ class TestSeriesIdentity:
     def test_series_minus_its_image_is_the_scaled_input(self, n, rho, h):
         # measured at most 8.7e-16 over 600 examples
         f = C0Function(h)
+        S = apply_series(n, rho, f)
+        r, w = _homogeneous(rho)
+        xs = np.linspace(0.0, 1.0, 33)
+        fx = f.value(xs)
+        gap = S.value(xs) - apply_U(n, rho, S, xs) - r / (n * r + w) * fx
+        assert np.max(np.abs(gap)) <= 1e-14 * max(1.0, np.max(np.abs(fx)))
+
+    @pytest.mark.parametrize("rho", [1.0, math.inf])
+    def test_fixed_case_at_n_256(self, rho):
+        # the transfer solve past the property's n <= 64; measured
+        # 1.2e-16 (rho = 1) and 1.1e-16 (rho = inf)
+        n, f = 256, C0Function(np.cos)
         S = apply_series(n, rho, f)
         r, w = _homogeneous(rho)
         xs = np.linspace(0.0, 1.0, 33)

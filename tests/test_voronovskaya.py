@@ -11,10 +11,9 @@ from bernseries import (
     Polynomial,
     apply_A_rho,
     apply_U,
+    apply_series,
     check_bound,
     convergence_table,
-    f_infty,
-    f_infty_polynomial,
     inverse_neg,
     inverse_neg_polynomial,
     inverse_norm_check,
@@ -25,6 +24,16 @@ from bernseries import (
 )
 
 XS = np.linspace(0.0, 1.0, 41)
+
+
+def f_infty(h, x):
+    # the inverse kernel of a cofactor: inverse_neg at rho = 1, where
+    # the factor 2 rho / (rho + 1) is exactly one
+    return inverse_neg(1.0, C0Function(h), x)
+
+
+def f_infty_polynomial(h):
+    return inverse_neg_polynomial(1.0, C0Function(h))
 
 
 class TestContext:
@@ -333,7 +342,7 @@ _ONE = Polynomial([1.0])
 @pytest.mark.parametrize("x", [np.nan, -0.5, 2.0], ids=["nan", "below",
                                                           "above"])
 @pytest.mark.parametrize("call", [
-    lambda x: f_infty(_ONE, x),
+    lambda x: f_infty(np.cos, x),
     lambda x: inverse_neg(1.0, C0Function(_ONE), x),
     lambda x: residual_H(8, 1.0, Polynomial([1.0, 2.0]), x),
     lambda x: apply_U(8, 1.0, FunctionHandle.from_polynomial(PSI),
@@ -345,3 +354,32 @@ def test_evaluation_points_outside_the_interval_raise(call, x):
     with pytest.raises(ValueError, match=r"evaluation points must lie in "
                                          rf"\[0, 1\], x={x:.17g}$"):
         call(x)
+
+
+def _nan_at_node(x):
+    # not finite at the node 11/16 of n = 16 only, which no sup grid hits
+    return np.where(np.asarray(x) == 11.0 / 16.0, np.nan, np.cos(x))
+
+
+def _nan_band(x):
+    return np.where(np.abs(np.asarray(x) - 0.7) < 0.01, np.nan, np.cos(x))
+
+
+@pytest.mark.parametrize("call, where", [
+    (lambda: apply_U(16, np.inf, FunctionHandle.from_callable(_nan_at_node),
+                     XS), r"0\.6875$"),
+    (lambda: apply_series(16, np.inf, C0Function(_nan_at_node)), r"0\.6875$"),
+    (lambda: residual_H(16, np.inf, _nan_at_node, XS), r"0\.6875$"),
+    (lambda: apply_U(16, 1.0, FunctionHandle.from_callable(_nan_band), XS),
+     r"0\.69"),
+    (lambda: inverse_neg(1.0, C0Function(_nan_band), XS), r"0\.69"),
+    (lambda: limit_dual(4, _nan_band), r"0\.70"),
+], ids=["apply_U-inf", "apply_series-inf", "residual_H-inf", "apply_U",
+        "inverse_neg", "limit_dual"])
+def test_non_finite_callable_values_are_named(call, where):
+    # every callable path names the least point where the function is
+    # not finite, as sup_norm does: the samples at k/n, the Beta and the
+    # Legendre rules
+    with pytest.raises(ValueError,
+                       match=r": the function is not finite at x=" + where):
+        call()
