@@ -17,24 +17,25 @@ from bernseries import (
     Polynomial,
     apply_U,
     apply_U_poly,
-    build_u_matrix,
     central_moment,
     deflate_by_psi,
+    u_matrix_leading_block,
     u_norm0,
 )
 
 n, rho = 8, 1.0
 
 # The operator restricted to polynomials is a matrix in the monomial
-# basis. Column m holds the coefficients of the image of x^m.
-mat = build_u_matrix(n, rho)
-print(f"matrix for n={n}, rho={rho}: shape {mat.M.shape}")
+# basis. Column m holds the coefficients of the image of x^m; the block
+# of columns 0..n is the whole matrix on polynomials of degree <= n.
+M = u_matrix_leading_block(n, rho, n)
+print(f"matrix for n={n}, rho={rho}: shape {M.shape}")
 print("diagonal (the eigenvalues):")
-print(np.array2string(np.diag(mat.M), precision=6))
+print(np.array2string(np.diag(M), precision=6))
 
 # Affine functions are reproduced exactly; the weight x(1-x) is an
 # eigenfunction, so its image is again a multiple of the weight.
-img = apply_U_poly(mat, PSI)
+img = apply_U_poly(n, rho, PSI)
 cof = deflate_by_psi(img)
 print(f"\nimage of x(1-x) has cofactor {cof.coeffs}, "
       f"norm factor {u_norm0(n, rho):.6f}")

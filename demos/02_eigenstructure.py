@@ -14,7 +14,6 @@ from bernseries import (
     FunctionHandle,
     Polynomial,
     asymptotic_report,
-    build_u_matrix,
     compute_eigensystem,
     dual_coefficients,
     eigenvalue,
@@ -34,7 +33,7 @@ print(np.array2string(
 
 # Monic eigenpolynomials via back-substitution on the triangular
 # matrix. Those of index >= 2 vanish at both endpoints.
-sys_ = compute_eigensystem(build_u_matrix(n, rho))
+sys_ = compute_eigensystem(n, rho)
 p4 = sys_.eigenpolys[4]
 print(f"\nindex-4 eigenpolynomial coefficients:\n{p4.coeffs}")
 print(f"values at the endpoints: {poly_eval(p4, 0.0):.2e}, "

@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .polyfun import C0Function, FunctionHandle, GridSpec, Polynomial, poly_eval
-from .operators import _require_rho, apply_U, build_u_matrix
+from .operators import _require_rho, apply_U
 from .eigen import compute_eigensystem, limit_eigenvalue
 from .polyfun import limit_eigenpoly
 from .series import apply_series
@@ -177,7 +177,7 @@ def _execute(cfg: ExperimentConfig):
         return ["x", "f_value", "u_value"], rows, {"n": n, "rho": rho}
     if cfg.command == "eigen":
         n, rho = cfg.n_list[0], cfg.rho_list[0]
-        sys_ = compute_eigensystem(build_u_matrix(n, rho))
+        sys_ = compute_eigensystem(n, rho)
         rows = []
         for j in range(n + 1):
             lam = float(sys_.lambdas[j])

@@ -4,8 +4,10 @@ The operator restricted to Pi_n is upper triangular on monomials with
 distinct positive diagonal entries beyond index one, so each eigenvalue
 carries a unique monic eigenpolynomial obtained by back-substitution;
 the leading block of size d + 1 holds those of index 0..d at any n >= d.
-``_eigenbasis`` is the one assembly: of the full system, of the report
-below and of ``series.apply_series_poly`` at every n >= deg p. Dual
+Every entry point takes (n, rho), never a matrix. ``_eigenbasis`` is
+the one assembly: of the full system (``compute_eigensystem``), of the
+report below and of ``series.apply_series_poly`` at every n >= deg p,
+each limited to blocks of at most EIGEN_N_CAP + 1 rows. Dual
 functionals on polynomials are coefficient solves against the
 triangular change of basis from eigenpolynomials to monomials.
 
@@ -38,7 +40,7 @@ from .polyfun import (
     poly_eval,
 )
 from .operators import (
-    UOperatorMatrix,
+    _ENDS,
     _cached_beta_rule,
     _homogeneous,
     _require_rho,
@@ -59,8 +61,9 @@ __all__ = [
 ]
 
 # Monomial-basis eigen solves stay well conditioned only up to about
-# this block size (n for the full system, the degree for
-# ``apply_series_poly``); beyond it the change of basis has entries
+# this block size: n for ``compute_eigensystem``, the degree for
+# ``series.apply_series_poly`` and max(j, test degree) for
+# ``asymptotic_report``. Beyond it the change of basis has entries
 # large enough that dual reconstructions drop under ten significant
 # digits.
 EIGEN_N_CAP = 30
@@ -142,15 +145,19 @@ class EigenSystem:
         object.__setattr__(self, "basis", basis)
 
 
-def compute_eigensystem(mat: UOperatorMatrix) -> EigenSystem:
-    """Solve the full eigenstructure of a materialized operator matrix,
-    with the checks of ``_eigenbasis``."""
-    n, rho = mat.n, mat.rho
+def compute_eigensystem(n: int, rho: float) -> EigenSystem:
+    """The full eigenstructure of the operator on Pi_n, from the matrix
+    ``u_matrix_leading_block(n, rho, n)``, with the checks of
+    ``_eigenbasis``; n is limited to EIGEN_N_CAP."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    _require_rho(rho)
     if n > EIGEN_N_CAP:
         raise ValueError(
             f"eigen solves are limited to n <= {EIGEN_N_CAP}; got n={n}"
         )
-    lam, basis = _eigenbasis(n, rho, mat.M)
+    rho = float(rho)
+    lam, basis = _eigenbasis(n, rho, u_matrix_leading_block(n, rho, n))
     polys = tuple(Polynomial(basis[: j + 1, j]) for j in range(n + 1))
     return EigenSystem(n, rho, lam, polys, basis)
 
@@ -193,8 +200,8 @@ def limit_dual(j: int, f) -> float:
     128-node value once it agrees with the 64-node one to QUAD_TOL
     (relative above magnitude one); when they differ by more, a
     ValueError names the index, as does a value of f that is not
-    finite at a node. A polynomial f is integrated exactly on
-    both rungs while f.poly.degree + j - 2 <= 127.
+    finite at a node or an endpoint. A polynomial f is integrated
+    exactly on both rungs while f.poly.degree + j - 2 <= 127.
 
     The endpoint terms and j times the integral nearly cancel, and the
     factor j C(2j, j) / 2 multiplies the rounding of the integral into
@@ -204,23 +211,24 @@ def limit_dual(j: int, f) -> float:
     if j < 0:
         raise ValueError("index must be nonnegative")
     f = _as_handle(f)
+    where = f"limit dual of index {j}"
+    f0, f1 = _finite(where, _ENDS, [f(0.0), f(1.0)])
     if j == 0:
-        return 0.5 * (f(0.0) + f(1.0))
+        return float(0.5 * (f0 + f1))
     if j == 1:
-        return f(1.0) - f(0.0)
+        return float(f1 - f0)
     core = jacobi11(j - 2)
 
     def rung(size, idx):
         return _cached_beta_rule(0.0, 0.0, size).integrate(
-            lambda t: _finite(f"limit dual of index {j}", t, f(t))
+            lambda t: _finite(where, t, f(t))
             * poly_eval(core, 2.0 * t - 1.0))
 
-    integral = float(_settle(rung, (64, 128),
-                             lambda i: f"limit dual of index {j}",
+    integral = float(_settle(rung, (64, 128), lambda i: where,
                              "Legendre")[0])
-    return 0.5 * math.comb(2 * j, j) * (
-        (-1.0) ** j * f(0.0) + f(1.0) - j * integral
-    )
+    return float(0.5 * math.comb(2 * j, j) * (
+        (-1.0) ** j * f0 + f1 - j * integral
+    ))
 
 
 @dataclass(frozen=True)
@@ -244,7 +252,9 @@ def asymptotic_report(rho: float, j: int, n_list: Iterable[int],
     and, for each supplied test polynomial, the gap between its
     finite-n dual coefficient of index j and the limit dual value.
     Leading blocks of the operator matrix (``_eigenbasis``) keep this
-    cheap for n far beyond the full-matrix cap.
+    cheap for n far beyond the full-matrix cap. The block size
+    max(j, test degree) is limited to EIGEN_N_CAP: past it the dual
+    gaps are rounding, not convergence.
     """
     _require_rho(rho)
     if j < 0:
@@ -253,6 +263,11 @@ def asymptotic_report(rho: float, j: int, n_list: Iterable[int],
         grid = DEFAULT_SUP_GRID
     max_deg = max((p.degree for p in test_polys), default=0)
     d = max(j, max_deg)
+    if d > EIGEN_N_CAP:
+        raise ValueError(
+            f"index {j} or test degree {max_deg} exceeds the eigen cap "
+            f"{EIGEN_N_CAP}"
+        )
     lam_star = limit_eigenvalue(rho, j)
     p_star = limit_eigenpoly(j)
     star_vals = poly_eval(p_star, grid.points)

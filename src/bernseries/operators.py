@@ -8,19 +8,21 @@ equal to one the boundary interpolating Durrmeyer variant, and small
 rho the chord through the endpoint values.
 
 Two evaluation paths are provided. On polynomials the operator is
-materialized as an upper-triangular matrix in the monomial basis,
-assembled column by column from the exact derivative recurrence
+an upper-triangular matrix in the monomial basis, assembled column by
+column from the exact derivative recurrence
 
     T(e_{m+1}) = [rho * x(1-x) * T(e_m)' + (rho n x + m) T(e_m)] / (n rho + m)
 
-which keeps every entry at working precision for all matrix sizes the
-degree cap allows; at rho = inf the same recurrence gives the Bernstein
-operator. On generic functions the operator is evaluated pointwise
-with Gauss quadrature built for the exact Beta weight, so
-integrable endpoint singularities at small rho are absorbed by the
-rule instead of being sampled. The rules come from the Golub-Welsch
-method: the interior rules of one (n, rho) and size are stacked and
-diagonalized by batched symmetric eigensolves. ``_settle`` is the
+which keeps every entry at working precision for every block the degree
+cap allows; at rho = inf the same recurrence gives the Bernstein
+operator. Every quantity takes (n, rho): ``u_matrix_leading_block``
+gives the images of e_0 .. e_d at any n >= d, and ``apply_U_poly`` the
+image of a polynomial of any degree. On generic functions the operator
+is evaluated pointwise with Gauss quadrature built for the exact Beta
+weight, so integrable endpoint singularities at small rho are absorbed
+by the rule instead of being sampled. The rules come from the
+Golub-Welsch method: the interior rules of one (n, rho) and size are
+stacked and diagonalized by batched symmetric eigensolves. ``_settle`` is the
 package's one ladder of rule sizes (these rules and the Legendre rules
 of ``inverse_neg`` and ``limit_dual``), ``_bernstein_sum`` its one
 Bernstein blend (``apply_U`` and the series). The module needs numpy
@@ -46,9 +48,8 @@ from .polyfun import (
 __all__ = [
     "QUAD_TOL",
     "QuadratureRule",
-    "UOperatorMatrix",
     "functional_moment",
-    "build_u_matrix",
+    "u_matrix_leading_block",
     "apply_U_poly",
     "apply_U",
     "central_moment",
@@ -79,6 +80,8 @@ def _homogeneous(rho) -> tuple:
     return rho, 1.0
 
 
+# The endpoints, where every member of the family interpolates.
+_ENDS = np.array([0.0, 1.0])
 # The rungs of the interior Beta rules, climbed by ``_settle``.
 _RULE_SIZES = (20, 40, 80)
 # Floats per block of stacked Jacobi matrices handed to one eigensolve:
@@ -317,11 +320,15 @@ def _leading_block(n: int, rho: float, d: int) -> np.ndarray:
 def u_matrix_leading_block(n: int, rho: float, d: int) -> np.ndarray:
     """Columns 0..d of the operator's monomial matrix, rows 0..d.
 
-    Valid for any n >= d; only the block size is limited by the degree
-    cap. The derivative recurrence behind it keeps the diagonal (the
-    eigenvalues) accurate to working precision and the constant
-    coefficient of every column beyond the first at exactly zero.
+    The package's one public matrix entry point: d = n gives the whole
+    matrix on Pi_n. Valid for any n >= d; only the block size is
+    limited by the degree cap. The derivative recurrence behind it
+    keeps the diagonal (the eigenvalues) accurate to working precision
+    and the constant coefficient of every column beyond the first at
+    exactly zero.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     _require_rho(rho)
     if d < 0 or d > n:
         raise ValueError("block size must satisfy 0 <= d <= n")
@@ -330,55 +337,17 @@ def u_matrix_leading_block(n: int, rho: float, d: int) -> np.ndarray:
     return _leading_block(n, rho, d)
 
 
-@dataclass(frozen=True)
-class UOperatorMatrix:
-    """Monomial-basis matrix of the operator restricted to Pi_n.
+def apply_U_poly(n: int, rho: float, p: Polynomial) -> Polynomial:
+    """Exact image of a polynomial of any degree up to the cap.
 
-    Column m holds the coefficients of the image of the m-th monomial.
-    The matrix is upper triangular with positive diagonal; columns 0
-    and 1 reproduce the constant and the identity exactly.
+    Every image has degree at most n: the operator maps all
+    polynomials into Pi_n, so the result is the leading block of size
+    deg p + 1 (rows 0..min(n, deg p)) applied to the coefficients.
     """
-
-    n: int
-    rho: float
-    M: np.ndarray
-
-    def __post_init__(self):
-        _require_rho(self.rho)
-        M = np.asarray(self.M, dtype=float)
-        if M.shape != (self.n + 1, self.n + 1):
-            raise ValueError("matrix shape must be (n+1, n+1)")
-        e0 = np.zeros(self.n + 1)
-        e0[0] = 1.0
-        if np.max(np.abs(M[:, 0] - e0)) > 1e-12:
-            raise ValueError("column 0 must reproduce the constant")
-        if self.n >= 1:
-            e1 = np.zeros(self.n + 1)
-            e1[1] = 1.0
-            if np.max(np.abs(M[:, 1] - e1)) > 1e-12:
-                raise ValueError("column 1 must reproduce the identity")
-        M = M.copy()
-        M.flags.writeable = False
-        object.__setattr__(self, "M", M)
-
-
-def build_u_matrix(n: int, rho: float) -> UOperatorMatrix:
-    """Materialize the operator on Pi_n in the monomial basis."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > DEGREE_CAP:
-        raise ValueError(f"n={n} exceeds the degree cap {DEGREE_CAP}")
     _require_rho(rho)
-    return UOperatorMatrix(n, float(rho), u_matrix_leading_block(n, rho, n))
-
-
-def apply_U_poly(mat: UOperatorMatrix, p: Polynomial) -> Polynomial:
-    """Exact image of a polynomial of degree at most n."""
-    if p.degree > mat.n:
-        raise ValueError(
-            f"degree {p.degree} exceeds the matrix span {mat.n}"
-        )
-    return Polynomial(mat.M @ p.padded(mat.n + 1))
+    return Polynomial(_leading_block(n, rho, p.degree) @ p.coeffs)
 
 
 def bernstein_basis(n: int, x) -> np.ndarray:
@@ -499,13 +468,16 @@ def apply_U(n: int, rho: float, f: FunctionHandle, x):
     x by ``_bernstein_sum``. At rho = inf the functionals are samples
     at k/n and the value is that of the Bernstein polynomial of f.
     Points outside [0, 1], NaN among them, raise a ValueError that
-    names the first.
+    names the first, and so does a value of f that is not finite, at
+    the endpoints as at the interior nodes.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     _require_rho(rho)
     _require_unit_interval(x)
-    c = np.concatenate(([f(0.0)], _interior_values(n, rho, f), [f(1.0)]))
+    f0, f1 = _finite(f"endpoint values (n={n}, rho={rho})", _ENDS,
+                     [f(0.0), f(1.0)])
+    c = np.concatenate(([f0], _interior_values(n, rho, f), [f1]))
     val = _bernstein_sum(c, x)
     return float(val) if val.ndim == 0 else val
 

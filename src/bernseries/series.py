@@ -44,6 +44,7 @@ import numpy as np
 from .polyfun import (
     C0Function,
     Polynomial,
+    _require_unit_interval,
     _solve_upper,
     require_pinned,
 )
@@ -173,8 +174,11 @@ def _sum_series(n: int, rho: float, f: C0Function) -> SeriesResult:
     if hp is None and n == 1:
         # A single-node operator annihilates the pinned space, so the
         # series collapses to its first term.
-        h_out = lambda x, _h=f.h, _s=scale: _s * np.asarray(_h(x))
-        return SeriesResult(h_out, 0, 0.0)
+        def h_first(x):
+            _require_unit_interval(x)
+            return scale * np.asarray(f.h(x))
+
+        return SeriesResult(h_first, 0, 0.0)
     q = (n - 1.0) * r / (n * r + w)
     K = _truncation_count(q, scale, f.norm0, _TOL)
     tail = scale * f.norm0 * q ** (K + 1) / (1.0 - q)
@@ -182,9 +186,12 @@ def _sum_series(n: int, rho: float, f: C0Function) -> SeriesResult:
         return SeriesResult(_sum_monomial(n, rho, hp, scale), K, tail)
     g0 = _first_vector_generic(n, rho, f)
     acc = np.linalg.solve(np.eye(n - 1) - _cofactor_transfer(n, rho), g0)
-    h_out = lambda x, _h=f.h, _acc=acc, _s=scale: _s * (
-        _h(x) + _bernstein_sum(_acc, x))
-    return SeriesResult(h_out, K, tail)
+
+    def h_sum(x):
+        _require_unit_interval(x)
+        return scale * (f.h(x) + _bernstein_sum(acc, x))
+
+    return SeriesResult(h_sum, K, tail)
 
 
 def apply_series(n: int, rho: float, f: C0Function) -> SeriesResult:
@@ -193,11 +200,13 @@ def apply_series(n: int, rho: float, f: C0Function) -> SeriesResult:
     rho ranges over (0, inf]; rho = inf sums the series of the sampling
     (Bernstein) operator. The result is again pinned; its cofactor is
     polynomial exactly when the input's is (the monomial solve, at
-    every n) and a closure over Bernstein coefficients after the
-    transfer solve on a callable. The sum is exact up to rounding;
-    ``iterations`` is the a priori truncation count for the fixed
-    tolerance 1e-9 and ``tail_bound`` the sup bound on the terms past
-    it.
+    every n), a ``Polynomial`` defined at every x, and otherwise a
+    closure over Bernstein coefficients after the transfer solve on a
+    callable, which takes points in [0, 1] only: one outside, NaN among
+    them, raises the ValueError of ``_require_unit_interval``. The sum
+    is exact up to rounding; ``iterations`` is the a priori truncation
+    count for the fixed tolerance 1e-9 and ``tail_bound`` the sup bound
+    on the terms past it.
     """
     if n < 1:
         raise ValueError("n must be at least 1")

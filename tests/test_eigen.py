@@ -14,7 +14,6 @@ from bernseries import (
     FunctionHandle,
     Polynomial,
     asymptotic_report,
-    build_u_matrix,
     compute_eigensystem,
     dual_coefficients,
     eigenvalue,
@@ -23,8 +22,9 @@ from bernseries import (
     limit_eigenpoly,
     limit_eigenvalue,
     poly_eval,
+    u_matrix_leading_block,
 )
-from bernseries.operators import UOperatorMatrix
+from bernseries.eigen import _eigenbasis
 
 
 class TestEigenvalue:
@@ -59,14 +59,14 @@ class TestEigenvalue:
 
 class TestComputeEigensystem:
     def test_residuals_small(self):
-        sys = compute_eigensystem(build_u_matrix(12, 0.5))
+        sys = compute_eigensystem(12, 0.5)
         M = sys.basis  # columns are eigenvector coefficients
-        U = build_u_matrix(12, 0.5).M
+        U = u_matrix_leading_block(12, 0.5, 12)
         R = U @ M - M * np.asarray(sys.lambdas)
         assert np.max(np.abs(R)) < 1e-11
 
     def test_basis_is_unit_upper_triangular_and_monic(self):
-        sys = compute_eigensystem(build_u_matrix(10, 2.0))
+        sys = compute_eigensystem(10, 2.0)
         B = sys.basis
         assert np.max(np.abs(np.tril(B, -1))) == 0.0
         assert np.max(np.abs(np.diag(B) - 1.0)) == 0.0
@@ -75,45 +75,59 @@ class TestComputeEigensystem:
             assert p.coeffs[-1] == 1.0
 
     def test_interior_polys_vanish_at_endpoints(self):
-        sys = compute_eigensystem(build_u_matrix(14, 0.3))
+        sys = compute_eigensystem(14, 0.3)
         for p in sys.eigenpolys[2:]:
             assert abs(poly_eval(p, 0.0)) < 1e-9
             assert abs(poly_eval(p, 1.0)) < 1e-9
 
     def test_rejects_doctored_diagonal(self):
-        base = build_u_matrix(8, 1.0)
-        M = base.M.copy()
+        M = u_matrix_leading_block(8, 1.0, 8).copy()
         M[4, 4] += 1e-6
-        bad = UOperatorMatrix(8, 1.0, M)
-        with pytest.raises(RuntimeError):
-            compute_eigensystem(bad)
+        with pytest.raises(RuntimeError, match="disagrees with the "
+                                               "eigenvalue formula"):
+            _eigenbasis(8, 1.0, M)
 
     def test_size_cap(self):
-        with pytest.raises(ValueError):
-            compute_eigensystem(build_u_matrix(EIGEN_N_CAP + 1, 1.0))
+        with pytest.raises(ValueError, match=f"n <= {EIGEN_N_CAP}"):
+            compute_eigensystem(EIGEN_N_CAP + 1, 1.0)
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            compute_eigensystem(0, 1.0)
+
+    @pytest.mark.parametrize("rho", [0.1, 1.0, 10.0, math.inf])
+    def test_same_bits_as_the_full_matrix_route(self, rho):
+        # the system is the one assembly applied to the whole matrix on
+        # Pi_n, to the bit; a scratch run against the former matrix
+        # object found every basis of n = 1..30 at these rho identical
+        for n in range(1, EIGEN_N_CAP + 1):
+            sys = compute_eigensystem(n, rho)
+            lam, basis = _eigenbasis(n, rho, u_matrix_leading_block(n, rho, n))
+            assert np.array_equal(sys.lambdas, lam)
+            assert np.array_equal(sys.basis, basis)
+            for j, p in enumerate(sys.eigenpolys):
+                assert np.array_equal(p.coeffs, basis[: j + 1, j])
 
     def test_arrays_locked(self):
-        sys = compute_eigensystem(build_u_matrix(5, 1.0))
+        sys = compute_eigensystem(5, 1.0)
         with pytest.raises(ValueError):
             sys.basis[0, 0] = 2.0
 
 
 class TestDualCoefficients:
     def test_weight_oracle(self):
-        sys = compute_eigensystem(build_u_matrix(2, 1.0))
+        sys = compute_eigensystem(2, 1.0)
         mu = dual_coefficients(sys, PSI)
         # x^2 - x = -1 times the monic quadratic eigenpolynomial
         assert np.max(np.abs(mu - [0.0, 0.0, -1.0])) < 1e-14
 
     def test_reconstruction(self, rng):
         n = 10
-        sys = compute_eigensystem(build_u_matrix(n, 0.8))
+        sys = compute_eigensystem(n, 0.8)
         p = Polynomial(rng.uniform(-1, 1, size=n + 1))
         mu = dual_coefficients(sys, p)
         assert np.max(np.abs(sys.basis @ mu - p.padded(n + 1))) < 1e-10
 
     def test_degree_rejection(self):
-        sys = compute_eigensystem(build_u_matrix(3, 1.0))
+        sys = compute_eigensystem(3, 1.0)
         with pytest.raises(ValueError):
             dual_coefficients(sys, Polynomial([0.0] * 4 + [1.0]))
 
@@ -257,10 +271,22 @@ class TestAsymptoticReport:
         with pytest.raises(ValueError):
             asymptotic_report(1.0, 5, [4])
 
+    def test_rejects_blocks_above_the_eigen_cap(self):
+        # past the cap the dual gaps are rounding, not convergence: at
+        # n = 256, rho = 1, j = 4, on random pinned test polynomials,
+        # they measured up to 5.2e-8 at degree 30, 4.2e-5 at 40 and
+        # 8.1e-2 at 50
+        probe = Polynomial([0.0] * (EIGEN_N_CAP - 1) + [1.0])
+        asymptotic_report(1.0, 4, [256], test_polys=(probe,))
+        with pytest.raises(ValueError, match=f"eigen cap {EIGEN_N_CAP}$"):
+            asymptotic_report(1.0, 4, [256], test_polys=(PSI * probe,))
+        with pytest.raises(ValueError, match=f"eigen cap {EIGEN_N_CAP}$"):
+            asymptotic_report(1.0, EIGEN_N_CAP + 1, [256])
+
 
 class TestEigenSystemType:
     def test_fields(self):
-        sys = compute_eigensystem(build_u_matrix(4, 1.0))
+        sys = compute_eigensystem(4, 1.0)
         assert isinstance(sys, EigenSystem)
         assert sys.n == 4 and sys.rho == 1.0
         assert len(sys.eigenpolys) == 5

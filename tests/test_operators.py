@@ -12,15 +12,16 @@ from bernseries import (
     PSI,
     FunctionHandle,
     Polynomial,
+    DEGREE_CAP,
     QuadratureRule,
-    UOperatorMatrix,
     apply_U,
     apply_U_poly,
-    build_u_matrix,
     central_moment,
     eigenvalue,
     functional_moment,
     poly_eval,
+    standard_corpus,
+    u_matrix_leading_block,
     u_norm0,
 )
 from bernseries import operators
@@ -33,7 +34,6 @@ from bernseries.operators import (
     _rule_defect,
     _settle,
     bernstein_basis,
-    u_matrix_leading_block,
 )
 
 
@@ -289,7 +289,7 @@ def _u_matrix_from_moments(n, rho):
 class TestOperatorMatrix:
     def test_columns_zero_one_exact(self):
         for n, rho in ((2, 1.0), (12, 0.3), (30, 10.0)):
-            M = build_u_matrix(n, rho).M
+            M = u_matrix_leading_block(n, rho, n)
             e0 = np.zeros(n + 1)
             e0[0] = 1.0
             e1 = np.zeros(n + 1)
@@ -299,22 +299,22 @@ class TestOperatorMatrix:
 
     def test_small_oracle(self):
         # image of the second monomial at n=2, rho=1: (2 e_1 + e_2) / 3
-        M = build_u_matrix(2, 1.0).M
+        M = u_matrix_leading_block(2, 1.0, 2)
         assert np.max(np.abs(M[:, 2] - [0.0, 2 / 3, 1 / 3])) < 1e-15
 
     def test_diagonal_is_eigenvalue_sequence(self):
         for n, rho in ((8, 0.5), (30, 0.1), (25, 10.0)):
-            M = build_u_matrix(n, rho).M
+            M = u_matrix_leading_block(n, rho, n)
             lam = [eigenvalue(n, rho, j) for j in range(n + 1)]
             assert np.max(np.abs(np.diag(M) - lam)) < 1e-14
 
     def test_upper_triangular(self):
-        M = build_u_matrix(9, 0.7).M
+        M = u_matrix_leading_block(9, 0.7, 9)
         assert np.max(np.abs(np.tril(M, -1))) == 0.0
 
     def test_leading_block_consistent_with_full(self):
         n, rho, d = 14, 1.7, 6
-        full = build_u_matrix(n, rho).M
+        full = u_matrix_leading_block(n, rho, n)
         block = u_matrix_leading_block(n, rho, d)
         assert np.max(np.abs(full[: d + 1, : d + 1] - block)) < 1e-14
 
@@ -323,47 +323,69 @@ class TestOperatorMatrix:
         # basis; the latter is the independent oracle at small n
         for n in (4, 8, 12):
             for rho in (0.1, 0.5, 1.0, 2.0, 10.0):
-                A = build_u_matrix(n, rho).M
+                A = u_matrix_leading_block(n, rho, n)
                 B = _u_matrix_from_moments(n, rho)
                 assert np.max(np.abs(A - B)) < 1e-10
 
     def test_constructor_validates(self):
-        M = build_u_matrix(4, 1.0).M.copy()
-        M[0, 1] = 0.5  # column 1 no longer reproduces the identity
-        with pytest.raises(ValueError):
-            UOperatorMatrix(4, 1.0, M)
-        with pytest.raises(ValueError):
-            build_u_matrix(61, 1.0)
-        with pytest.raises(ValueError):
-            build_u_matrix(0, 1.0)
+        # the one public matrix entry point checks n, the block size
+        # against n and the degree cap
+        with pytest.raises(ValueError, match="block size must satisfy"):
+            u_matrix_leading_block(4, 1.0, 5)
+        with pytest.raises(ValueError, match="degree cap"):
+            u_matrix_leading_block(DEGREE_CAP + 1, 1.0, DEGREE_CAP + 1)
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            u_matrix_leading_block(0, 1.0, 0)
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            apply_U_poly(0, 1.0, PSI)
 
 
 class TestApplyUPoly:
     def test_weight_is_eigenfunction(self):
-        mat = build_u_matrix(3, 1.0)
-        img = apply_U_poly(mat, PSI)
+        img = apply_U_poly(3, 1.0, PSI)
         assert np.max(np.abs((img - PSI * 0.5).padded(3))) < 1e-15
 
-    def test_degree_check(self):
-        mat = build_u_matrix(3, 1.0)
-        with pytest.raises(ValueError):
-            apply_U_poly(mat, Polynomial([0.0, 0.0, 0.0, 0.0, 1.0]))
+    def test_degree_check(self, rng):
+        # U_n maps every polynomial into Pi_n, so an input above degree
+        # n is taken, and its image has degree at most n; measured
+        # within 8.9e-16 of the quadrature route
+        xs = np.linspace(0.0, 1.0, 17)
+        for n in (1, 3, 8):
+            for rho in (0.5, 1.0, math.inf):
+                for deg in (n + 1, n + 4, 12):
+                    p = Polynomial(rng.uniform(-1, 1, size=deg + 1))
+                    img = apply_U_poly(n, rho, p)
+                    assert img.degree <= n
+                    want = apply_U(n, rho,
+                                   FunctionHandle.from_polynomial(p), xs)
+                    assert np.max(np.abs(poly_eval(img, xs) - want)) < 1e-13
 
     def test_pointwise_oracle(self):
-        mat = build_u_matrix(2, 1.0)
-        img = apply_U_poly(mat, Polynomial([0.0, 0.0, 1.0]))
+        img = apply_U_poly(2, 1.0, Polynomial([0.0, 0.0, 1.0]))
         assert abs(poly_eval(img, 0.5) - 5.0 / 12.0) < 1e-15
+
+    @pytest.mark.parametrize("n", [256, 4096])
+    def test_large_n_matches_quadrature(self, n):
+        # no matrix of size n is formed, so n is not capped; against the
+        # quadrature route on the pinned corpus functions x(1-x) h,
+        # measured within 7.7e-13 (the images' coefficients reach 1.3e4).
+        # Two points: each costs O(n^2) in the quadrature route
+        xs = np.array([0.3, 0.8])
+        for h in standard_corpus().values():
+            p = PSI * h
+            got = poly_eval(apply_U_poly(n, 1.0, p), xs)
+            want = apply_U(n, 1.0, FunctionHandle.from_polynomial(p), xs)
+            assert np.max(np.abs(got - want)) < 1e-10
 
 
 class TestApplyU:
     def test_agrees_with_matrix_route(self, rng):
         n, rho = 6, 0.5
-        mat = build_u_matrix(n, rho)
         xs = np.linspace(0, 1, 17)
         for _ in range(10):
             p = Polynomial(rng.uniform(-1, 1, size=int(rng.integers(1, n + 2))))
             f = FunctionHandle.from_polynomial(p)
-            want = poly_eval(apply_U_poly(mat, p), xs)
+            want = poly_eval(apply_U_poly(n, rho, p), xs)
             got = apply_U(n, rho, f, xs)
             assert np.max(np.abs(got - want)) < 1e-12
 
@@ -570,23 +592,21 @@ class TestBernstein:
     # the Bernstein operator is the member rho = inf of the family
 
     def test_small_oracle(self):
-        p = apply_U_poly(build_u_matrix(2, math.inf),
-                         Polynomial([0.0, 0.0, 1.0]))
+        p = apply_U_poly(2, math.inf, Polynomial([0.0, 0.0, 1.0]))
         assert np.max(np.abs(p.padded(3) - [0.0, 0.5, 0.5])) < 1e-15
 
     def test_reproduces_affine(self):
         affine = Polynomial([2.0, -3.0])
-        p = apply_U_poly(build_u_matrix(8, math.inf), affine)
+        p = apply_U_poly(8, math.inf, affine)
         assert np.max(np.abs((p - affine).coeffs)) < 1e-13
 
     def test_polynomial_and_sampling_routes_agree(self, rng):
         # the monomial matrix against the blend of samples at k/n
         n = 9
         xs = np.linspace(0.0, 1.0, 17)
-        mat = build_u_matrix(n, math.inf)
         for _ in range(8):
             p = Polynomial(rng.uniform(-1, 1, size=int(rng.integers(1, 8))))
-            via_poly = poly_eval(apply_U_poly(mat, p), xs)
+            via_poly = poly_eval(apply_U_poly(n, math.inf, p), xs)
             via_vals = apply_U(
                 n, math.inf,
                 FunctionHandle.from_callable(lambda x, _p=p: poly_eval(_p, x)),
@@ -630,10 +650,9 @@ class TestCentralMoment:
 
     def test_matches_matrix_route(self):
         n, rho, y = 6, 0.7, 0.3
-        mat = build_u_matrix(n, rho)
         for r in range(5):
             p = Polynomial(npoly.polypow([-y, 1.0], r))
-            got = poly_eval(apply_U_poly(mat, p), y)
+            got = poly_eval(apply_U_poly(n, rho, p), y)
             want = central_moment(n, rho, y, r)
             assert abs(got - want) < 1e-13
 

@@ -78,11 +78,11 @@ def test_package_exports_match_the_modules():
             module = importlib.import_module(f"bernseries.{path.stem}")
             union.update(module.__all__)
     assert sorted(bernseries.__all__) == sorted(union)
-    # the Bernstein operator is build_u_matrix / apply_U at rho = inf,
+    # the Bernstein operator is apply_U_poly / apply_U at rho = inf,
     # and polynomial calculus is Polynomial's methods, not names of
     # their own
     assert {"bernstein", "apply_F", "poly_calculus"}.isdisjoint(union)
-    assert len(bernseries.__all__) == 53
+    assert len(bernseries.__all__) == 52
 
 
 _FAILING_PROPERTY = """

@@ -19,14 +19,13 @@ HANDLE = bs.FunctionHandle.from_polynomial(bs.PSI)
 # name -> call with the rho under test
 ENTRY_POINTS = {
     "functional_moment": lambda r: bs.functional_moment(8, 3, r, 2),
-    "u_matrix_leading_block":
-        lambda r: bs.operators.u_matrix_leading_block(8, r, 4),
-    "UOperatorMatrix": lambda r: bs.UOperatorMatrix(1, r, np.eye(2)),
-    "build_u_matrix": lambda r: bs.build_u_matrix(8, r),
+    "u_matrix_leading_block": lambda r: bs.u_matrix_leading_block(8, r, 4),
+    "apply_U_poly": lambda r: bs.apply_U_poly(8, r, bs.PSI),
     "apply_U": lambda r: bs.apply_U(8, r, HANDLE, 0.5),
     "central_moment": lambda r: bs.central_moment(8, r, 0.5, 2),
     "u_norm0": lambda r: bs.u_norm0(8, r),
     "eigenvalue": lambda r: bs.eigenvalue(8, r, 2),
+    "compute_eigensystem": lambda r: bs.compute_eigensystem(8, r),
     "limit_eigenvalue": lambda r: bs.limit_eigenvalue(r, 2),
     "asymptotic_report": lambda r: bs.asymptotic_report(r, 4, [8]),
     "apply_series": lambda r: bs.apply_series(8, r, F),
@@ -105,9 +104,9 @@ def test_entry_points_cover_every_public_rho_parameter():
     found = {name for name in bs.__all__
              if callable(getattr(bs, name))
              and "rho" in inspect.signature(getattr(bs, name)).parameters}
-    # the CLI's configuration and u_matrix_leading_block take rho but
-    # are not in the package's __all__
-    outside_all = {"ExperimentConfig", "u_matrix_leading_block"}
+    # the CLI's configuration takes rho but is not in the package's
+    # __all__
+    outside_all = {"ExperimentConfig"}
     assert found == (set(ENTRY_POINTS) - outside_all) | RECORD_TYPES
     # the CLI's configuration takes a list of rho values instead
     assert "rho_list" in inspect.signature(ExperimentConfig).parameters

@@ -545,6 +545,22 @@ class TestSeriesIdentity:
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             S.value(x)
 
+    @pytest.mark.parametrize("x", [2.0, math.nan, [0.5, -0.5]])
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_callable_cofactor_outside_the_interval_raises(self, n, x):
+        # the cofactor closure of a callable's sum checks its points:
+        # the transfer solve, and the first term alone at n = 1; it
+        # returned 0.192 at x = 2 and NaN at NaN
+        S = apply_series(n, 1.0, C0Function(np.cos))
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            S.h(x)
+
+    def test_polynomial_cofactor_is_defined_everywhere(self):
+        # the monomial solve returns a Polynomial, like its input
+        S = apply_series(8, 1.0, C0Function(Polynomial([1.0, -2.0])))
+        assert isinstance(S.h.poly, Polynomial)
+        assert np.isfinite(S.h(2.0))
+
 
 def psi_times(res: SeriesResult, xs: np.ndarray) -> np.ndarray:
     return xs * (1.0 - xs) * np.asarray(res.h(xs))

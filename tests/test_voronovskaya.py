@@ -365,6 +365,14 @@ def _nan_band(x):
     return np.where(np.abs(np.asarray(x) - 0.7) < 0.01, np.nan, np.cos(x))
 
 
+def _nan_at_zero(x):
+    return np.where(np.asarray(x) == 0.0, np.nan, np.cos(x))
+
+
+def _nan_at_one(x):
+    return np.where(np.asarray(x) == 1.0, np.nan, np.cos(x))
+
+
 @pytest.mark.parametrize("call, where", [
     (lambda: apply_U(16, np.inf, FunctionHandle.from_callable(_nan_at_node),
                      XS), r"0\.6875$"),
@@ -374,12 +382,21 @@ def _nan_band(x):
      r"0\.69"),
     (lambda: inverse_neg(1.0, C0Function(_nan_band), XS), r"0\.69"),
     (lambda: limit_dual(4, _nan_band), r"0\.70"),
+    (lambda: apply_U(8, 1.0, FunctionHandle.from_callable(_nan_at_zero),
+                     [0.1, 0.5]), r"0$"),
+    (lambda: apply_U(8, np.inf, FunctionHandle.from_callable(_nan_at_one),
+                     [0.1, 0.5]), r"1$"),
+    (lambda: limit_dual(0, _nan_at_zero), r"0$"),
+    (lambda: limit_dual(1, _nan_at_one), r"1$"),
+    (lambda: limit_dual(3, _nan_at_zero), r"0$"),
 ], ids=["apply_U-inf", "apply_series-inf", "residual_H-inf", "apply_U",
-        "inverse_neg", "limit_dual"])
+        "inverse_neg", "limit_dual", "apply_U-endpoint",
+        "apply_U-endpoint-inf", "limit_dual-0", "limit_dual-1",
+        "limit_dual-endpoint"])
 def test_non_finite_callable_values_are_named(call, where):
     # every callable path names the least point where the function is
-    # not finite, as sup_norm does: the samples at k/n, the Beta and the
-    # Legendre rules
+    # not finite, as sup_norm does: the endpoint values, the samples at
+    # k/n, the Beta and the Legendre rules
     with pytest.raises(ValueError,
                        match=r": the function is not finite at x=" + where):
         call()
