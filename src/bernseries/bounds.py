@@ -29,6 +29,7 @@ from .polyfun import (
     FunctionHandle,
     GridSpec,
     _as_handle,
+    _require_unit_interval,
     omega,
     psi_values,
 )
@@ -96,8 +97,10 @@ def theorem52_rhs(h, n: int, rho: float, x,
 
     Moduli are measured on the supplied grid. Rejects n below the
     admissibility threshold, where the second modulus step would pass
-    1/2 and the bound does not apply.
+    1/2 and the bound does not apply, and points outside [0, 1], where
+    the weight turns negative.
     """
+    _require_unit_interval(x)
     if not admissible_n(n, rho):
         raise ValueError(
             f"n={n} is below the admissibility threshold "
@@ -167,7 +170,9 @@ def check_bound(h, n: int, rho: float,
 
 
 def bernstein_limit_rhs(h, n: int, x, grid: Optional[GridSpec] = None):
-    """Sampling-limit residual bound with step 1/sqrt(n), for n >= 10."""
+    """Sampling-limit residual bound with step 1/sqrt(n), for n >= 10
+    and x in [0, 1]."""
+    _require_unit_interval(x)
     if n < 10:
         raise ValueError("the sampling-limit bound needs n >= 10")
     handle = _as_handle(h)

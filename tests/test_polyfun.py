@@ -4,7 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from bernseries import (
     DEFAULT_SUP_GRID,
@@ -118,6 +119,46 @@ class TestPolynomial:
         p = Polynomial([1.0, 2.0])
         with pytest.raises(ValueError):
             p.coeffs[0] = 5.0
+
+
+class TestScalarEval:
+    """A scalar x takes poly_eval's float loop; it must give polyval's bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(c=st.lists(st.floats(-1e8, 1e8), min_size=1,
+                      max_size=DEGREE_CAP + 1),
+           x=st.one_of(st.floats(0.0, 1.0), st.floats(allow_nan=True,
+                                                      allow_infinity=True)),
+           kind=st.sampled_from((float, np.float64, np.asarray, int)))
+    @example(c=[0.0], x=np.nan, kind=float)
+    @example(c=[3.0], x=np.nan, kind=float)
+    @example(c=[2.0], x=np.inf, kind=np.float64)
+    @example(c=[0.0, -1.0], x=-0.0, kind=float)
+    @example(c=[0.0, 1.0, -1.0], x=-0.0, kind=np.asarray)
+    @example(c=[0.0, 1.0, -1.0], x=1.0, kind=float)
+    @example(c=[-0.0, 0.5, 0.0, 2.0], x=0.0, kind=np.asarray)
+    @example(c=[1.0, -2.0, 1.0], x=1.0, kind=int)
+    @example(c=[1.0, -2.0, 1.0], x=0.0, kind=int)
+    def test_same_bits_as_polyval(self, c, x, kind):
+        if kind is int:
+            if not np.isfinite(x):
+                x = 0.0
+            x = round(x)
+        p = Polynomial(c)
+        got = poly_eval(p, kind(x))
+        with np.errstate(all="ignore"):
+            want = npoly.polyval(np.asarray(x, dtype=float), p.coeffs)
+        assert type(got) is float
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.signbit(got) == np.signbit(want)
+
+    def test_arrays_keep_polyval(self):
+        p = Polynomial([1.0, 0.0, -2.0, 0.5])
+        for x in (np.linspace(0.0, 1.0, 7), np.array([0.5]),
+                  np.linspace(0.0, 1.0, 6).reshape(2, 3)):
+            got = poly_eval(p, x)
+            assert isinstance(got, np.ndarray) and got.shape == x.shape
+            assert np.array_equal(got, npoly.polyval(x, p.coeffs))
 
 
 class TestWeight:
@@ -283,6 +324,22 @@ class TestSupNorm:
         f = FunctionHandle.from_polynomial(Polynomial([0.0, 1.0]))
         assert sup_norm(f, g) >= 1.0 - 1e-15
 
+    def test_constant_callable(self):
+        assert sup_norm(FunctionHandle.from_callable(lambda x: 2.0)) == 2.0
+
+    def test_polynomial_refinement_stays_off_numpy(self, monkeypatch):
+        # the grid is one array call; the 62 refinement points take
+        # poly_eval's float loop, not one polyval call each
+        from bernseries import polyfun
+        calls = []
+        real = polyfun.npoly.polyval
+        monkeypatch.setattr(polyfun.npoly, "polyval",
+                            lambda x, c: calls.append(np.shape(x))
+                            or real(x, c))
+        p = Polynomial([0.1, 1.0, -3.0, 2.0])
+        sup_norm(FunctionHandle.from_polynomial(p))
+        assert calls == [DEFAULT_SUP_GRID.points.shape]
+
     def test_non_finite_value_is_named(self):
         f = FunctionHandle.from_callable(
             lambda x: np.where(np.abs(x - 0.7) < 0.01, np.nan, x))
@@ -407,6 +464,21 @@ class TestFunctionHandle:
         f = FunctionHandle.from_polynomial(PSI)
         v = f(0.5)
         assert isinstance(v, float) and v == 0.25
+
+    def test_constant_callable_fills_the_input_shape(self):
+        f = FunctionHandle.from_callable(lambda x: 1.5)
+        out = f(np.zeros((2, 3)))
+        assert out.shape == (2, 3) and np.all(out == 1.5)
+        out[0, 0] = 0.0  # a fresh array, not a read-only broadcast view
+        assert f(0.25) == 1.5 and isinstance(f(0.25), float)
+
+    def test_non_elementwise_callable_is_named(self):
+        f = FunctionHandle.from_callable(lambda x: np.ones(3))
+        with pytest.raises(ValueError, match=r"shape \(3,\) for points "
+                                             r"of shape \(257,\)"):
+            f(DEFAULT_SUP_GRID.points)
+        with pytest.raises(ValueError, match=r"shape \(3,\)"):
+            sup_norm(f)
 
     def test_probe_rejects_mismatch(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from bernseries import (
     apply_A_rho,
     apply_U,
     apply_series,
+    bernstein_limit_rhs,
     check_bound,
     convergence_table,
     inverse_neg,
@@ -21,6 +22,7 @@ from bernseries import (
     poly_eval,
     residual_H,
     standard_corpus,
+    theorem52_rhs,
 )
 
 XS = np.linspace(0.0, 1.0, 41)
@@ -253,6 +255,14 @@ class TestResidual:
             r = residual_H(n, rho, Polynomial([1.0]), XS)
             assert np.max(np.abs(r)) <= 2e-9
 
+    @pytest.mark.parametrize("n, rho", [(2, 0.5), (7, 10.0), (16, 1.0),
+                                        (16, np.inf)])
+    def test_constant_callable_matches_the_polynomial(self, n, rho):
+        # a callable that ignores its input takes the quadrature route
+        got = residual_H(n, rho, lambda x: 1.0, XS)
+        want = residual_H(n, rho, Polynomial([1.0]), XS)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
     def test_zero_cofactor(self):
         r = residual_H(5, 1.0, Polynomial([0.0]), XS)
         assert np.max(np.abs(r)) == 0.0
@@ -347,7 +357,13 @@ _ONE = Polynomial([1.0])
     lambda x: residual_H(8, 1.0, Polynomial([1.0, 2.0]), x),
     lambda x: apply_U(8, 1.0, FunctionHandle.from_polynomial(PSI),
                       np.array([0.25, x])),
-], ids=["f_infty", "inverse_neg", "residual_H", "apply_U"])
+    # the weight x(1-x) is negative outside [0, 1], so an unchecked
+    # bound would be too: -0.0588 at x = 2
+    lambda x: theorem52_rhs(Polynomial([0.0, 1.0]), 32, 1.0, x),
+    lambda x: bernstein_limit_rhs(Polynomial([0.0, 1.0]), 32,
+                                  np.array([0.25, x])),
+], ids=["f_infty", "inverse_neg", "residual_H", "apply_U", "theorem52_rhs",
+        "bernstein_limit_rhs"])
 def test_evaluation_points_outside_the_interval_raise(call, x):
     # NaN fails every comparison, so it has to be caught as a point
     # outside [0, 1]; apply_U used to extrapolate (-1.56 at x = 2)
