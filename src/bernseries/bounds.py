@@ -33,7 +33,7 @@ from .polyfun import (
     omega,
     psi_values,
 )
-from .operators import QUAD_TOL, _homogeneous, _require_rho
+from .operators import QUAD_TOL, _homogeneous, _n_rho
 from .series import _TOL
 from .voronovskaya import _residual_profile
 
@@ -58,10 +58,7 @@ _ADMIT_FUZZ = 1e-9
 
 def epsilon_step(n: int, rho: float) -> float:
     """Modulus step sqrt((rho + 2) / (n rho + 2)), 1/sqrt(n) at rho = inf."""
-    _require_rho(rho)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    r, w = _homogeneous(rho)
+    r, w = _n_rho(n, rho)
     return math.sqrt((r + 2.0 * w) / (n * r + 2.0 * w))
 
 
@@ -73,7 +70,7 @@ def _admission_threshold(rho: float) -> float:
 
 def admissible_n(n: int, rho: float) -> bool:
     """Whether n clears (4 rho + 6) / rho, i.e. the step is <= 1/2."""
-    _require_rho(rho)
+    _n_rho(n, rho)
     return n + _ADMIT_FUZZ >= _admission_threshold(rho)
 
 
@@ -150,16 +147,16 @@ def check_bound(h, n: int, rho: float,
 
     The slack adds the fixed series tolerance 1e-9 and ten times the
     quadrature tolerance on the bound side; a violation beyond that is
-    a genuine one.
+    a genuine one. The bound is built first, so n, rho and
+    admissibility are checked before the series is summed.
     """
-    _require_rho(rho)
     handle = _as_handle(h)
     if grid is None:
         grid = DEFAULT_BOUND_GRID
+    rhs = theorem52_rhs(handle, n, rho, grid.points, grid)
     slack = _TOL + 10.0 * QUAD_TOL
     vals, _, iters = _residual_profile(n, rho, handle, grid.points)
     lhs = np.abs(vals)
-    rhs = theorem52_rhs(handle, n, rho, grid.points, grid)
     margin = float(np.min(rhs - lhs))
     return BoundReport(
         n=int(n), rho=float(rho), epsilon=epsilon_step(n, rho),
@@ -173,6 +170,7 @@ def bernstein_limit_rhs(h, n: int, x, grid: Optional[GridSpec] = None):
     """Sampling-limit residual bound with step 1/sqrt(n), for n >= 10
     and x in [0, 1]."""
     _require_unit_interval(x)
+    _n_rho(n, math.inf)
     if n < 10:
         raise ValueError("the sampling-limit bound needs n >= 10")
     handle = _as_handle(h)
@@ -204,7 +202,7 @@ def convergence_table(h, rho: float, n_list: Iterable[int],
     sup but carry NaN in the bound column, since the bound is not
     asserted there.
     """
-    _require_rho(rho)
+    _homogeneous(rho)
     handle = _as_handle(h)
     if grid is None:
         grid = DEFAULT_BOUND_GRID

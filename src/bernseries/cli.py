@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .polyfun import C0Function, FunctionHandle, GridSpec, Polynomial, poly_eval
-from .operators import _require_rho, apply_U
+from .operators import _n_rho, apply_U
 from .eigen import compute_eigensystem, limit_eigenvalue
 from .polyfun import limit_eigenpoly
 from .series import apply_series
@@ -84,12 +84,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if not self.n_list:
             raise ValueError("at least one n value is required")
-        if any(n < 1 for n in self.n_list):
-            raise ValueError("n values must be positive")
         if not self.rho_list:
             raise ValueError("at least one rho value is required")
-        for rho in self.rho_list:
-            _require_rho(rho)
+        for n in self.n_list:
+            for rho in self.rho_list:
+                _n_rho(n, rho)
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {self.fmt!r}")
         if self.grid_kind not in ("uniform", "chebyshev"):
@@ -340,13 +339,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_list(flag: str, text: str, kind) -> list:
+    """The comma-separated values of ``flag``, each read by ``kind``; a
+    token it rejects raises a ValueError naming the flag and the token."""
+    values = []
+    for tok in text.split(","):
+        try:
+            values.append(kind(tok))
+        except ValueError:
+            raise ValueError(f"{flag} takes comma-separated "
+                             f"{kind.__name__} values, got {tok!r}") from None
+    return values
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = ExperimentConfig(
             command=args.command,
-            n_list=[int(tok) for tok in str(args.n).split(",")],
-            rho_list=[float(tok) for tok in str(args.rho).split(",")],
+            n_list=_parse_list("--n", args.n, int),
+            rho_list=_parse_list("--rho", args.rho, float),
             fn=args.fn,
             grid_kind=args.grid,
             grid_size=args.grid_size,

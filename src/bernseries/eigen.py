@@ -43,7 +43,7 @@ from .operators import (
     _ENDS,
     _cached_beta_rule,
     _homogeneous,
-    _require_rho,
+    _n_rho,
     _settle,
     u_matrix_leading_block,
 )
@@ -76,10 +76,9 @@ def eigenvalue(n: int, rho: float, j: int) -> float:
     decreasing from index one on and stays in (0, 1]. At rho = inf the
     factors are (n-i)/n, the eigenvalues of the Bernstein operator.
     """
-    _require_rho(rho)
+    r, w = _n_rho(n, rho)
     if not 0 <= j <= n:
         raise ValueError(f"index {j} outside 0..{n}")
-    r, w = _homogeneous(rho)
     v = 1.0
     for i in range(j):
         v *= r * (n - i) / (n * r + i * w)
@@ -149,9 +148,7 @@ def compute_eigensystem(n: int, rho: float) -> EigenSystem:
     """The full eigenstructure of the operator on Pi_n, from the matrix
     ``u_matrix_leading_block(n, rho, n)``, with the checks of
     ``_eigenbasis``; n is limited to EIGEN_N_CAP."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    _require_rho(rho)
+    _n_rho(n, rho)
     if n > EIGEN_N_CAP:
         raise ValueError(
             f"eigen solves are limited to n <= {EIGEN_N_CAP}; got n={n}"
@@ -181,10 +178,9 @@ def limit_eigenvalue(rho: float, j: int) -> float:
 
     At rho = inf the factor is 1/2.
     """
-    _require_rho(rho)
+    r, w = _homogeneous(rho)
     if j < 0:
         raise ValueError("index must be nonnegative")
-    r, w = _homogeneous(rho)
     return -((r + w) / (2.0 * r)) * (j - 1.0) * j
 
 
@@ -256,7 +252,7 @@ def asymptotic_report(rho: float, j: int, n_list: Iterable[int],
     max(j, test degree) is limited to EIGEN_N_CAP: past it the dual
     gaps are rounding, not convergence.
     """
-    _require_rho(rho)
+    _homogeneous(rho)
     if j < 0:
         raise ValueError("index must be nonnegative")
     if grid is None:

@@ -61,23 +61,28 @@ __all__ = [
 QUAD_TOL = 1e-10
 
 
-def _require_rho(rho) -> None:
-    """Reject rho outside (0, inf], NaN included, naming the parameter."""
-    if not 0.0 < rho <= math.inf:
-        raise ValueError(f"rho must be positive (inf included), got {rho}")
-
-
 def _homogeneous(rho) -> tuple:
-    """The parameter as a ratio r / w: (rho, 1), or (1, 0) at rho = inf.
+    """rho in (0, inf] as a ratio r / w: (rho, 1), or (1, 0) at rho = inf.
 
     Every formula of the family is unchanged when r and w are scaled
     together, so (rho, 1) keeps the finite-rho arithmetic and (1, 0)
-    gives the sampling (Bernstein) operator. Every rho that passes
-    ``_require_rho``, inf included, has this form.
+    gives the sampling (Bernstein) operator. This is the package's one
+    rho check: a rho outside (0, inf], NaN included, raises a
+    ValueError naming the parameter.
     """
+    if not 0.0 < rho <= math.inf:
+        raise ValueError(f"rho must be positive (inf included), got {rho}")
     if rho == math.inf:
         return 1.0, 0.0
     return rho, 1.0
+
+
+def _n_rho(n, rho) -> tuple:
+    """``_homogeneous(rho)`` after the package's one n check: n must be
+    an integer (Python or numpy) of at least 1, or a ValueError names it."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be at least 1 and an integer, got {n}")
+    return _homogeneous(rho)
 
 
 # The endpoints, where every member of the family interpolates.
@@ -267,12 +272,11 @@ def functional_moment(n: int, k: int, rho: float, m: int) -> float:
     moment of the Beta density with parameters (k rho, (n-k) rho); at
     rho = inf it is (k/n)^m, the moment of the point mass at k/n.
     """
+    r, w = _n_rho(n, rho)
     if not 1 <= k <= n - 1:
         raise ValueError(f"node index {k} outside 1..{n - 1}")
-    _require_rho(rho)
     if m < 0:
         raise ValueError("moment order must be nonnegative")
-    r, w = _homogeneous(rho)
     i = np.arange(m, dtype=float)
     return float(np.prod((k * r + i * w) / (n * r + i * w)))
 
@@ -327,9 +331,7 @@ def u_matrix_leading_block(n: int, rho: float, d: int) -> np.ndarray:
     and the constant coefficient of every column beyond the first at
     exactly zero.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    _require_rho(rho)
+    _n_rho(n, rho)
     if d < 0 or d > n:
         raise ValueError("block size must satisfy 0 <= d <= n")
     if d > DEGREE_CAP:
@@ -344,9 +346,7 @@ def apply_U_poly(n: int, rho: float, p: Polynomial) -> Polynomial:
     polynomials into Pi_n, so the result is the leading block of size
     deg p + 1 (rows 0..min(n, deg p)) applied to the coefficients.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    _require_rho(rho)
+    _n_rho(n, rho)
     return Polynomial(_leading_block(n, rho, p.degree) @ p.coeffs)
 
 
@@ -471,9 +471,7 @@ def apply_U(n: int, rho: float, f: FunctionHandle, x):
     names the first, and so does a value of f that is not finite, at
     the endpoints as at the interior nodes.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    _require_rho(rho)
+    _n_rho(n, rho)
     _require_unit_interval(x)
     f0, f1 = _finite(f"endpoint values (n={n}, rho={rho})", _ENDS,
                      [f(0.0), f(1.0)])
@@ -486,13 +484,15 @@ def central_moment(n: int, rho: float, y: float, r: int) -> float:
     """Closed forms of the centered operator moments up to order four.
 
     With rho = a / w from ``_homogeneous`` (r is the order here); at
-    rho = inf they are the moments of the Bernstein operator.
+    rho = inf they are the moments of the Bernstein operator. y is one
+    point of [0, 1]; a point outside, NaN among them, or more than one
+    point raises a ValueError.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    _require_rho(rho)
-    if not -1e-12 <= y <= 1.0 + 1e-12:
-        raise ValueError("y must lie in [0, 1]")
+    a, w = _n_rho(n, rho)
+    ys = _require_unit_interval(y)
+    if ys.size != 1:
+        raise ValueError(f"y must be one point, got {ys.size}")
+    y = float(ys[0])
     if not 0 <= r <= 4:
         raise ValueError("order must be between 0 and 4")
     psi = y * (1.0 - y)
@@ -500,7 +500,6 @@ def central_moment(n: int, rho: float, y: float, r: int) -> float:
         return 1.0
     if r == 1:
         return 0.0
-    a, w = _homogeneous(rho)
     if r == 2:
         return (a + w) * psi / (n * a + w)
     if r == 3:
@@ -518,8 +517,5 @@ def u_norm0(n: int, rho: float) -> float:
 
     At rho = inf it is (n-1)/n.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    _require_rho(rho)
-    r, w = _homogeneous(rho)
+    r, w = _n_rho(n, rho)
     return (n - 1.0) * r / (n * r + w)

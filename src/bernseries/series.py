@@ -53,7 +53,7 @@ from .operators import (
     _homogeneous,
     _interior_values,
     _leading_block,
-    _require_rho,
+    _n_rho,
 )
 from .eigen import EIGEN_N_CAP, _eigenbasis
 
@@ -208,9 +208,7 @@ def apply_series(n: int, rho: float, f: C0Function) -> SeriesResult:
     count for the fixed tolerance 1e-9 and ``tail_bound`` the sup bound
     on the terms past it.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    _require_rho(rho)
+    _n_rho(n, rho)
     if not isinstance(f, C0Function):
         raise TypeError("f must be a C0Function")
     return _sum_series(n, rho, f)
@@ -227,13 +225,10 @@ def apply_series_poly(n: int, rho: float, p: Polynomial) -> Polynomial:
     input they vanish, which is checked and then used. Exact up to the
     conditioning of the triangular solve; no truncation is involved.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    _require_rho(rho)
+    r, w = _n_rho(n, rho)
     if p.degree > min(n, EIGEN_N_CAP):
         raise ValueError(f"degree {p.degree} exceeds n={n} or the eigen "
                          f"cap {EIGEN_N_CAP}")
-    r, w = _homogeneous(rho)
     scale = r / (n * r + w)
     d = max(p.degree, 1)
     lam, basis = _eigenbasis(n, rho, _leading_block(n, rho, d))
@@ -258,8 +253,7 @@ def apply_series_poly(n: int, rho: float, p: Polynomial) -> Polynomial:
 
 def apply_series_bernstein(n: int, f: C0Function) -> SeriesResult:
     """``apply_series(n, inf, f)``; not public, ``bench/`` calls it."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _n_rho(n, math.inf)
     if not isinstance(f, C0Function):
         raise TypeError("f must be a C0Function")
     return _sum_series(n, math.inf, f)

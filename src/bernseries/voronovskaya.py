@@ -36,7 +36,7 @@ from .polyfun import (
     require_pinned,
     sup_norm,
 )
-from .operators import _cached_beta_rule, _homogeneous, _require_rho, _settle
+from .operators import _cached_beta_rule, _homogeneous, _settle
 from .series import apply_series
 
 __all__ = [
@@ -55,10 +55,9 @@ def apply_A_rho(rho: float, y: Polynomial) -> C0Function:
     Inputs that fail to vanish at both endpoints are rejected; the
     image would not be pinned otherwise.
     """
-    _require_rho(rho)
+    r, w = _homogeneous(rho)
     require_pinned(y)
     second = y.derivative().derivative()
-    r, w = _homogeneous(rho)
     c = (r + w) / (2.0 * r)
     return C0Function(second * c)
 
@@ -86,10 +85,9 @@ def inverse_neg(rho: float, f: C0Function, x):
     magnitude one); a point where the two differ by more, or where h is
     not finite at a node, raises a ValueError that names it.
     """
-    _require_rho(rho)
+    r, w = _homogeneous(rho)
     if not isinstance(f, C0Function):
         raise TypeError("f must be a C0Function")
-    r, w = _homogeneous(rho)
     c = 2.0 * r / (r + w)
     h, xs = f.h, _require_unit_interval(x)
     if h.poly is not None:
@@ -123,7 +121,7 @@ def inverse_neg_polynomial(rho: float, f: C0Function) -> Polynomial:
     ``apply_series(n, rho, f)``: the series sum on x(1-x) h tends to
     this polynomial as n grows, for every such h.
     """
-    _require_rho(rho)
+    r, w = _homogeneous(rho)
     if not isinstance(f, C0Function):
         raise TypeError("f must be a C0Function")
     h = f.h.poly
@@ -132,7 +130,6 @@ def inverse_neg_polynomial(rho: float, f: C0Function) -> Polynomial:
     if h.degree > DEGREE_CAP - 2:
         raise ValueError(f"cofactor degree {h.degree}: its inverse would "
                          f"exceed DEGREE_CAP = {DEGREE_CAP}")
-    r, w = _homogeneous(rho)
     c = 2.0 * r / (r + w)
     return Polynomial(_green_coeffs(h)) * c
 
@@ -147,11 +144,10 @@ def inverse_norm_check(rho: float, f: C0Function,
     by the weight function itself at the midpoint. The sup is that of
     ``inverse_neg`` for every kind of cofactor.
     """
-    _require_rho(rho)
+    r, w = _homogeneous(rho)
     handle = FunctionHandle.from_callable(
         lambda x, _r=rho, _f=f: inverse_neg(_r, _f, x))
     lhs = sup_norm(handle, grid)
-    r, w = _homogeneous(rho)
     rhs = r / (4.0 * (r + w)) * f.norm0
     return lhs, rhs
 

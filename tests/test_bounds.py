@@ -105,6 +105,13 @@ class TestCheckBound:
         assert rep.iterations > 0
         assert rep.epsilon == epsilon_step(16, 1.0)
 
+    def test_admissibility_checked_before_the_series(self):
+        # the kink's Beta quadrature does not settle at n = 9, so the
+        # series, summed first before, hid the admissibility error
+        with pytest.raises(ValueError, match="n=9 is below the "
+                                             "admissibility threshold 10"):
+            check_bound(lambda x: np.abs(x - 0.5), 9, 1.0)
+
     def test_report_arrays_locked(self):
         rep = check_bound(E1, 16, 1.0)
         with pytest.raises(ValueError):

@@ -270,6 +270,21 @@ class TestErrorPaths:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["eigen", "--n", "2.5"], "--n takes comma-separated int values, "
+                                  "got '2.5'"),
+        (["converge", "--n", "8,,16"], "--n takes comma-separated int "
+                                       "values, got ''"),
+        (["eigen", "--n", "4", "--rho", "abc"], "--rho takes "
+         "comma-separated float values, got 'abc'"),
+    ], ids=["fractional-n", "empty-n", "word-rho"])
+    def test_parse_errors_name_the_flag(self, argv, message, outdir,
+                                        capsys):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert list(outdir.iterdir()) == []
+
     def test_out_override(self, tmp_path, capsys):
         target = tmp_path / "custom" / "result.csv"
         code, out, _ = run_cli(

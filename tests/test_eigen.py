@@ -90,8 +90,6 @@ class TestComputeEigensystem:
     def test_size_cap(self):
         with pytest.raises(ValueError, match=f"n <= {EIGEN_N_CAP}"):
             compute_eigensystem(EIGEN_N_CAP + 1, 1.0)
-        with pytest.raises(ValueError, match="n must be at least 1"):
-            compute_eigensystem(0, 1.0)
 
     @pytest.mark.parametrize("rho", [0.1, 1.0, 10.0, math.inf])
     def test_same_bits_as_the_full_matrix_route(self, rho):

@@ -328,16 +328,13 @@ class TestOperatorMatrix:
                 assert np.max(np.abs(A - B)) < 1e-10
 
     def test_constructor_validates(self):
-        # the one public matrix entry point checks n, the block size
-        # against n and the degree cap
+        # the one public matrix entry point checks the block size
+        # against n and the degree cap; its n check is in the n table of
+        # test_rho_range
         with pytest.raises(ValueError, match="block size must satisfy"):
             u_matrix_leading_block(4, 1.0, 5)
         with pytest.raises(ValueError, match="degree cap"):
             u_matrix_leading_block(DEGREE_CAP + 1, 1.0, DEGREE_CAP + 1)
-        with pytest.raises(ValueError, match="n must be at least 1"):
-            u_matrix_leading_block(0, 1.0, 0)
-        with pytest.raises(ValueError, match="n must be at least 1"):
-            apply_U_poly(0, 1.0, PSI)
 
 
 class TestApplyUPoly:
@@ -659,6 +656,13 @@ class TestCentralMoment:
     def test_order_validation(self):
         with pytest.raises(ValueError):
             central_moment(6, 1.0, 0.5, 5)
+
+    def test_one_point(self):
+        # an array failed in numpy's truth test; points outside [0, 1]
+        # are in test_evaluation_points_outside_the_interval_raise
+        with pytest.raises(ValueError, match="y must be one point, got 2"):
+            central_moment(8, 1.0, np.array([0.2, 0.4]), 2)
+        assert central_moment(8, 1.0, 1.0, 2) == 0.0
 
 
 class TestNormAndSizes:

@@ -46,6 +46,59 @@ def _third_party_imports():
     return names - set(sys.stdlib_module_names) - {"bernseries"}
 
 
+def _trees(directory):
+    return {path: ast.parse(path.read_text(), str(path))
+            for path in sorted(directory.glob("*.py"))}
+
+
+def _declared_all(tree):
+    # a literal __all__; the package's own is built from the modules'
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets]
+                == ["__all__"]):
+            try:
+                return set(ast.literal_eval(node.value))
+            except ValueError:
+                return set()
+    return set()
+
+
+def test_every_import_is_used_or_exported():
+    # the linter's unused-import rule, with the standard library alone
+    for path, tree in _trees(PACKAGE).items():
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)} | _declared_all(tree)
+        bound = {(alias.asname or alias.name).split(".")[0]
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__"
+                 for alias in node.names if alias.name != "*"}
+        assert sorted(bound - used) == [], path.name
+
+
+def test_every_private_definition_is_referenced():
+    # a module-level private function or class that nothing in the
+    # library or the benchmark names is dead code; tests do not count
+    trees = {**_trees(PACKAGE), **_trees(ROOT / "bench")}
+    refs = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                refs.update(alias.name for alias in node.names)
+    private = {(path.name, node.name)
+               for path, tree in _trees(PACKAGE).items()
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_")
+               and not node.name.startswith("__")}
+    assert sorted((f, name) for f, name in private if name not in refs) == []
+
+
 def test_imports_equal_declared_dependencies():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]

@@ -1,5 +1,7 @@
 """Every public entry point that takes rho accepts rho in (0, inf] and
-rejects anything else; rho = inf is the sampling (Bernstein) member."""
+rejects anything else; rho = inf is the sampling (Bernstein) member.
+Every one that takes n accepts integers of at least 1, Python or numpy,
+and rejects anything else."""
 
 import dataclasses
 import inspect
@@ -11,6 +13,7 @@ import pytest
 
 import bernseries as bs
 from bernseries.cli import ExperimentConfig, _render_json, main
+from bernseries.series import apply_series_bernstein
 
 H = bs.Polynomial([1.0, -0.5])
 F = bs.C0Function(H)
@@ -77,6 +80,36 @@ def _leaves(obj):
     return [np.asarray(obj, dtype=float)]
 
 
+# Records that carry the n they were computed at, built by entry points
+# that check it.
+N_RECORD_TYPES = RECORD_TYPES | {"AsymptoticRecord"}
+
+# name -> call with the n under test, valid at n = 8
+N_ENTRY_POINTS = {
+    "functional_moment": lambda n: bs.functional_moment(n, 3, 1.0, 2),
+    "u_matrix_leading_block": lambda n: bs.u_matrix_leading_block(n, 1.0, 4),
+    "apply_U_poly": lambda n: bs.apply_U_poly(n, 1.0, bs.PSI),
+    "apply_U": lambda n: bs.apply_U(n, 1.0, HANDLE, 0.5),
+    "central_moment": lambda n: bs.central_moment(n, 1.0, 0.5, 2),
+    "u_norm0": lambda n: bs.u_norm0(n, 1.0),
+    "eigenvalue": lambda n: bs.eigenvalue(n, 1.0, 2),
+    "compute_eigensystem": lambda n: bs.compute_eigensystem(n, 1.0),
+    "apply_series": lambda n: bs.apply_series(n, 1.0, F),
+    "apply_series_poly": lambda n: bs.apply_series_poly(n, 1.0, bs.PSI),
+    "apply_series_bernstein": lambda n: apply_series_bernstein(n, F),
+    "residual_H": lambda n: bs.residual_H(n, 1.0, H, 0.3),
+    "epsilon_step": lambda n: bs.epsilon_step(n, 1.0),
+    "admissible_n": lambda n: bs.admissible_n(n, 1.0),
+    # rho = 2 admits n from 7 on
+    "theorem52_rhs": lambda n: bs.theorem52_rhs(H, n, 2.0, 0.5),
+    "check_bound": lambda n: bs.check_bound(H, n, 2.0),
+    # n doubled: the sampling-limit bound starts at n = 10
+    "bernstein_limit_rhs": lambda n: bs.bernstein_limit_rhs(H, 2 * n, 0.5),
+    "ExperimentConfig": lambda n: ExperimentConfig(
+        command="eigen", n_list=[n], rho_list=[1.0]),
+}
+
+
 @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf],
                          ids=["zero", "negative", "nan", "inf"])
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
@@ -123,6 +156,34 @@ def test_infinite_rho_continues_large_rho(name):
         assert a.shape == b.shape
         scale = float(np.max(np.abs(b), initial=0.0))
         assert np.max(np.abs(a - b), initial=0.0) <= 1e-7 * scale
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5, 8.0])
+@pytest.mark.parametrize("name", sorted(N_ENTRY_POINTS))
+def test_rejects_n_outside_range(name, n):
+    # a float n names no operator, even at an integer value
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        N_ENTRY_POINTS[name](n)
+
+
+@pytest.mark.parametrize("name", sorted(N_ENTRY_POINTS))
+def test_numpy_integer_n_gives_the_same_result(name):
+    got = _leaves(N_ENTRY_POINTS[name](np.int64(8)))
+    want = _leaves(N_ENTRY_POINTS[name](8))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_n_entry_points_cover_every_public_n_parameter():
+    # a new public callable with an n parameter must join the table
+    found = {name for name in bs.__all__
+             if callable(getattr(bs, name))
+             and "n" in inspect.signature(getattr(bs, name)).parameters}
+    # the CLI's configuration takes a list of n values and the sampling
+    # series is called by the benchmark; neither is in __all__
+    outside_all = {"ExperimentConfig", "apply_series_bernstein"}
+    assert found == (set(N_ENTRY_POINTS) - outside_all) | N_RECORD_TYPES
 
 
 def test_cli_rejects_nan_rho(tmp_path, capsys):

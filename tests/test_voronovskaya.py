@@ -13,6 +13,7 @@ from bernseries import (
     apply_U,
     apply_series,
     bernstein_limit_rhs,
+    central_moment,
     check_bound,
     convergence_table,
     inverse_neg,
@@ -349,8 +350,8 @@ def test_input_kinds(call, same_as):
 _ONE = Polynomial([1.0])
 
 
-@pytest.mark.parametrize("x", [np.nan, -0.5, 2.0], ids=["nan", "below",
-                                                          "above"])
+@pytest.mark.parametrize("x", [np.nan, -0.5, 2.0, 1.0 + 1e-13],
+                         ids=["nan", "below", "above", "just-above"])
 @pytest.mark.parametrize("call", [
     lambda x: f_infty(np.cos, x),
     lambda x: inverse_neg(1.0, C0Function(_ONE), x),
@@ -362,8 +363,10 @@ _ONE = Polynomial([1.0])
     lambda x: theorem52_rhs(Polynomial([0.0, 1.0]), 32, 1.0, x),
     lambda x: bernstein_limit_rhs(Polynomial([0.0, 1.0]), 32,
                                   np.array([0.25, x])),
+    # a variance of -2.2e-14 came back at y = 1 + 1e-13
+    lambda x: central_moment(8, 1.0, x, 2),
 ], ids=["f_infty", "inverse_neg", "residual_H", "apply_U", "theorem52_rhs",
-        "bernstein_limit_rhs"])
+        "bernstein_limit_rhs", "central_moment"])
 def test_evaluation_points_outside_the_interval_raise(call, x):
     # NaN fails every comparison, so it has to be caught as a point
     # outside [0, 1]; apply_U used to extrapolate (-1.56 at x = 2)
