@@ -149,15 +149,25 @@ def _parse_fn(spec: str) -> Tuple[str, Polynomial]:
         raise ValueError(f"function spec key must be h or f, got {key!r}")
     if not payload:
         raise ValueError("empty function payload")
+    coeffs = []
+    for tok in payload.split(","):
+        try:
+            coeffs.append(float(tok))
+        except ValueError:
+            break
+    else:
+        return key, Polynomial(coeffs)
+    if "," in payload:
+        raise ValueError(f"{key}= coefficients must be comma-separated "
+                         f"floats, got {tok!r}")
+    if key == "f":
+        raise ValueError(
+            "f= takes inline coefficients; corpus names are cofactors"
+        )
     try:
-        coeffs = [float(tok) for tok in payload.split(",")]
-    except ValueError:
-        if key == "f":
-            raise ValueError(
-                "f= takes inline coefficients; corpus names are cofactors"
-            ) from None
         return key, corpus_entry(payload)
-    return key, Polynomial(coeffs)
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
 
 
 def _execute(cfg: ExperimentConfig):
@@ -365,7 +375,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             out_path=args.out,
             fmt=args.format,
         )
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return run(config)

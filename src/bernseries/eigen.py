@@ -4,12 +4,13 @@ The operator restricted to Pi_n is upper triangular on monomials with
 distinct positive diagonal entries beyond index one, so each eigenvalue
 carries a unique monic eigenpolynomial obtained by back-substitution;
 the leading block of size d + 1 holds those of index 0..d at any n >= d.
-Every entry point takes (n, rho), never a matrix. ``_eigenbasis`` is
-the one assembly: of the full system (``compute_eigensystem``), of the
-report below and of ``series.apply_series_poly`` at every n >= deg p,
-each limited to blocks of at most EIGEN_N_CAP + 1 rows. Dual
-functionals on polynomials are coefficient solves against the
-triangular change of basis from eigenpolynomials to monomials.
+Every entry point takes (n, rho), never a matrix. ``_eigenbasis(n,
+rho, d)`` is the one assembly: it builds its own block and is the one
+place that limits d to min(n, EIGEN_N_CAP), for the full system
+(``compute_eigensystem``), the report below and
+``series.apply_series_poly`` at every n >= deg p. Dual functionals on
+polynomials are coefficient solves against the triangular change of
+basis from eigenpolynomials to monomials.
 
 The limiting objects are the scaled eigenvalue slopes, the monic limit
 eigenpolynomials built from Jacobi(1,1) polynomials, and the limit dual
@@ -85,19 +86,29 @@ def eigenvalue(n: int, rho: float, j: int) -> float:
     return v
 
 
-def _eigenbasis(n: int, rho: float, M: np.ndarray) -> tuple:
+def _eigenbasis(n: int, rho: float, d: int) -> tuple:
     """Closed-form eigenvalues and monic eigenbasis of the leading block
-    M (rows and columns 0..d, any d <= n) of the matrix at (n, rho).
+    of size d + 1 at (n, rho), built by ``u_matrix_leading_block``.
 
-    Raises if the diagonal drifts from the eigenvalues beyond 1e-10, or
-    if consecutive ones come closer than a relative 1e-12 gap, which
-    would poison the back-substitution. Column j solves
+    The package's one eigen assembly and its one size check: a block
+    past d <= min(n, EIGEN_N_CAP) raises a ValueError naming d, n and
+    the cap. The eigenvalues are one running product of the factors
+    r (n-i) / (n r + i w), to the bit those of ``eigenvalue``. Raises
+    if the block's diagonal drifts from them beyond 1e-10, or if
+    consecutive ones come closer than a relative 1e-12 gap, which would
+    poison the back-substitution. Column j solves
     (M - lambda_j I) v = 0 with v_j = 1 over rows j-1 .. 0; indices 0
     and 1 are the exact 1 and x - 1/2, bypassing the 0/0 of the shared
     unit eigenvalue.
     """
-    d = M.shape[0] - 1
-    lam = np.array([eigenvalue(n, rho, j) for j in range(d + 1)])
+    r, w = _n_rho(n, rho)
+    if d > min(n, EIGEN_N_CAP):
+        raise ValueError(f"eigen block size {d} exceeds n={n} or the "
+                         f"eigen cap {EIGEN_N_CAP}")
+    M = u_matrix_leading_block(n, rho, d)
+    k = np.arange(d, dtype=float)
+    lam = np.ones(d + 1)
+    np.cumprod(r * (n - k) / (n * r + k * w), out=lam[1:])
     drift = float(np.max(np.abs(np.diag(M) - lam)))
     if drift > 1e-10:
         raise RuntimeError(
@@ -145,18 +156,12 @@ class EigenSystem:
 
 
 def compute_eigensystem(n: int, rho: float) -> EigenSystem:
-    """The full eigenstructure of the operator on Pi_n, from the matrix
-    ``u_matrix_leading_block(n, rho, n)``, with the checks of
-    ``_eigenbasis``; n is limited to EIGEN_N_CAP."""
-    _n_rho(n, rho)
-    if n > EIGEN_N_CAP:
-        raise ValueError(
-            f"eigen solves are limited to n <= {EIGEN_N_CAP}; got n={n}"
-        )
-    rho = float(rho)
-    lam, basis = _eigenbasis(n, rho, u_matrix_leading_block(n, rho, n))
+    """The full eigenstructure of the operator on Pi_n: ``_eigenbasis``
+    on the block of size n + 1, with its checks; n is limited to
+    EIGEN_N_CAP."""
+    lam, basis = _eigenbasis(n, rho, n)
     polys = tuple(Polynomial(basis[: j + 1, j]) for j in range(n + 1))
-    return EigenSystem(n, rho, lam, polys, basis)
+    return EigenSystem(n, float(rho), lam, polys, basis)
 
 
 def dual_coefficients(sys: EigenSystem, p: Polynomial) -> np.ndarray:
@@ -248,34 +253,23 @@ def asymptotic_report(rho: float, j: int, n_list: Iterable[int],
     and, for each supplied test polynomial, the gap between its
     finite-n dual coefficient of index j and the limit dual value.
     Leading blocks of the operator matrix (``_eigenbasis``) keep this
-    cheap for n far beyond the full-matrix cap. The block size
-    max(j, test degree) is limited to EIGEN_N_CAP: past it the dual
-    gaps are rounding, not convergence.
+    cheap for n far beyond the full-matrix cap. ``_eigenbasis`` limits
+    the block size max(j, test degree) to each n and to EIGEN_N_CAP:
+    past the cap the dual gaps are rounding, not convergence.
     """
     _homogeneous(rho)
     if j < 0:
         raise ValueError("index must be nonnegative")
     if grid is None:
         grid = DEFAULT_SUP_GRID
-    max_deg = max((p.degree for p in test_polys), default=0)
-    d = max(j, max_deg)
-    if d > EIGEN_N_CAP:
-        raise ValueError(
-            f"index {j} or test degree {max_deg} exceeds the eigen cap "
-            f"{EIGEN_N_CAP}"
-        )
+    d = max(j, max((p.degree for p in test_polys), default=0))
     lam_star = limit_eigenvalue(rho, j)
     p_star = limit_eigenpoly(j)
     star_vals = poly_eval(p_star, grid.points)
     dual_stars = [limit_dual(j, p) for p in test_polys]
     records = []
     for n in n_list:
-        if n < d:
-            raise ValueError(
-                f"n={n} is too small for index {j} with test polynomials "
-                f"of degree up to {max_deg}"
-            )
-        lam, basis = _eigenbasis(n, rho, u_matrix_leading_block(n, rho, d))
+        lam, basis = _eigenbasis(n, rho, d)
         gap = abs(n * (lam[j] - 1.0) - lam_star)
         pj = Polynomial(basis[: j + 1, j])
         dist = float(np.max(np.abs(poly_eval(pj, grid.points) - star_vals)))

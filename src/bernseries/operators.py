@@ -79,8 +79,10 @@ def _homogeneous(rho) -> tuple:
 
 def _n_rho(n, rho) -> tuple:
     """``_homogeneous(rho)`` after the package's one n check: n must be
-    an integer (Python or numpy) of at least 1, or a ValueError names it."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    an integer (Python or numpy, not a bool) of at least 1, or a
+    ValueError names it."""
+    if (not isinstance(n, (int, np.integer)) or isinstance(n, bool)
+            or n < 1):
         raise ValueError(f"n must be at least 1 and an integer, got {n}")
     return _homogeneous(rho)
 

@@ -55,7 +55,7 @@ from .operators import (
     _leading_block,
     _n_rho,
 )
-from .eigen import EIGEN_N_CAP, _eigenbasis
+from .eigen import _eigenbasis
 
 __all__ = [
     "SeriesResult",
@@ -218,36 +218,28 @@ def apply_series_poly(n: int, rho: float, p: Polynomial) -> Polynomial:
     """Closed-form series sum of a pinned polynomial via the eigensystem.
 
     Expands p over the eigenpolynomials, scales each coefficient by
-    1 / (1 - eigenvalue), and reassembles. The eigenpairs come from the
-    leading block of size deg p + 1 (at least 2), so any n >= deg p
-    works; the degree is limited to EIGEN_N_CAP. The two leading dual
-    coefficients belong to the unit eigenvalue; for a genuinely pinned
-    input they vanish, which is checked and then used. Exact up to the
-    conditioning of the triangular solve; no truncation is involved.
+    1 / (1 - eigenvalue), and reassembles. The eigenpairs come from
+    ``_eigenbasis`` on the leading block of size deg p + 1 (at least 2),
+    so any n >= deg p works; it also limits the degree to EIGEN_N_CAP.
+    An input that does not vanish at both endpoints is rejected by
+    ``require_pinned``; the two leading dual coefficients, which belong
+    to the unit eigenvalue, are then dropped. No truncation is
+    involved; the triangular dual solve sets the accuracy, which falls
+    with the degree. At degree 30 three pinned inputs measured 4.8e-9
+    to 2.2e-8 off the monomial solve of ``apply_series``, relative to
+    max(1, its sup); relative to the sup itself that is up to 4.8e-6
+    (x^29 - x^30 at n = 256, sup 9.9e-4), while the monomial solve
+    stays within 6e-15 of an 80-digit replay.
     """
     r, w = _n_rho(n, rho)
-    if p.degree > min(n, EIGEN_N_CAP):
-        raise ValueError(f"degree {p.degree} exceeds n={n} or the eigen "
-                         f"cap {EIGEN_N_CAP}")
-    scale = r / (n * r + w)
     d = max(p.degree, 1)
-    lam, basis = _eigenbasis(n, rho, _leading_block(n, rho, d))
+    lam, basis = _eigenbasis(n, rho, d)
+    require_pinned(p)
+    scale = r / (n * r + w)
     mu = _solve_upper(basis, p.padded(d + 1))
-    # Conditioning of the dual solve grows with the degree; near the
-    # eigen cap honest zeros come back around 1e-8 of the coefficient
-    # scale.
-    lead_tol = 1e-8 * max(1.0, float(np.max(np.abs(p.coeffs))))
-    if abs(mu[0]) > lead_tol or abs(mu[1]) > lead_tol:
-        raise ValueError(
-            "polynomial does not vanish at both endpoints "
-            f"(unit-eigenvalue components {mu[0]:.3e}, {mu[1]:.3e})"
-        )
     out = np.zeros(d + 1)
     for j in range(2, d + 1):
-        gap = 1.0 - lam[j]
-        if gap < 1e-14:
-            raise RuntimeError(f"eigenvalue of index {j} is too close to one")
-        out[: j + 1] += scale * mu[j] / gap * basis[: j + 1, j]
+        out[: j + 1] += scale * mu[j] / (1.0 - lam[j]) * basis[: j + 1, j]
     return Polynomial(out)
 
 

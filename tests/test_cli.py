@@ -80,6 +80,10 @@ class TestConfigValidation:
         ("h=1,nan", "coefficients must be finite"),
         ("f=cheb6", "corpus names are cofactors"),
         ("h=nosuch", "unknown corpus entry"),
+        ("h=1,,2", "h= coefficients must be comma-separated floats, "
+                   "got ''"),
+        ("f=1,a", "f= coefficients must be comma-separated floats, "
+                  "got 'a'"),
     ])
     def test_rejects_bad_spec(self, spec, message):
         # the spec is parsed on construction, so a bad one never
@@ -250,7 +254,8 @@ class TestErrorPaths:
         code, _, err = run_cli(
             ["series", "--n", "8", "--fn", "h=nosuch"], capsys)
         assert code == 1
-        assert err.startswith("error:")
+        # the message itself, not a KeyError's quoted repr of it
+        assert err.startswith("error: unknown corpus entry 'nosuch'; known: ")
         assert not (outdir / "series.csv").exists()
 
     def test_tolerance_flag_rejected(self, outdir, capsys):

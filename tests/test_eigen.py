@@ -1,6 +1,7 @@
 """Eigenvalues, triangular eigenbasis, dual functionals, asymptotics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from bernseries import (
     EigenSystem,
     FunctionHandle,
     Polynomial,
+    apply_series_poly,
     asymptotic_report,
     compute_eigensystem,
     dual_coefficients,
@@ -24,7 +26,21 @@ from bernseries import (
     poly_eval,
     u_matrix_leading_block,
 )
-from bernseries.eigen import _eigenbasis
+from bernseries import eigen as eigen_module
+
+
+def _matrix_eigenbasis(n, rho, M):
+    """The monic eigenbasis of a given leading block M by
+    back-substitution, with the eigenvalues of ``eigenvalue``."""
+    d = M.shape[0] - 1
+    lam = np.array([eigenvalue(n, rho, j) for j in range(d + 1)])
+    vecs = np.eye(d + 1)
+    vecs[1:2, 0] = -0.5
+    for j in range(2, d + 1):
+        v = vecs[j]
+        for i in range(j - 1, -1, -1):
+            v[i] = (M[i, i + 1:j + 1] @ v[i + 1:j + 1]) / (lam[j] - M[i, i])
+    return lam, np.ascontiguousarray(vecs.T)
 
 
 class TestEigenvalue:
@@ -80,25 +96,30 @@ class TestComputeEigensystem:
             assert abs(poly_eval(p, 0.0)) < 1e-9
             assert abs(poly_eval(p, 1.0)) < 1e-9
 
-    def test_rejects_doctored_diagonal(self):
-        M = u_matrix_leading_block(8, 1.0, 8).copy()
-        M[4, 4] += 1e-6
+    def test_rejects_doctored_diagonal(self, monkeypatch):
+        def doctored(n, rho, d):
+            M = u_matrix_leading_block(n, rho, d).copy()
+            M[4, 4] += 1e-6
+            return M
+
+        monkeypatch.setattr(eigen_module, "u_matrix_leading_block", doctored)
         with pytest.raises(RuntimeError, match="disagrees with the "
                                                "eigenvalue formula"):
-            _eigenbasis(8, 1.0, M)
+            compute_eigensystem(8, 1.0)
 
     def test_size_cap(self):
-        with pytest.raises(ValueError, match=f"n <= {EIGEN_N_CAP}"):
+        with pytest.raises(ValueError, match=f"eigen cap {EIGEN_N_CAP}$"):
             compute_eigensystem(EIGEN_N_CAP + 1, 1.0)
 
     @pytest.mark.parametrize("rho", [0.1, 1.0, 10.0, math.inf])
     def test_same_bits_as_the_full_matrix_route(self, rho):
-        # the system is the one assembly applied to the whole matrix on
-        # Pi_n, to the bit; a scratch run against the former matrix
-        # object found every basis of n = 1..30 at these rho identical
+        # the system is the matrix-taking back-substitution applied to
+        # the whole matrix on Pi_n, with the eigenvalues of
+        # ``eigenvalue``, to the bit
         for n in range(1, EIGEN_N_CAP + 1):
             sys = compute_eigensystem(n, rho)
-            lam, basis = _eigenbasis(n, rho, u_matrix_leading_block(n, rho, n))
+            lam, basis = _matrix_eigenbasis(
+                n, rho, u_matrix_leading_block(n, rho, n))
             assert np.array_equal(sys.lambdas, lam)
             assert np.array_equal(sys.basis, basis)
             for j, p in enumerate(sys.eigenpolys):
@@ -108,6 +129,21 @@ class TestComputeEigensystem:
         sys = compute_eigensystem(5, 1.0)
         with pytest.raises(ValueError):
             sys.basis[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("n, call", [
+    (EIGEN_N_CAP + 1, lambda n, d: compute_eigensystem(n, 1.0)),
+    (256, lambda n, d: asymptotic_report(1.0, d, [n])),
+    (256, lambda n, d: apply_series_poly(
+        n, 1.0, PSI * Polynomial([0.0] * (d - 2) + [1.0]))),
+], ids=["compute_eigensystem", "asymptotic_report", "apply_series_poly"])
+def test_one_message_past_the_eigen_cap(n, call):
+    # every eigen entry point reaches the cap through ``_eigenbasis``,
+    # whose one message names the block size, n and the cap
+    d = EIGEN_N_CAP + 1
+    want = f"eigen block size {d} exceeds n={n} or the eigen cap {EIGEN_N_CAP}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        call(n, d)
 
 
 class TestDualCoefficients:

@@ -103,8 +103,10 @@ N_ENTRY_POINTS = {
     # rho = 2 admits n from 7 on
     "theorem52_rhs": lambda n: bs.theorem52_rhs(H, n, 2.0, 0.5),
     "check_bound": lambda n: bs.check_bound(H, n, 2.0),
-    # n doubled: the sampling-limit bound starts at n = 10
-    "bernstein_limit_rhs": lambda n: bs.bernstein_limit_rhs(H, 2 * n, 0.5),
+    # n doubled: the sampling-limit bound starts at n = 10; the double
+    # keeps the type of n, so a bool stays a bool
+    "bernstein_limit_rhs": lambda n: bs.bernstein_limit_rhs(
+        H, type(n)(2 * n), 0.5),
     "ExperimentConfig": lambda n: ExperimentConfig(
         command="eigen", n_list=[n], rho_list=[1.0]),
 }
@@ -158,10 +160,11 @@ def test_infinite_rho_continues_large_rho(name):
         assert np.max(np.abs(a - b), initial=0.0) <= 1e-7 * scale
 
 
-@pytest.mark.parametrize("n", [0, -1, 2.5, 8.0])
+@pytest.mark.parametrize("n", [0, -1, 2.5, 8.0, True])
 @pytest.mark.parametrize("name", sorted(N_ENTRY_POINTS))
 def test_rejects_n_outside_range(name, n):
-    # a float n names no operator, even at an integer value
+    # a float n names no operator, even at an integer value, and a bool
+    # is a flag, not a count
     with pytest.raises(ValueError, match="n must be at least 1"):
         N_ENTRY_POINTS[name](n)
 

@@ -426,8 +426,25 @@ class TestApplySeriesPoly:
             assert np.max(np.abs(out.padded(3) - want.padded(3))) < 1e-12
 
     def test_rejects_unpinned(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not vanish at the "
+                                             "endpoints"):
             apply_series_poly(6, 1.0, Polynomial([1.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("n, rho, h", [
+        (256, 1.0, Polynomial([0.0] * 28 + [1.0])),
+        (30, 1.0, Polynomial([1.0] * 29)),
+        (4096, math.inf, Polynomial([1.0] * 29)),
+    ], ids=["x29-256-1", "ones-30-1", "ones-4096-inf"])
+    def test_exactly_pinned_at_the_eigen_cap(self, n, rho, h):
+        # degree 30 inputs whose endpoint values are exactly zero: the
+        # dual solve's unit-eigenvalue components come back near 1e-8,
+        # which is rounding, not an endpoint value; measured 4.8e-9,
+        # 4.9e-9 and 2.2e-8 off the monomial solve, relative to
+        # max(1, its sup)
+        got = poly_eval(apply_series_poly(n, rho, PSI * h), XS)
+        want = apply_series(n, rho, C0Function(h)).value(XS)
+        assert np.max(np.abs(got - want)) <= 1e-7 * max(
+            1.0, np.max(np.abs(want)))
 
     def test_rejects_degree_above_n(self):
         with pytest.raises(ValueError):
