@@ -277,25 +277,30 @@ class C0Function:
     __call__ = value
 
 
+def _horner(c: list, t: float) -> float:
+    """Value at t of the polynomial with ascending coefficients c, in
+    ``npoly.polyval``'s operation order on plain floats: c[-1] + t * 0,
+    then c[i] + acc * t from the top down. Each step is one IEEE
+    multiply and one add in both, with no fused multiply-add, so the
+    bits agree (signed zeros and NaN included)."""
+    acc = c[-1] + t * 0.0
+    for ci in c[-2::-1]:
+        acc = ci + acc * t
+    return acc
+
+
 def poly_eval(p: Polynomial, x):
     """Horner-scheme value of p at x: a float for a scalar x, else an array.
 
     An array x goes through ``npoly.polyval``. A scalar x (a Python or
-    numpy number, or a 0-d array) takes a Python-float Horner loop in
-    ``polyval``'s operation order, c[-1] + x * 0 and then c[i] + acc * x
-    from the top down. Each step is one IEEE multiply and one add in
-    both, with no fused multiply-add, so the bits agree (signed zeros
-    and NaN included); the loop skips one numpy call per coefficient.
+    numpy number, or a 0-d array) takes ``_horner``, the float loop in
+    ``polyval``'s operation order, with the same bits; it skips one
+    numpy call per coefficient.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim:
         return npoly.polyval(x, p.coeffs)
-    t = float(x)
-    c = p.coeffs.tolist()
-    acc = c[-1] + t * 0.0
-    for ci in reversed(c[:-1]):
-        acc = ci + acc * t
-    return acc
+    return _horner(p.coeffs.tolist(), float(x))
 
 
 def require_pinned(p) -> None:
@@ -444,11 +449,13 @@ def sup_norm(f: FunctionHandle, g: Optional[GridSpec] = None) -> float:
     This is a lower estimate of the true sup: the refinement only
     sharpens the value near the discrete maximizer. It makes one array
     evaluation of f on the grid and 62 scalar ones, in O(grid) memory.
-    On a polynomial handle the scalar ones take ``poly_eval``'s float
-    loop, so a corpus polynomial costs 0.13-0.32 ms on the default
-    grid, near the 0.10-0.19 ms of ``np.cos`` (a 2-vCPU host).
-    A non-finite value raises a ValueError that names the least grid
-    point, or the refinement point, where f is not finite.
+    On a handle that carries a polynomial the scalar ones skip the
+    handle: they take ``_horner`` on plain floats, with the same bits
+    as the handle, so a corpus polynomial costs 0.04-0.07 ms on the
+    default grid, against 0.11-0.15 ms through the handle and 0.09 ms
+    for ``np.cos`` (best of repeats, a 2-vCPU Xeon host). A non-finite
+    value raises a ValueError that names the least grid point, or the
+    refinement point, where f is not finite.
     """
     if g is None:
         g = DEFAULT_SUP_GRID
@@ -458,6 +465,11 @@ def sup_norm(f: FunctionHandle, g: Optional[GridSpec] = None) -> float:
     best = float(vals[i])
     a = pts[i - 1] if i > 0 else pts[i]
     b = pts[i + 1] if i + 1 < pts.size else pts[i]
+    if isinstance(f, FunctionHandle) and f.poly is not None:
+        # the refinement skips the handle: one Horner closure over the
+        # coefficients, and the bracket as plain floats (the same bits)
+        f = functools.partial(_horner, f.poly.coeffs.tolist())
+        a, b = float(a), float(b)
 
     def at(t):
         v = abs(float(f(t)))

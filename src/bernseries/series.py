@@ -25,8 +25,10 @@ An eigen-expansion route sums the series in closed form through the
 one eigen assembly, on polynomials up to the eigen cap at every n >=
 their degree, and is kept as an independent check on the engine. The
 reported ``iterations`` and ``tail_bound`` are the a priori truncation
-count for the fixed tolerance ``_TOL`` and its bound; neither changes
-the sum.
+count for the fixed tolerance ``_TOL`` and an estimate of the tail past
+it; neither changes the sum. The estimate rests on the grid value of
+sup|h| (``C0Function.norm0``), which is never above the true sup, so it
+can fall below the true tail.
 
 This module sums series at a given n and computes no limits. Their
 large-n limit is the negated inverse of the limit differential
@@ -72,9 +74,12 @@ class SeriesResult(C0Function):
     """Summed series value with the truncation metadata attached.
 
     ``iterations`` is the a priori truncation count K for the fixed
-    tolerance 1e-9 and ``tail_bound`` the sup bound on the terms past
-    it; neither measures work performed. ``norm0`` is estimated on
-    the default sup grid on first read.
+    tolerance 1e-9 and ``tail_bound`` an estimate of the sup of the
+    terms past it; neither measures work performed. Both are built on
+    the input's ``norm0``, a grid estimate of sup|h| that is never
+    above the true sup, so ``tail_bound`` can fall below the true
+    tail. The result's own ``norm0`` is estimated on the default sup
+    grid on first read.
     """
 
     def __init__(self, h, iterations: int, tail_bound: float):
@@ -205,8 +210,10 @@ def apply_series(n: int, rho: float, f: C0Function) -> SeriesResult:
     callable, which takes points in [0, 1] only: one outside, NaN among
     them, raises the ValueError of ``_require_unit_interval``. The sum
     is exact up to rounding; ``iterations`` is the a priori truncation
-    count for the fixed tolerance 1e-9 and ``tail_bound`` the sup bound
-    on the terms past it.
+    count for the fixed tolerance 1e-9 and ``tail_bound`` an estimate
+    of the sup of the terms past it. It is built on the grid estimate
+    of sup|h|, which is never above the true sup, so it can fall below
+    the true tail.
     """
     _n_rho(n, rho)
     if not isinstance(f, C0Function):

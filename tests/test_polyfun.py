@@ -1,5 +1,6 @@
 """Polynomial container, weight handling, special polynomials, moduli."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -339,6 +340,65 @@ class TestSupNorm:
         p = Polynomial([0.1, 1.0, -3.0, 2.0])
         sup_norm(FunctionHandle.from_polynomial(p))
         assert calls == [DEFAULT_SUP_GRID.points.shape]
+
+    def test_polynomial_handle_is_called_once(self, monkeypatch):
+        # the handle evaluates the grid; the 62 refinement points go
+        # through one Horner closure over the coefficients instead
+        calls = []
+        real = FunctionHandle.__call__
+
+        def spy(self, x):
+            calls.append(np.shape(x))
+            return real(self, x)
+
+        monkeypatch.setattr(FunctionHandle, "__call__", spy)
+        p = Polynomial([0.1, 1.0, -3.0, 2.0])
+        sup_norm(FunctionHandle.from_polynomial(p))
+        assert calls == [DEFAULT_SUP_GRID.points.shape]
+
+    @settings(max_examples=200, deadline=None)
+    @given(c=st.lists(st.floats(-1.0, 1.0), min_size=1,
+                      max_size=DEGREE_CAP + 1),
+           scale=st.floats(-3.0, 3.0),
+           g=st.sampled_from((None, GridSpec.uniform(2), GridSpec.uniform(3),
+                              GridSpec.uniform(129), GridSpec.chebyshev(33))))
+    @example(c=[1e308, 1e308], scale=0.0, g=None)
+    @example(c=[1.0], scale=0.0, g=GridSpec.uniform(2))
+    @example(c=[-0.0, 0.5, 0.0, -2.0], scale=3.0, g=GridSpec.uniform(3))
+    def test_polynomial_same_bits_as_a_callable(self, c, scale, g):
+        # the Horner closure of a polynomial handle against polyval on
+        # the 0-d points of a callable handle: same value, bit for bit,
+        # or the same non-finite message
+        p = Polynomial(np.asarray(c) * 10.0 ** scale)
+        handles = (FunctionHandle.from_polynomial(p),
+                   FunctionHandle.from_callable(
+                       lambda x: npoly.polyval(x, p.coeffs)))
+        outcomes = []
+        for f in handles:
+            # huge coefficients overflow polyval on the grid; with
+            # numpy's warning off, the inf surfaces as sup_norm's message
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    outcomes.append(sup_norm(f, g).hex())
+                except ValueError as e:
+                    assert re.fullmatch(
+                        r"sup_norm: .* not finite at x=\S+", str(e))
+                    outcomes.append(str(e))
+        assert outcomes[0] == outcomes[1]
+
+    def test_overflowing_polynomial_is_named(self):
+        p = Polynomial([1e308, 1e308])
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match=r"sup_norm: .* not finite at x=0\.79"):
+            sup_norm(FunctionHandle.from_polynomial(p))
+
+    def test_plain_callable(self):
+        # a bare function carries no coefficients and keeps the
+        # callable path
+        def f(x):
+            return np.sin(3.0 * x)
+
+        assert sup_norm(f) == sup_norm(FunctionHandle.from_callable(f))
 
     def test_non_finite_value_is_named(self):
         f = FunctionHandle.from_callable(
