@@ -25,8 +25,9 @@ Golub-Welsch method: the interior rules of one (n, rho) and size are
 stacked and diagonalized by batched symmetric eigensolves. ``_settle`` is the
 package's one ladder of rule sizes (these rules and the Legendre rules
 of ``inverse_neg`` and ``limit_dual``), ``_bernstein_sum`` its one
-Bernstein blend (``apply_U`` and the series). The module needs numpy
-only.
+Bernstein blend (``apply_U`` and the series), which forms the basis at
+a point as a binomial pmf in log space at O(n) cost. The module needs
+numpy only.
 """
 
 from __future__ import annotations
@@ -95,8 +96,9 @@ _RULE_SIZES = (20, 40, 80)
 # a whole 40-node stack at n = 4096 would hold 52 MB of matrices and
 # eigenvectors, a block holds 4 MB.
 _EIGH_BLOCK = 1 << 18
-# Floats of Bernstein basis values per block of ``_bernstein_sum``: a
-# whole 40-node stack at n = 1024 would need 0.3 GB, a block 2 MB.
+# Floats of binomial pmf values per block of ``_bernstein_sum``, n + 1
+# per point: a whole 40-node stack at n = 1024 would need 0.3 GB, a
+# block 2 MB.
 _BERNSTEIN_BLOCK = 1 << 18
 
 
@@ -358,7 +360,9 @@ def bernstein_basis(n: int, x) -> np.ndarray:
     Uses the stable degree-raising recurrence, one slice update per
     degree: every value of degree m is formed from the degree m-1
     values at once, so the loop runs n times rather than n^2/2. Works
-    for scalar or array x.
+    for scalar or array x. It costs O(n^2) per point and is on no
+    library path: it is the oracle the tests hold ``_bernstein_sum``
+    to.
     """
     x = np.asarray(x, dtype=float)
     one_minus = 1.0 - x
@@ -371,17 +375,39 @@ def bernstein_basis(n: int, x) -> np.ndarray:
 
 
 def _bernstein_sum(c, x):
-    """Sum of c times the degree len(c) - 1 Bernstein basis at x,
-    elementwise on x of any shape. x is taken in flattened blocks, so
-    the basis never holds more than ``_BERNSTEIN_BLOCK`` floats."""
+    """Sum of c times the degree n = len(c) - 1 Bernstein basis at x.
+
+    The basis at x is the binomial pmf with n trials and success
+    probability x, formed in O(n) per point as ``_cofactor_transfer``
+    forms its rho = inf rows: with t = min(x, 1 - x), the log ratios
+    log((n-j)/(j+1)) + log t - log1p(-t) are summed cumulatively over
+    j, shifted by their maximum, exponentiated and normalized, and a
+    point above 1/2 takes the coefficients reversed. No binomial
+    coefficient or power is formed, and the ends interpolate exactly:
+    x = 0 gives c[0] and x = 1 gives c[-1]. Elementwise on x of any
+    shape; x is taken in flattened blocks, so the pmf never holds more
+    than ``_BERNSTEIN_BLOCK`` floats.
+    """
     c = np.asarray(c, dtype=float)
     x = np.asarray(x, dtype=float)
+    n = c.size - 1
     flat = x.reshape(-1)
     out = np.empty(flat.size)
+    j = np.arange(n, dtype=float)[:, None]
+    ratios = np.log((n - j) / (j + 1.0))
     step = max(1, _BERNSTEIN_BLOCK // c.size)
     for lo in range(0, flat.size, step):
-        out[lo:lo + step] = c @ bernstein_basis(c.size - 1,
-                                                flat[lo:lo + step])
+        xb = flat[lo:lo + step]
+        t = np.minimum(xb, 1.0 - xb)
+        pmf = np.zeros((n + 1, t.size))
+        # t = 0 gives log t = -inf: the pmf is the unit mass at j = 0
+        with np.errstate(divide="ignore"):
+            np.add(ratios, np.log(t) - np.log1p(-t), out=pmf[1:])
+        np.cumsum(pmf, axis=0, out=pmf)
+        pmf -= pmf.max(axis=0)
+        np.exp(pmf, out=pmf)
+        pmf /= pmf.sum(axis=0)
+        out[lo:lo + step] = np.where(xb > 0.5, c[::-1] @ pmf, c @ pmf)
     return out.reshape(x.shape)
 
 
@@ -467,8 +493,9 @@ def apply_U(n: int, rho: float, f: FunctionHandle, x):
     ``_interior_values``, which raises a ValueError naming the node and
     the size where they do not by 80 nodes). Together with the endpoint
     values they are the Bernstein coefficients of the result, summed at
-    x by ``_bernstein_sum``. At rho = inf the functionals are samples
-    at k/n and the value is that of the Bernstein polynomial of f.
+    x by ``_bernstein_sum`` in O(n) per point. At rho = inf the
+    functionals are samples at k/n and the value is that of the
+    Bernstein polynomial of f.
     Points outside [0, 1], NaN among them, raise a ValueError that
     names the first, and so does a value of f that is not finite, at
     the endpoints as at the interior nodes.

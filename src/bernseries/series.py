@@ -19,7 +19,8 @@ iterated or truncated:
   matrix is a well conditioned M-matrix at any n. Its first vector
   takes the interior Beta rules of ``apply_U``, which sample the input
   at k/n at rho = inf; the result blends the solved coefficients as
-  ``apply_U`` does, elementwise on any shape of x in [0, 1].
+  ``apply_U`` does, through ``_bernstein_sum`` at O(n) per point,
+  elementwise on any shape of x in [0, 1].
 
 An eigen-expansion route sums the series in closed form through the
 one eigen assembly, on polynomials up to the eigen cap at every n >=
