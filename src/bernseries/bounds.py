@@ -155,14 +155,14 @@ def check_bound(h, n: int, rho: float,
         grid = DEFAULT_BOUND_GRID
     rhs = theorem52_rhs(handle, n, rho, grid.points, grid)
     slack = _TOL + 10.0 * QUAD_TOL
-    vals, _, iters = _residual_profile(n, rho, handle, grid.points)
+    vals, _, summed = _residual_profile(n, rho, handle, grid.points)
     lhs = np.abs(vals)
     margin = float(np.min(rhs - lhs))
     return BoundReport(
         n=int(n), rho=float(rho), epsilon=epsilon_step(n, rho),
         grid=grid, lhs=lhs, rhs=rhs, margin=margin,
         satisfied=bool(margin >= -slack), slack=slack,
-        iterations=int(iters),
+        iterations=summed.iterations,
     )
 
 
@@ -210,7 +210,7 @@ def convergence_table(h, rho: float, n_list: Iterable[int],
     f = C0Function(handle)
     records = []
     for n in n_list:
-        vals, _, iters = _residual_profile(n, rho, f, grid.points)
+        vals, _, summed = _residual_profile(n, rho, f, grid.points)
         sup_h = float(np.max(np.abs(vals)))
         if admissible_n(n, rho):
             bracket = _bracket52(handle, n, rho, grid)
@@ -218,5 +218,5 @@ def convergence_table(h, rho: float, n_list: Iterable[int],
         else:
             sup_rhs = math.nan
         records.append(ConvergenceRecord(int(n), float(rho), sup_h,
-                                         sup_rhs, int(iters)))
+                                         sup_rhs, summed.iterations))
     return tuple(records)

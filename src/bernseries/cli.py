@@ -30,7 +30,7 @@ import numpy as np
 from .polyfun import C0Function, FunctionHandle, GridSpec, Polynomial, poly_eval
 from .operators import _n_rho, apply_U
 from .eigen import compute_eigensystem, limit_eigenvalue
-from .polyfun import limit_eigenpoly
+from .polyfun import PSI, limit_eigenpoly
 from .series import apply_series
 from .voronovskaya import _residual_profile
 from .bounds import check_bound, convergence_table
@@ -178,7 +178,7 @@ def _execute(cfg: ExperimentConfig):
         n, rho = cfg.n_list[0], cfg.rho_list[0]
         key, poly = cfg._fn
         if key == "h":
-            poly = Polynomial([0.0, 1.0, -1.0]) * poly
+            poly = PSI * poly
         f = FunctionHandle.from_polynomial(poly)
         uvals = apply_U(n, rho, f, pts)
         fvals = f(pts)
@@ -208,7 +208,6 @@ def _execute(cfg: ExperimentConfig):
         rows = [[x, v] for x, v in zip(pts, vals)]
         return ["x", "value"], rows, {
             "n": n, "rho": rho, "iters": res.iterations,
-            "tail_bound": res.tail_bound,
         }
     if cfg.command == "voronovskaya":
         n, rho = cfg.n_list[0], cfg.rho_list[0]

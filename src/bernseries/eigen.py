@@ -80,10 +80,13 @@ def eigenvalue(n: int, rho: float, j: int) -> float:
     r, w = _n_rho(n, rho)
     if not 0 <= j <= n:
         raise ValueError(f"index {j} outside 0..{n}")
-    v = 1.0
-    for i in range(j):
-        v *= r * (n - i) / (n * r + i * w)
-    return v
+    return float(_eigenvalues(n, r, w, j)[j])
+
+
+def _eigenvalues(n: int, r: float, w: float, d: int) -> np.ndarray:
+    """Indices 0..d: one, then the running product of r (n-i) / (n r + i w)."""
+    k = np.arange(d, dtype=float)
+    return np.append(1.0, np.cumprod(r * (n - k) / (n * r + k * w)))
 
 
 def _eigenbasis(n: int, rho: float, d: int) -> tuple:
@@ -92,11 +95,10 @@ def _eigenbasis(n: int, rho: float, d: int) -> tuple:
 
     The package's one eigen assembly and its one size check: a block
     past d <= min(n, EIGEN_N_CAP) raises a ValueError naming d, n and
-    the cap. The eigenvalues are one running product of the factors
-    r (n-i) / (n r + i w), to the bit those of ``eigenvalue``. Raises
-    if the block's diagonal drifts from them beyond 1e-10, or if
-    consecutive ones come closer than a relative 1e-12 gap, which would
-    poison the back-substitution. Column j solves
+    the cap. The eigenvalues are those of ``_eigenvalues``, as in
+    ``eigenvalue``. Raises if the block's diagonal drifts from them
+    beyond 1e-10, or if consecutive ones come closer than a relative
+    1e-12 gap, which would poison the back-substitution. Column j solves
     (M - lambda_j I) v = 0 with v_j = 1 over rows j-1 .. 0; indices 0
     and 1 are the exact 1 and x - 1/2, bypassing the 0/0 of the shared
     unit eigenvalue.
@@ -106,9 +108,7 @@ def _eigenbasis(n: int, rho: float, d: int) -> tuple:
         raise ValueError(f"eigen block size {d} exceeds n={n} or the "
                          f"eigen cap {EIGEN_N_CAP}")
     M = u_matrix_leading_block(n, rho, d)
-    k = np.arange(d, dtype=float)
-    lam = np.ones(d + 1)
-    np.cumprod(r * (n - k) / (n * r + k * w), out=lam[1:])
+    lam = _eigenvalues(n, r, w, d)
     drift = float(np.max(np.abs(np.diag(M) - lam)))
     if drift > 1e-10:
         raise RuntimeError(

@@ -25,11 +25,9 @@ iterated or truncated:
 An eigen-expansion route sums the series in closed form through the
 one eigen assembly, on polynomials up to the eigen cap at every n >=
 their degree, and is kept as an independent check on the engine. The
-reported ``iterations`` and ``tail_bound`` are the a priori truncation
-count for the fixed tolerance ``_TOL`` and an estimate of the tail past
-it; neither changes the sum. The estimate rests on the grid value of
-sup|h| (``C0Function.norm0``), which is never above the true sup, so it
-can fall below the true tail.
+engine computes the sum and nothing else: a result's ``iterations``,
+the a priori truncation count for the fixed tolerance ``_TOL``, is
+built from the input's ``norm0`` on first read and changes no value.
 
 This module sums series at a given n and computes no limits. Their
 large-n limit is the negated inverse of the limit differential
@@ -47,6 +45,7 @@ import numpy as np
 from .polyfun import (
     C0Function,
     Polynomial,
+    _finite,
     _require_unit_interval,
     _solve_upper,
     require_pinned,
@@ -66,27 +65,27 @@ __all__ = [
     "apply_series_poly",
 ]
 
-# Tolerance behind the reported truncation count and tail bound. The
-# series is summed exactly, so it shapes no computed value.
+# Tolerance behind the reported truncation count. The series is summed
+# exactly, so it shapes no computed value.
 _TOL = 1e-9
 
 
 class SeriesResult(C0Function):
-    """Summed series value with the truncation metadata attached.
-
-    ``iterations`` is the a priori truncation count K for the fixed
-    tolerance 1e-9 and ``tail_bound`` an estimate of the sup of the
-    terms past it; neither measures work performed. Both are built on
-    the input's ``norm0``, a grid estimate of sup|h| that is never
-    above the true sup, so ``tail_bound`` can fall below the true
-    tail. The result's own ``norm0`` is estimated on the default sup
-    grid on first read.
+    """Summed series of the input ``f`` at contraction factor q and
+    scale r / (n r + w). ``iterations``, the a priori truncation count
+    for the fixed tolerance 1e-9, and the result's own ``norm0`` are
+    built on first read; the count from the input's ``norm0``.
     """
 
-    def __init__(self, h, iterations: int, tail_bound: float):
+    def __init__(self, h, f: C0Function, q: float, scale: float):
         super().__init__(h)
-        self.iterations = int(iterations)
-        self.tail_bound = float(tail_bound)
+        self._f, self._q, self._scale = f, q, scale
+
+    @functools.cached_property
+    def iterations(self) -> int:
+        if self._q == 0.0:
+            return 0
+        return _truncation_count(self._q, self._scale, self._f.norm0, _TOL)
 
 
 def _truncation_count(q: float, scale: float, norm0: float,
@@ -120,7 +119,8 @@ def _cofactor_transfer(n: int, rho: float) -> np.ndarray:
     rows are the binomial pmfs with success probability k/n: the
     transfer matrix of the sampling operator. Every rho the entry points
     accept, inf included, gives a matrix. Each matrix holds (n-1)^2
-    floats, so only the last two are kept.
+    floats and is built in place, so the build peaks near one matrix;
+    only the last two are kept.
     """
     if n < 2:
         raise ValueError("the transfer matrix needs n >= 2")
@@ -128,10 +128,19 @@ def _cofactor_transfer(n: int, rho: float) -> np.ndarray:
     k = np.arange(1, n, dtype=float)[:, None]
     j = np.arange(n - 2, dtype=float)
     W = np.zeros((n - 1, n - 1))
-    # log of W[k-1, j+1] / W[k-1, j]
-    W[:, 1:] = np.log(k * r + w * (j + 1.0))
-    W[:, 1:] -= np.log((n - k) * r + w * (n - 2.0 - j))
-    W[:, 1:] += np.log((n - 2.0 - j) / (j + 1.0))
+    # log of W[k-1, j+1] / W[k-1, j]: L = log(k r + w (j+1)) minus L
+    # reversed in both axes, log((n-k) r + w (n-2-j)). That difference
+    # is odd under the reversal (x - y is exactly -(y - x)), so half of
+    # it is formed in place and mirrored, negated, onto the other half.
+    L = W[:, 1:]
+    np.add(k * r, w * (j + 1.0), out=L)
+    np.log(L, out=L)
+    h = (n - 1) // 2
+    g = n - 2 - h
+    for a, b in ((L[:h], L[g + 1:]), (L[h:g + 1, :g], L[h:g + 1, h:])):
+        a -= b[::-1, ::-1]
+        np.negative(a[::-1, ::-1], out=b)
+    L += np.log((n - 2.0 - j) / (j + 1.0))
     np.cumsum(W, axis=1, out=W)
     W -= W.max(axis=1, keepdims=True)
     np.exp(W, out=W)
@@ -173,31 +182,25 @@ def _sum_monomial(n: int, rho: float, h: Polynomial,
 
 
 def _sum_series(n: int, rho: float, f: C0Function) -> SeriesResult:
-    """Series engine of every member rho in (0, inf]; callers check n, rho, f."""
-    r, w = _homogeneous(rho)
+    """Series engine of every member rho in (0, inf]; checks n, rho, f."""
+    r, w = _n_rho(n, rho)
+    if not isinstance(f, C0Function):
+        raise TypeError("f must be a C0Function")
     scale = r / (n * r + w)
-    hp = f.h.poly
-    if hp is None and n == 1:
-        # A single-node operator annihilates the pinned space, so the
-        # series collapses to its first term.
-        def h_first(x):
-            _require_unit_interval(x)
-            return scale * np.asarray(f.h(x))
-
-        return SeriesResult(h_first, 0, 0.0)
     q = (n - 1.0) * r / (n * r + w)
-    K = _truncation_count(q, scale, f.norm0, _TOL)
-    tail = scale * f.norm0 * q ** (K + 1) / (1.0 - q)
+    hp = f.h.poly
     if hp is not None:
-        return SeriesResult(_sum_monomial(n, rho, hp, scale), K, tail)
-    g0 = _first_vector_generic(n, rho, f)
-    acc = np.linalg.solve(np.eye(n - 1) - _cofactor_transfer(n, rho), g0)
+        return SeriesResult(_sum_monomial(n, rho, hp, scale), f, q, scale)
+    where = f"series input (n={n}, rho={rho})"
+    if n > 1:  # else the operator annihilates the pinned space
+        g0 = _first_vector_generic(n, rho, f)
+        acc = np.linalg.solve(np.eye(n - 1) - _cofactor_transfer(n, rho), g0)
 
     def h_sum(x):
-        _require_unit_interval(x)
-        return scale * (f.h(x) + _bernstein_sum(acc, x))
+        hx = _finite(where, _require_unit_interval(x), f.h(x))
+        return scale * (hx + _bernstein_sum(acc, x) if n > 1 else hx)
 
-    return SeriesResult(h_sum, K, tail)
+    return SeriesResult(h_sum, f, q, scale)
 
 
 def apply_series(n: int, rho: float, f: C0Function) -> SeriesResult:
@@ -209,16 +212,11 @@ def apply_series(n: int, rho: float, f: C0Function) -> SeriesResult:
     every n), a ``Polynomial`` defined at every x, and otherwise a
     closure over Bernstein coefficients after the transfer solve on a
     callable, which takes points in [0, 1] only: one outside, NaN among
-    them, raises the ValueError of ``_require_unit_interval``. The sum
-    is exact up to rounding; ``iterations`` is the a priori truncation
-    count for the fixed tolerance 1e-9 and ``tail_bound`` an estimate
-    of the sup of the terms past it. It is built on the grid estimate
-    of sup|h|, which is never above the true sup, so it can fall below
-    the true tail.
+    them, raises the ValueError of ``_require_unit_interval``, and a
+    value of the input that is not finite raises one naming its point.
+    The sum is exact up to rounding; ``iterations`` is the a priori
+    truncation count for the fixed tolerance 1e-9, built on first read.
     """
-    _n_rho(n, rho)
-    if not isinstance(f, C0Function):
-        raise TypeError("f must be a C0Function")
     return _sum_series(n, rho, f)
 
 
@@ -253,7 +251,4 @@ def apply_series_poly(n: int, rho: float, p: Polynomial) -> Polynomial:
 
 def apply_series_bernstein(n: int, f: C0Function) -> SeriesResult:
     """``apply_series(n, inf, f)``; not public, ``bench/`` calls it."""
-    _n_rho(n, math.inf)
-    if not isinstance(f, C0Function):
-        raise TypeError("f must be a C0Function")
     return _sum_series(n, math.inf, f)

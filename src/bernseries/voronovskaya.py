@@ -154,13 +154,13 @@ def inverse_norm_check(rho: float, f: C0Function,
 
 def _residual_profile(n: int, rho: float, h, x):
     """Series-minus-limit values, the limit inverse values they subtract,
-    and the iteration count behind them."""
+    and the summed series behind them."""
     f = h if isinstance(h, C0Function) else C0Function(h)
     summed = apply_series(n, rho, f)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     inv = inverse_neg(rho, f, xs)
     vals = psi_values(xs) * np.asarray(summed.h(xs)) - inv
-    return vals, inv, summed.iterations
+    return vals, inv, summed
 
 
 def residual_H(n: int, rho: float, h, x):

@@ -214,7 +214,7 @@ class TestSeriesAndVoronovskaya:
         meta = {l.split("=")[0][2:]: l.split("=")[1]
                 for l in lines if l.startswith("# ")}
         assert int(meta["iters"]) > 0
-        assert float(meta["tail_bound"]) <= 1e-9
+        assert "tail_bound" not in meta
         # the weight cofactor sums to rho/(rho+1) times the weight
         mid = lines[9].split(",")
         assert abs(float(mid[0]) - 0.5) < 1e-15

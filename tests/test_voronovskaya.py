@@ -279,6 +279,19 @@ class TestResidual:
         assert isinstance(v, float)
         assert abs(v - vs[0]) == 0.0
 
+    @pytest.mark.parametrize("rho", [1.0, np.inf])
+    @pytest.mark.parametrize("h", [Polynomial([1.0, 2.0, -1.0]), np.cos],
+                             ids=["monomial", "transfer"])
+    def test_estimates_no_norm(self, monkeypatch, h, rho):
+        # the residual reads the series sum, never its truncation count
+        from bernseries import polyfun
+        calls = []
+        real = polyfun.sup_norm
+        monkeypatch.setattr(polyfun, "sup_norm",
+                            lambda *a: calls.append(a) or real(*a))
+        residual_H(16, rho, h, XS)
+        assert calls == []
+
     def test_shrinks_with_n(self):
         h = Polynomial([1.0, 2.0, -1.0])
         xs = np.linspace(0, 1, 65)
