@@ -17,17 +17,20 @@ which keeps every entry at working precision for every block the degree
 cap allows; at rho = inf the same recurrence gives the Bernstein
 operator. Every quantity takes (n, rho): ``u_matrix_leading_block``
 gives the images of e_0 .. e_d at any n >= d, and ``apply_U_poly`` the
-image of a polynomial of any degree. On generic functions the operator
-is evaluated pointwise with Gauss quadrature built for the exact Beta
-weight, so integrable endpoint singularities at small rho are absorbed
-by the rule instead of being sampled. The rules come from the
-Golub-Welsch method: the interior rules of one (n, rho) and size are
-stacked and diagonalized by batched symmetric eigensolves. ``_settle`` is the
-package's one ladder of rule sizes (these rules and the Legendre rules
-of ``inverse_neg`` and ``limit_dual``), ``_bernstein_sum`` its one
-Bernstein blend (``apply_U`` and the series), which forms the basis at
-a point as a binomial pmf in log space at O(n) cost. The module needs
-numpy only.
+image of a polynomial of any degree. Pointwise, ``apply_U`` blends
+Bernstein coefficients, and the input picks how they are formed. A
+handle that carries a polynomial takes the closed Beta moments of its
+monomials, nested over its coefficients at O(n d) with no quadrature.
+On generic functions the interior functionals are Gauss quadratures
+built for the exact Beta weight, so integrable endpoint singularities
+at small rho are absorbed by the rule instead of being sampled. The
+rules come from the Golub-Welsch method: the interior rules of one
+(n, rho) and size are stacked and diagonalized by batched symmetric
+eigensolves. ``_settle`` is the package's one ladder of rule sizes
+(these rules and the Legendre rules of ``inverse_neg`` and
+``limit_dual``), ``_bernstein_sum`` its one Bernstein blend
+(``apply_U`` and the series), which forms the basis at a point as a
+binomial pmf in log space at O(n) cost. The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -453,14 +456,16 @@ def _interior_stack(n: int, rho: float, size: int) -> tuple:
 def _interior_values(n: int, rho: float, f) -> np.ndarray:
     """The n - 1 interior functional values F_1 f .. F_{n-1} f.
 
-    ``f`` is any elementwise callable. Node k averages f against the
-    Beta weight with exponents (k rho - 1, (n-k) rho - 1) on the rungs
-    20, 40 and 80 of ``_settle``: 20 and 40 are one stack over all
-    nodes each, with one evaluation of f, and only the nodes still open
-    take 80. So polynomials of degree below 80 are integrated exactly,
-    and a node open at 80 raises a ValueError naming it and the size,
-    as does a value of f that is not finite. At rho = inf the
-    functionals are point evaluations at k/n.
+    ``f`` is any elementwise callable (``apply_U`` sends a handle that
+    carries a polynomial to ``_moment_coefficients`` instead). Node k
+    averages f against the Beta weight with exponents (k rho - 1,
+    (n-k) rho - 1) on the rungs 20, 40 and 80 of ``_settle``: 20 and 40
+    are one stack over all nodes each, with one evaluation of f, and
+    only the nodes still open take 80. So polynomials of degree below
+    80 are integrated exactly, and a node open at 80 raises a
+    ValueError naming it and the size, as does a value of f that is
+    not finite. At rho = inf the functionals are point evaluations at
+    k/n.
     """
     def at(x):
         return _finite(f"interior functionals (n={n}, rho={rho})", x, f(x))
@@ -485,15 +490,50 @@ def _interior_values(n: int, rho: float, f) -> np.ndarray:
         "Beta")
 
 
+def _moment_coefficients(n: int, rho: float, a) -> np.ndarray:
+    """All n + 1 Bernstein coefficients F_0 p .. F_n p of a polynomial.
+
+    ``a`` holds the monomial coefficients a_0 .. a_d. Node k takes x^m
+    to the Beta moment prod_{i<m} (k r + i w) / (n r + i w) (see
+    ``functional_moment``), so the sum over m nests like Horner's
+    scheme on the array k = 0..n, at O(n d) cost:
+
+        acc = a_m + acc * (k r + m w) / (n r + m w),  m = d-1 .. 0
+
+    Every ratio lies in [0, 1], so the error stays a few ulp of
+    sum |a_m|. k = 0 gives a_0 and k = n the Horner value at 1, and at
+    rho = inf each ratio is k/n: the bits of sampling p, up to the sign
+    of a zero. A coefficient that is not finite raises a ValueError
+    naming the layer, n, rho and the node.
+    """
+    r, w = _homogeneous(rho)
+    kr = np.arange(n + 1) * r
+    acc = np.full(n + 1, a[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(a.size - 2, -1, -1):
+            acc = a[m] + acc * ((kr + m * w) / (n * r + m * w))
+    bad = ~np.isfinite(acc)
+    if bad.any():
+        k = int(np.argmax(bad))
+        layer = ("endpoint values" if k in (0, n)
+                 else "interior functionals")
+        raise ValueError(f"{layer} (n={n}, rho={rho}): the Beta moments "
+                         f"of the polynomial are not finite at node k={k}")
+    return acc
+
+
 def apply_U(n: int, rho: float, f: FunctionHandle, x):
     """Pointwise operator value on a generic function.
 
-    Interior functionals are evaluated by Beta-weight Gauss rules grown
-    from 20 nodes until two sizes agree to QUAD_TOL (see
-    ``_interior_values``, which raises a ValueError naming the node and
-    the size where they do not by 80 nodes). Together with the endpoint
-    values they are the Bernstein coefficients of the result, summed at
-    x by ``_bernstein_sum`` in O(n) per point. At rho = inf the
+    The Bernstein coefficients of the result are the endpoint values
+    and the n - 1 interior functionals, summed at x by
+    ``_bernstein_sum`` in O(n) per point. A handle that carries a
+    polynomial takes them from the closed Beta moments in one O(n d)
+    pass (``_moment_coefficients``), with no quadrature. Any other
+    function has its interior functionals evaluated by Beta-weight
+    Gauss rules grown from 20 nodes until two sizes agree to QUAD_TOL
+    (see ``_interior_values``, which raises a ValueError naming the
+    node and the size where they do not by 80 nodes). At rho = inf the
     functionals are samples at k/n and the value is that of the
     Bernstein polynomial of f.
     Points outside [0, 1], NaN among them, raise a ValueError that
@@ -502,9 +542,12 @@ def apply_U(n: int, rho: float, f: FunctionHandle, x):
     """
     _n_rho(n, rho)
     _require_unit_interval(x)
-    f0, f1 = _finite(f"endpoint values (n={n}, rho={rho})", _ENDS,
-                     [f(0.0), f(1.0)])
-    c = np.concatenate(([f0], _interior_values(n, rho, f), [f1]))
+    if isinstance(f, FunctionHandle) and f.poly is not None:
+        c = _moment_coefficients(n, rho, f.poly.coeffs)
+    else:
+        f0, f1 = _finite(f"endpoint values (n={n}, rho={rho})", _ENDS,
+                         [f(0.0), f(1.0)])
+        c = np.concatenate(([f0], _interior_values(n, rho, f), [f1]))
     val = _bernstein_sum(c, x)
     return float(val) if val.ndim == 0 else val
 

@@ -1,5 +1,6 @@
 """Quadrature rules, operator matrices, pointwise application, moments."""
 
+import functools
 import math
 import time
 import tracemalloc
@@ -340,6 +341,11 @@ class TestOperatorMatrix:
             u_matrix_leading_block(DEGREE_CAP + 1, 1.0, DEGREE_CAP + 1)
 
 
+def _bare(p):
+    """p as a bare callable, which takes the Beta rules in apply_U."""
+    return FunctionHandle.from_callable(lambda x: poly_eval(p, x))
+
+
 class TestApplyUPoly:
     def test_weight_is_eigenfunction(self):
         img = apply_U_poly(3, 1.0, PSI)
@@ -348,7 +354,8 @@ class TestApplyUPoly:
     def test_degree_check(self, rng):
         # U_n maps every polynomial into Pi_n, so an input above degree
         # n is taken, and its image has degree at most n; measured
-        # within 8.9e-16 of the quadrature route
+        # within 8.9e-16 of the quadrature route, which a bare callable
+        # takes (a handle that carries the polynomial takes its moments)
         xs = np.linspace(0.0, 1.0, 17)
         for n in (1, 3, 8):
             for rho in (0.5, 1.0, math.inf):
@@ -356,8 +363,7 @@ class TestApplyUPoly:
                     p = Polynomial(rng.uniform(-1, 1, size=deg + 1))
                     img = apply_U_poly(n, rho, p)
                     assert img.degree <= n
-                    want = apply_U(n, rho,
-                                   FunctionHandle.from_polynomial(p), xs)
+                    want = apply_U(n, rho, _bare(p), xs)
                     assert np.max(np.abs(poly_eval(img, xs) - want)) < 1e-13
 
     def test_pointwise_oracle(self):
@@ -374,7 +380,7 @@ class TestApplyUPoly:
         for h in standard_corpus().values():
             p = PSI * h
             got = poly_eval(apply_U_poly(n, 1.0, p), xs)
-            want = apply_U(n, 1.0, FunctionHandle.from_polynomial(p), xs)
+            want = apply_U(n, 1.0, _bare(p), xs)
             assert np.max(np.abs(got - want)) < 1e-10
 
 
@@ -384,9 +390,8 @@ class TestApplyU:
         xs = np.linspace(0, 1, 17)
         for _ in range(10):
             p = Polynomial(rng.uniform(-1, 1, size=int(rng.integers(1, n + 2))))
-            f = FunctionHandle.from_polynomial(p)
             want = poly_eval(apply_U_poly(n, rho, p), xs)
-            got = apply_U(n, rho, f, xs)
+            got = apply_U(n, rho, _bare(p), xs)
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_agrees_with_direct_quadrature_at_rho_one(self):
@@ -491,6 +496,164 @@ class TestApplyU:
                            r"nodes"):
             apply_U(n, rho, jump, 0.3)
         assert time.perf_counter() - start < 1.0
+
+
+_RHOS = (1e-4, 0.1, 1.0, 10.0, 1e4, math.inf)
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_monomial_images(n, rho):
+    """The images of e_0 .. e_DEGREE_CAP in monomial form, in 40 digits.
+
+    The derivative recurrence of the operator matrix replayed in mpmath
+    on the float rho: the image of e_{m+1} is
+    [r x(1-x) T' + (r n x + m w) T] / (n r + m w), with (r, w) = (rho, 1)
+    or (1, 0) at rho = inf. x^j of T(e_m) feeds x^j with r j + m w and
+    x^(j+1) with r (n - j), which vanishes at j = n.
+    """
+    import mpmath
+    with mpmath.workdps(40):
+        r, w = ((mpmath.mpf(1), 0) if rho == math.inf
+                else (mpmath.mpf(rho), 1))
+        cols = [[mpmath.mpf(1)]]
+        for m in range(DEGREE_CAP):
+            col = cols[-1]
+            nxt = [mpmath.mpf(0)] * (len(col) + 1)
+            for j, c in enumerate(col):
+                nxt[j] += (r * j + m * w) * c
+                nxt[j + 1] += r * (n - j) * c
+            den = n * r + m * w
+            cols.append([v / den for v in nxt[:n + 1]])
+        return cols
+
+
+def _mp_apply_U(n, rho, p, xs):
+    """U_n^rho p at xs in 40 digits, from ``_mp_monomial_images``."""
+    import mpmath
+    cols = _mp_monomial_images(n, rho)
+    with mpmath.workdps(40):
+        img = [mpmath.mpf(0)] * len(cols[p.degree])
+        for a, col in zip(p.coeffs, cols):
+            for j, c in enumerate(col):
+                img[j] += mpmath.mpf(float(a)) * c
+        return np.array([float(mpmath.polyval(img[::-1], mpmath.mpf(x)))
+                         for x in xs])
+
+
+def _cofactors(rng):
+    """The corpus pinned by x(1-x), and random coefficients in [-1, 1]
+    at degree DEGREE_CAP and at a random lower degree."""
+    out = {name: PSI * h for name, h in standard_corpus().items()}
+    for deg in (DEGREE_CAP, int(rng.integers(6, DEGREE_CAP))):
+        out[f"random{deg}"] = Polynomial(rng.uniform(-1.0, 1.0, deg + 1))
+    return out
+
+
+class TestApplyUMoments:
+    # a handle that carries a polynomial takes the closed Beta moments
+
+    @pytest.mark.parametrize("rho", [1e-4, 1.0, 10.0, 1e4, math.inf])
+    def test_polynomial_handle_builds_no_rule(self, rho, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a polynomial handle reached the Beta rules")
+
+        monkeypatch.setattr(operators, "_golub_welsch", forbidden)
+        monkeypatch.setattr(operators, "_interior_stack", forbidden)
+        xs = np.linspace(0.0, 1.0, 9)
+        for n in (2, 16, 257):
+            for h in standard_corpus().values():
+                apply_U(n, rho, FunctionHandle.from_polynomial(PSI * h), xs)
+
+    @pytest.mark.parametrize("n", [16, 256, 4096])
+    def test_against_mpmath_reference(self, n, rng):
+        # the forward error is bounded relative to sum |a_m|, the
+        # conditioning floor of any route that reads monomial
+        # coefficients: the moments add a few ulp of it and the blend
+        # at most its n eps. Measured
+        # at most 2.2e-16, 1.5e-16 and 4.2e-16 of sum |a_m| at n = 16,
+        # 256 and 4096
+        xs = np.array([0.0, 2.0 ** -20, 0.1, 0.37, 0.5, 0.83, 1.0])
+        for rho in _RHOS:
+            for name, p in _cofactors(rng).items():
+                got = apply_U(n, rho, FunctionHandle.from_polynomial(p), xs)
+                err = np.max(np.abs(got - _mp_apply_U(n, rho, p, xs)))
+                assert err <= 1e-14 * np.sum(np.abs(p.coeffs)), (rho, name)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 4096])
+    def test_sampling_and_endpoints_keep_their_bits(self, n, rng):
+        # at rho = inf every ratio is k/n, the sampling node, and the
+        # pass is Horner's scheme at it; k = 0 and k = n give p(0) and
+        # p(1) at every rho. Only the opening c[-1] + x * 0 of Horner's
+        # scheme differs, so the bits agree up to the sign of a zero.
+        def bits(v):
+            return [float(t + 0.0).hex() for t in np.atleast_1d(v)]
+
+        xs = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, 9)))
+        for p in _cofactors(rng).values():
+            got = apply_U(n, math.inf, FunctionHandle.from_polynomial(p), xs)
+            assert bits(got) == bits(apply_U(n, math.inf, _bare(p), xs))
+            for rho in _RHOS:
+                c = operators._moment_coefficients(n, rho, p.coeffs)
+                assert bits(c[[0, -1]]) == bits([poly_eval(p, 0.0),
+                                                 poly_eval(p, 1.0)])
+
+    @pytest.mark.parametrize("n", [2, 9, 64])
+    def test_interior_coefficients_are_functional_moments(self, n, rng):
+        # the public closed form is the oracle of every interior
+        # coefficient: sum_m a_m functional_moment(n, k, rho, m); measured
+        # at most 1.0e-16 of sum |a_m|
+        for rho in _RHOS:
+            for name, p in _cofactors(rng).items():
+                c = operators._moment_coefficients(n, rho, p.coeffs)
+                want = [sum(a * functional_moment(n, k, rho, m)
+                            for m, a in enumerate(p.coeffs))
+                        for k in range(1, n)]
+                err = np.max(np.abs(c[1:-1] - want), initial=0.0)
+                assert err <= 1e-15 * np.sum(np.abs(p.coeffs)), (rho, name)
+
+    @settings(max_examples=40)
+    @given(n=st.integers(1, 64), rho=st.sampled_from(_RHOS),
+           a=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=21))
+    def test_moments_agree_with_the_rules(self, n, rho, a):
+        # the rules of 20 nodes integrate degree 20 exactly, so the two
+        # routes differ by rounding alone
+        p = Polynomial(a)
+        xs = np.linspace(0.0, 1.0, 9)
+        got = apply_U(n, rho, FunctionHandle.from_polynomial(p), xs)
+        want = apply_U(n, rho, _bare(p), xs)
+        bound = 1e-12 * max(1.0, np.sum(np.abs(p.coeffs)))
+        assert np.max(np.abs(got - want)) <= bound
+
+    def test_overflowing_moments_are_named(self):
+        # the values at both ends are finite; the moments of node 1
+        # overflow
+        p = Polynomial([1.7e308, 1.7e308, -1.7e308])
+        with pytest.raises(ValueError, match=r"^interior functionals "
+                           r"\(n=8, rho=1\.0\): the Beta moments of the "
+                           r"polynomial are not finite at node k=1$"):
+            apply_U(8, 1.0, FunctionHandle.from_polynomial(p), 0.5)
+        # at n = 2 only the value at 1 overflows
+        with pytest.raises(ValueError, match=r"^endpoint values "
+                           r"\(n=2, rho=inf\): .* not finite at node k=2$"):
+            apply_U(2, math.inf,
+                    FunctionHandle.from_polynomial(Polynomial([1e308, 1e308])),
+                    0.5)
+
+    def test_ill_conditioned_input_returns_a_value(self):
+        # x(1-x) P_10(2x - 1) in monomial form has sum |a_m| = 1.6e7 and
+        # values below 0.25: as a callable it does not settle, since the
+        # 40- and 80-node rules at node 250 of (256, 1) differ by
+        # 1.1e-10. The moments need no rule. Measured 9.2e-11 off the
+        # reference: 2.3e-9 of sup|U p|, 5.7e-18 of sum |a_m|
+        legendre = np.polynomial.Legendre.basis(10, domain=[0.0, 1.0])
+        p = PSI * Polynomial(legendre.convert(
+            kind=np.polynomial.Polynomial).coef)
+        xs = np.linspace(0.0, 1.0, 33)
+        want = _mp_apply_U(256, 1.0, p, xs)
+        got = apply_U(256, 1.0, FunctionHandle.from_polynomial(p), xs)
+        assert np.max(np.abs(got - want)) <= 3e-10
+        with pytest.raises(ValueError, match=r"k=250 .* does not settle"):
+            apply_U(256, 1.0, _bare(p), xs)
 
 
 def _bernstein_basis_scalar_loop(n, x):
@@ -680,10 +843,7 @@ class TestBernstein:
         for _ in range(8):
             p = Polynomial(rng.uniform(-1, 1, size=int(rng.integers(1, 8))))
             via_poly = poly_eval(apply_U_poly(n, math.inf, p), xs)
-            via_vals = apply_U(
-                n, math.inf,
-                FunctionHandle.from_callable(lambda x, _p=p: poly_eval(_p, x)),
-                xs)
+            via_vals = apply_U(n, math.inf, _bare(p), xs)
             assert np.max(np.abs(via_poly - via_vals)) < 1e-12
 
     def test_sampling_block_against_mpmath_reference(self):
