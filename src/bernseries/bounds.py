@@ -6,12 +6,13 @@ of h at the step
 
     epsilon = sqrt((rho + 2) / (n rho + 2)),
 
-valid once n is large enough that epsilon <= 1/2. Every formula here
-reads rho = r / w through ``operators._homogeneous``, so at rho = inf
-the step is 1/sqrt(n). The sampling-limit counterpart replaces the
-step by 1/sqrt(n) with fixed constants. Grid
-moduli are lower estimates of the true moduli, so verification adds a
-small slack on the bound side rather than ever relaxing the residual.
+valid once n is large enough that epsilon <= 1/2; ``theorem52_rhs`` is
+its one definition. Every formula here reads rho = r / w through
+``operators._homogeneous``, so at rho = inf the step is 1/sqrt(n).
+The sampling-limit counterpart replaces the step by 1/sqrt(n) with
+fixed constants. Grid moduli are lower estimates of the true moduli,
+so verification adds a small slack on the bound side rather than ever
+relaxing the residual.
 The series behind the residual is summed exactly; its fixed truncation
 tolerance enters only the slack and the reported iteration count.
 """
@@ -26,7 +27,6 @@ import numpy as np
 
 from .polyfun import (
     C0Function,
-    FunctionHandle,
     GridSpec,
     _as_handle,
     _require_unit_interval,
@@ -74,25 +74,12 @@ def admissible_n(n: int, rho: float) -> bool:
     return n + _ADMIT_FUZZ >= _admission_threshold(rho)
 
 
-def _bracket52(h: FunctionHandle, n: int, rho: float,
-               grid: GridSpec) -> float:
-    """x-independent factor of the residual bound at (n, rho)."""
-    eps = epsilon_step(n, rho)
-    r, w = _homogeneous(rho)
-    c1 = 2.0 * r / (3.0 * (r + w))
-    w1 = omega(h, 1, eps, grid)
-    w2 = omega(h, 2, eps, grid)
-    c2 = (2.0 * r / (r + w)
-          + c1 * eps
-          + 7.0 * (r + 3.0 * w) / (6.0 * (r + w)))
-    return c1 * eps * w1 + 0.75 * c2 * w2
-
-
 def theorem52_rhs(h, n: int, rho: float, x,
                   grid: Optional[GridSpec] = None):
     """Pointwise residual bound: weight times the modulus bracket.
 
-    Moduli are measured on the supplied grid. Rejects n below the
+    The bound columns of ``check_bound`` and ``convergence_table``
+    read it. Moduli are measured on the supplied grid. Rejects n below the
     admissibility threshold, where the second modulus step would pass
     1/2 and the bound does not apply, and points outside [0, 1], where
     the weight turns negative.
@@ -106,7 +93,14 @@ def theorem52_rhs(h, n: int, rho: float, x,
     handle = _as_handle(h)
     if grid is None:
         grid = DEFAULT_BOUND_GRID
-    bracket = _bracket52(handle, n, rho, grid)
+    eps = epsilon_step(n, rho)
+    r, w = _homogeneous(rho)
+    c1 = 2.0 * r / (3.0 * (r + w))
+    c2 = (2.0 * r / (r + w)
+          + c1 * eps
+          + 7.0 * (r + 3.0 * w) / (6.0 * (r + w)))
+    bracket = (c1 * eps * omega(handle, 1, eps, grid)
+               + 0.75 * c2 * omega(handle, 2, eps, grid))
     return psi_values(x) * bracket
 
 
@@ -213,8 +207,9 @@ def convergence_table(h, rho: float, n_list: Iterable[int],
         vals, _, summed = _residual_profile(n, rho, f, grid.points)
         sup_h = float(np.max(np.abs(vals)))
         if admissible_n(n, rho):
-            bracket = _bracket52(handle, n, rho, grid)
-            sup_rhs = float(np.max(psi_values(grid.points)) * bracket)
+            # the bracket is >= 0, so this is max(psi) * bracket, bit for bit
+            sup_rhs = float(np.max(theorem52_rhs(handle, n, rho,
+                                                 grid.points, grid)))
         else:
             sup_rhs = math.nan
         records.append(ConvergenceRecord(int(n), float(rho), sup_h,

@@ -27,10 +27,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .polyfun import C0Function, FunctionHandle, GridSpec, Polynomial, poly_eval
+from .polyfun import PSI, C0Function, FunctionHandle, GridSpec, Polynomial
 from .operators import _n_rho, apply_U
-from .eigen import compute_eigensystem, limit_eigenvalue
-from .polyfun import PSI, limit_eigenpoly
+from .eigen import _limit_distances, compute_eigensystem
 from .series import apply_series
 from .voronovskaya import _residual_profile
 from .bounds import check_bound, convergence_table
@@ -189,15 +188,10 @@ def _execute(cfg: ExperimentConfig):
         sys_ = compute_eigensystem(n, rho)
         rows = []
         for j in range(n + 1):
-            lam = float(sys_.lambdas[j])
-            gap = abs(n * (lam - 1.0) - limit_eigenvalue(rho, j))
-            pj = sys_.eigenpolys[j]
-            star = limit_eigenpoly(j)
-            dist = float(np.max(np.abs(
-                poly_eval(pj, pts) - poly_eval(star, pts)
-            )))
-            coeffs = ";".join(_fmt(c) for c in pj.coeffs)
-            rows.append([j, lam, gap, dist, coeffs])
+            gap, dist = _limit_distances(n, rho, j, sys_.lambdas,
+                                         sys_.basis, pts)
+            coeffs = ";".join(_fmt(c) for c in sys_.eigenpolys[j].coeffs)
+            rows.append([j, sys_.lambdas[j], gap, dist, coeffs])
         return (["j", "lambda", "gap", "dist_limit", "coeffs"], rows,
                 {"n": n, "rho": rho})
     if cfg.command == "series":

@@ -14,11 +14,12 @@ basis from eigenpolynomials to monomials.
 
 The limiting objects are the scaled eigenvalue slopes, the monic limit
 eigenpolynomials built from Jacobi(1,1) polynomials, and the limit dual
-functionals combining endpoint values with one weighted integral. The
-report helper quantifies how fast the finite-n eigensystem approaches
-these limits; for degrees two and three, and for every degree when rho
-equals one, the finite-n eigenpolynomials already coincide with their
-limits, so the reported distances sit at rounding level there.
+functionals combining endpoint values with one weighted integral.
+``_limit_distances`` is the one definition of how far eigenpair j is
+from its limit, for ``asymptotic_report`` and the CLI's eigen rows; for
+degrees two and three, and for every degree when rho equals one, the
+finite-n eigenpolynomials already coincide with their limits, so the
+distances sit at rounding level there.
 """
 
 from __future__ import annotations
@@ -28,9 +29,12 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .polyfun import (
     DEFAULT_SUP_GRID,
+    C0Function,
+    FunctionHandle,
     GridSpec,
     Polynomial,
     _as_handle,
@@ -190,7 +194,8 @@ def limit_eigenvalue(rho: float, j: int) -> float:
 
 
 def limit_dual(j: int, f) -> float:
-    """Limit dual of index j applied to f, a handle, Polynomial or callable.
+    """Limit dual of index j applied to f, a handle, Polynomial or
+    callable, a ``C0Function`` included (the callable x(1-x) h).
 
     Index 0 averages the endpoint values, index 1 takes their
     difference. Higher indices combine the endpoint values with the
@@ -211,6 +216,8 @@ def limit_dual(j: int, f) -> float:
     """
     if j < 0:
         raise ValueError("index must be nonnegative")
+    if isinstance(f, C0Function):
+        f = FunctionHandle.from_callable(f)
     f = _as_handle(f)
     where = f"limit dual of index {j}"
     f0, f1 = _finite(where, _ENDS, [f(0.0), f(1.0)])
@@ -242,37 +249,38 @@ class AsymptoticRecord:
     dual_gaps: Tuple[float, ...]
 
 
+def _limit_distances(n: int, rho: float, j: int, lam: np.ndarray,
+                     basis: np.ndarray, x) -> Tuple[float, float]:
+    """|n (lam[j] - 1) - limit slope| and the maximum over x of the gap
+    between eigenpolynomial j (column j of basis) and its limit."""
+    gap = abs(n * (lam[j] - 1.0) - limit_eigenvalue(rho, j))
+    star = poly_eval(limit_eigenpoly(j), x)
+    dist = float(np.max(np.abs(npoly.polyval(x, basis[: j + 1, j]) - star)))
+    return gap, dist
+
+
 def asymptotic_report(rho: float, j: int, n_list: Iterable[int],
                       test_polys: Sequence[Polynomial] = (),
                       grid: Optional[GridSpec] = None,
                       ) -> Tuple[AsymptoticRecord, ...]:
     """Quantify convergence of the eigensystem of index j to its limit.
 
-    For each n the record holds |n (lambda - 1) - limit slope|, the
-    sup-grid distance between the monic eigenpolynomial and its limit,
-    and, for each supplied test polynomial, the gap between its
-    finite-n dual coefficient of index j and the limit dual value.
-    Leading blocks of the operator matrix (``_eigenbasis``) keep this
-    cheap for n far beyond the full-matrix cap. ``_eigenbasis`` limits
-    the block size max(j, test degree) to each n and to EIGEN_N_CAP:
-    past the cap the dual gaps are rounding, not convergence.
+    For each n the record holds the ``_limit_distances`` on the grid
+    and, for each supplied test polynomial, the gap between its finite-n
+    dual coefficient of index j and the limit dual value. Leading blocks
+    of the operator matrix (``_eigenbasis``) keep this cheap for n far
+    beyond the full-matrix cap. ``_eigenbasis`` limits the block size
+    max(j, test degree) to each n and to EIGEN_N_CAP: past the cap the
+    dual gaps are rounding, not convergence.
     """
-    _homogeneous(rho)
-    if j < 0:
-        raise ValueError("index must be nonnegative")
     if grid is None:
         grid = DEFAULT_SUP_GRID
     d = max(j, max((p.degree for p in test_polys), default=0))
-    lam_star = limit_eigenvalue(rho, j)
-    p_star = limit_eigenpoly(j)
-    star_vals = poly_eval(p_star, grid.points)
     dual_stars = [limit_dual(j, p) for p in test_polys]
     records = []
     for n in n_list:
         lam, basis = _eigenbasis(n, rho, d)
-        gap = abs(n * (lam[j] - 1.0) - lam_star)
-        pj = Polynomial(basis[: j + 1, j])
-        dist = float(np.max(np.abs(poly_eval(pj, grid.points) - star_vals)))
+        gap, dist = _limit_distances(n, rho, j, lam, basis, grid.points)
         gaps = []
         for p, mu_star in zip(test_polys, dual_stars):
             mu = _solve_upper(basis, p.padded(d + 1))

@@ -19,7 +19,7 @@ operator. Every quantity takes (n, rho): ``u_matrix_leading_block``
 gives the images of e_0 .. e_d at any n >= d, and ``apply_U_poly`` the
 image of a polynomial of any degree. Pointwise, ``apply_U`` blends
 Bernstein coefficients, and the input picks how they are formed. A
-handle that carries a polynomial takes the closed Beta moments of its
+polynomial, bare or in a handle, takes the closed Beta moments of its
 monomials, nested over its coefficients at O(n d) with no quadrature.
 On generic functions the interior functionals are Gauss quadratures
 built for the exact Beta weight, so integrable endpoint singularities
@@ -527,8 +527,8 @@ def apply_U(n: int, rho: float, f: FunctionHandle, x):
 
     The Bernstein coefficients of the result are the endpoint values
     and the n - 1 interior functionals, summed at x by
-    ``_bernstein_sum`` in O(n) per point. A handle that carries a
-    polynomial takes them from the closed Beta moments in one O(n d)
+    ``_bernstein_sum`` in O(n) per point. A ``Polynomial``, bare or in
+    a handle, takes them from the closed Beta moments in one O(n d)
     pass (``_moment_coefficients``), with no quadrature. Any other
     function has its interior functionals evaluated by Beta-weight
     Gauss rules grown from 20 nodes until two sizes agree to QUAD_TOL
@@ -542,6 +542,8 @@ def apply_U(n: int, rho: float, f: FunctionHandle, x):
     """
     _n_rho(n, rho)
     _require_unit_interval(x)
+    if isinstance(f, Polynomial):
+        f = FunctionHandle.from_polynomial(f)
     if isinstance(f, FunctionHandle) and f.poly is not None:
         c = _moment_coefficients(n, rho, f.poly.coeffs)
     else:
@@ -587,7 +589,8 @@ def central_moment(n: int, rho: float, y: float, r: int) -> float:
 def u_norm0(n: int, rho: float) -> float:
     """Operator norm on the pinned space: (n-1) rho / (n rho + 1).
 
-    At rho = inf it is (n-1)/n.
+    At rho = inf it is (n-1)/n. The package's one definition of this
+    contraction factor: the series solves read it.
     """
     r, w = _n_rho(n, rho)
     return (n - 1.0) * r / (n * r + w)

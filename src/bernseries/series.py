@@ -2,11 +2,11 @@
 
 On functions vanishing at both endpoints the operator is a contraction.
 With rho = r / w, where the sampling (Bernstein) operator is the member
-rho = inf, (r, w) = (1, 0), its norm is q = (n-1) r / (n r + w), so the
-scaled Neumann series r/(n r + w) * sum of operator powers converges
-geometrically. One engine sums the series of every member with one
-linear solve against I minus the operator on a finite space; nothing is
-iterated or truncated:
+rho = inf, (r, w) = (1, 0), its norm is q = ``operators.u_norm0``, so
+the scaled Neumann series r/(n r + w) * sum of operator powers
+converges geometrically. One engine sums the series of every member
+with one linear solve against I minus the operator on a finite space;
+nothing is iterated or truncated:
 
 * a monomial solve for inputs carrying polynomial coefficients, at
   every n and every degree up to the cap: the operator is upper
@@ -56,6 +56,7 @@ from .operators import (
     _interior_values,
     _leading_block,
     _n_rho,
+    u_norm0,
 )
 from .eigen import _eigenbasis
 
@@ -111,7 +112,7 @@ def _cofactor_transfer(n: int, rho: float) -> np.ndarray:
     Entry (k-1, j) expands the image of the weight times the degree
     n-2 Bernstein basis polynomial j in the same weighted basis. With
     rho = r / w from ``_homogeneous``, row k-1 is the contraction factor
-    (n-1) r / (n r + w) times the Beta-binomial pmf with n-2 trials and
+    ``u_norm0(n, rho)`` times the Beta-binomial pmf with n-2 trials and
     parameters (k rho + 1, (n-k) rho + 1), whose consecutive ratios are
     (k r + (j+1) w) (n-2-j) / (((n-k) r + (n-2-j) w) (j+1)). It is
     built from these ratios in log space and normalized, so no
@@ -144,7 +145,7 @@ def _cofactor_transfer(n: int, rho: float) -> np.ndarray:
     np.cumsum(W, axis=1, out=W)
     W -= W.max(axis=1, keepdims=True)
     np.exp(W, out=W)
-    W *= (n - 1.0) * r / (n * r + w) / W.sum(axis=1, keepdims=True)
+    W *= u_norm0(n, rho) / W.sum(axis=1, keepdims=True)
     W.flags.writeable = False
     return W
 
@@ -187,7 +188,7 @@ def _sum_series(n: int, rho: float, f: C0Function) -> SeriesResult:
     if not isinstance(f, C0Function):
         raise TypeError("f must be a C0Function")
     scale = r / (n * r + w)
-    q = (n - 1.0) * r / (n * r + w)
+    q = u_norm0(n, rho)
     hp = f.h.poly
     if hp is not None:
         return SeriesResult(_sum_monomial(n, rho, hp, scale), f, q, scale)

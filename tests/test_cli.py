@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bernseries import EIGEN_N_CAP, corpus_entry, voronovskaya
-from bernseries.cli import (OUT_DIR_ENV, ExperimentConfig, _build_parser,
-                            _parse_fn, main)
+from bernseries import EIGEN_N_CAP, GridSpec, corpus_entry, voronovskaya
+from bernseries.cli import (OUT_DIR_ENV, ExperimentConfig, _atomic_write,
+                            _build_parser, _parse_fn, main)
 
 
 @pytest.fixture
@@ -92,6 +92,22 @@ class TestConfigValidation:
             ExperimentConfig(command="series", n_list=[8], rho_list=[1.0],
                              fn=spec)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("command", "plot", "unknown command 'plot'"),
+        ("n_list", [], "at least one n value is required"),
+        ("rho_list", [], "at least one rho value is required"),
+        ("fmt", "xml", "unknown format 'xml'"),
+        ("grid_kind", "random", "unknown grid kind 'random'"),
+        ("grid_size", 1, "grid size must be at least 2"),
+    ])
+    def test_rejects_bad_field(self, field, value, message):
+        # the parser's choices keep most of these out of main; the
+        # configuration checks them for callers that build it directly
+        spec = {"command": "series", "n_list": [8], "rho_list": [1.0],
+                field: value}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ExperimentConfig(**spec)
+
     def test_fields(self):
         # one field carries the function spec
         names = [f.name for f in dataclasses.fields(ExperimentConfig)]
@@ -157,6 +173,16 @@ class TestApplyCommand:
         last = lines[5].split(",")
         assert float(first[1]) == 0.0 and float(first[2]) == 0.0
         assert float(last[1]) == 0.0 and float(last[2]) == 0.0
+
+
+    def test_chebyshev_grid(self, outdir, capsys):
+        code, _, _ = run_cli(
+            ["apply", "--n", "8", "--fn", "h=cheb6", "--grid", "chebyshev",
+             "--grid-size", "9", "--format", "json"], capsys)
+        assert code == 0
+        rows = json.loads((outdir / "apply.json").read_text())["rows"]
+        want = GridSpec.chebyshev(9).points
+        assert [r["x"] for r in rows] == [float(f"{x:.12g}") for x in want]
 
 
 class TestConvergeCommand:
@@ -289,6 +315,24 @@ class TestErrorPaths:
         assert code == 1
         assert err == f"error: {message}\n"
         assert list(outdir.iterdir()) == []
+
+    def test_library_error_is_reported(self, outdir, capsys):
+        # the configuration is valid; the eigensolve refuses the size
+        n = EIGEN_N_CAP + 1
+        code, out, err = run_cli(["eigen", "--n", str(n)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: eigen block size {n} exceeds n={n} or the "
+                       f"eigen cap {EIGEN_N_CAP}\n")
+        assert list(outdir.iterdir()) == []
+
+    def test_failed_write_leaves_no_part_file(self, tmp_path):
+        # a lone surrogate has no UTF-8 form, so the write fails once
+        # the temporary file exists; the file goes and the error stays
+        target = tmp_path / "result.csv"
+        with pytest.raises(UnicodeEncodeError):
+            _atomic_write(str(target), "x\ud800\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_override(self, tmp_path, capsys):
         target = tmp_path / "custom" / "result.csv"

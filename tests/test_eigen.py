@@ -218,6 +218,15 @@ class TestLimitDual:
         )
         assert abs(a - b) < 1e-12
 
+    def test_pinned_function_is_the_callable_it_is(self):
+        # a C0Function is x(1-x) h, so the dual reads it as that
+        # callable, bit for bit
+        h = np.cos
+        for j in range(6):
+            got = limit_dual(j, C0Function(h))
+            want = limit_dual(j, lambda x: x * (1.0 - x) * h(x))
+            assert got.hex() == want.hex()
+
     def test_callable_against_mpmath_reference(self):
         # 30-digit integral against the Jacobi(1,1) polynomial in its
         # explicit sum form. The binomial factor j C(2j, j) / 2 scales

@@ -400,6 +400,20 @@ class TestSupNorm:
 
         assert sup_norm(f) == sup_norm(FunctionHandle.from_callable(f))
 
+    def test_bare_polynomial_is_read_as_its_handle(self, monkeypatch):
+        # the same bits as its handle, and the same work: the grid is
+        # one poly_eval call and the refinement takes the Horner closure
+        from bernseries import polyfun
+        p = Polynomial([0.1, 1.0, -3.0, 2.0])
+        want = sup_norm(FunctionHandle.from_polynomial(p))
+        calls = []
+        real = polyfun.poly_eval
+        monkeypatch.setattr(polyfun, "poly_eval",
+                            lambda q, x: calls.append(np.shape(x))
+                            or real(q, x))
+        assert sup_norm(p).hex() == want.hex()
+        assert calls == [DEFAULT_SUP_GRID.points.shape]
+
     def test_non_finite_value_is_named(self):
         f = FunctionHandle.from_callable(
             lambda x: np.where(np.abs(x - 0.7) < 0.01, np.nan, x))
