@@ -24,13 +24,15 @@ monomials, nested over its coefficients at O(n d) with no quadrature.
 On generic functions the interior functionals are Gauss quadratures
 built for the exact Beta weight, so integrable endpoint singularities
 at small rho are absorbed by the rule instead of being sampled. The
-rules come from the Golub-Welsch method: the interior rules of one
-(n, rho) and size are stacked and diagonalized by batched symmetric
-eigensolves. ``_settle`` is the package's one ladder of rule sizes
-(these rules and the Legendre rules of ``inverse_neg`` and
-``limit_dual``), ``_bernstein_sum`` its one Bernstein blend
-(``apply_U`` and the series), which forms the basis at a point as a
-binomial pmf in log space at O(n) cost. The module needs numpy only.
+rules follow Golub and Welsch: the interior rules of one (n, rho)
+and size are stacked, batched symmetric eigenvalue solves give the
+nodes, and one pass of the three-term recurrence refines each node by
+a Newton step and gives its weight. ``_settle`` is the package's one
+ladder of rule sizes (these rules and the Legendre rules of
+``inverse_neg`` and ``limit_dual``), ``_bernstein_sum`` its one
+Bernstein blend (``apply_U`` and the series), which forms the basis at
+a point as a binomial pmf in log space at O(n) cost. The module needs
+numpy only.
 """
 
 from __future__ import annotations
@@ -95,14 +97,18 @@ def _n_rho(n, rho) -> tuple:
 _ENDS = np.array([0.0, 1.0])
 # The rungs of the interior Beta rules, climbed by ``_settle``.
 _RULE_SIZES = (20, 40, 80)
-# Floats per block of stacked Jacobi matrices handed to one eigensolve:
-# a whole 40-node stack at n = 4096 would hold 52 MB of matrices and
-# eigenvectors, a block holds 4 MB.
-_EIGH_BLOCK = 1 << 18
+# Floats per block of stacked Jacobi matrices handed to one eigensolve.
+# With the complex slopes and values of its recurrence pass a block
+# holds 1.3 MB; a whole 40-node stack at n = 4096 would hold 130 MB.
+_EIGH_BLOCK = 1 << 15
 # Floats of binomial pmf values per block of ``_bernstein_sum``, n + 1
 # per point: a whole 40-node stack at n = 1024 would need 0.3 GB, a
 # block 2 MB.
 _BERNSTEIN_BLOCK = 1 << 18
+# The complex step h of the recurrence pass: p(x + ih) = p(x) + ih p'(x)
+# up to terms in h^2 p'', far below the rounding of p, while h p' stays
+# a normal float.
+_COMPLEX_STEP = 1e-100
 
 
 def _golub_welsch(alpha, beta, size: int) -> tuple:
@@ -110,45 +116,101 @@ def _golub_welsch(alpha, beta, size: int) -> tuple:
 
     One rule of ``size`` nodes per exponent pair (alpha_i, beta_i) of
     the weight t^alpha_i (1-t)^beta_i on (0, 1), as arrays of shape
-    (rows, size) with the nodes ascending. The Jacobi matrix of the
-    weight (1-u)^A (1+u)^B on [-1, 1] with A = beta_i and B = alpha_i
-    is assembled from the monic recurrence coefficients as a dense
-    lower triangle; the stack goes to numpy's batched symmetric
-    eigensolver (LAPACK's divide and conquer) a block of rows at a
-    time. The squared first components of the eigenvectors are the
-    normalized weights, so no Beta function value is ever formed.
+    (rows, size) with the nodes ascending. Each row is built with its
+    smaller exponent at t = 0, where a skewed weight's mass and nodes
+    cluster and t keeps relative precision; a row with alpha_i > beta_i
+    is then mirrored by t -> 1 - t.
+
+    The nodes are the eigenvalues of the Jacobi matrices on (0, 1),
+    from numpy's batched symmetric eigensolver a block of rows at a
+    time. One pass of the orthonormal three-term recurrence over every
+    row and node then gives p_0 .. p_size there. It runs at x + ih (the
+    complex step), so the imaginary parts carry h p'. One Newton step
+    -p_size / p_size' refines each node, and the weights are 1 / S,
+    normalized, where the Christoffel sum S = p_0^2 + ... +
+    p_{size-1}^2 is moved to the refined node to first order by S'. No
+    eigenvector and no Beta function value is formed.
     """
-    A = np.asarray(beta, dtype=float)[:, None]
-    B = np.asarray(alpha, dtype=float)[:, None]
-    k = np.arange(1, size, dtype=float)
-    s = 2.0 * k + A + B
-    diag = np.empty((A.shape[0], size))
-    diag[:, :1] = (B - A) / (A + B + 2.0)
-    diag[:, 1:] = (B * B - A * A) / (s * (s + 2.0))
-    off = np.empty((A.shape[0], size - 1))
-    # The k = 1 coefficient is written in reduced form: the factor
-    # (1 + A + B) cancels against (s - 1), and the unreduced quotient
-    # is 0/0 exactly when A + B = -1.
-    off[:, :1] = (4.0 * (1.0 + A) * (1.0 + B)
-                  / ((A + B + 2.0) ** 2 * (A + B + 3.0)))
-    kk = k[1:]
-    sk = s[:, 1:]
-    off[:, 1:] = (4.0 * kk * (kk + A) * (kk + B) * (kk + A + B)
-                  / (sk * sk * (sk + 1.0) * (sk - 1.0)))
+    alpha = np.asarray(alpha, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    lo = np.minimum(alpha, beta)[:, None]
+    hi = np.maximum(alpha, beta)[:, None]
+    total = lo + hi
+    mass = total + 2.0
+    k = np.arange(1.0, size + 1.0)
+    s = 2.0 * k + total
+    # The diagonal c_0 .. c_{size-1}: the mean of the weight, then the
+    # coefficients (1 + (lo^2 - hi^2) / (s_k s_{k+1})) / 2 of u = 2t - 1
+    # moved to t over one denominator, so no 1 - x cancels near t = 0.
+    diag = np.empty((lo.shape[0], size))
+    diag[:, :1] = (lo + 1.0) / mass
+    diag[:, 1:] = ((k[:-1] * (s[:, :-1] + mass) + total * (lo + 1.0))
+                   / (s[:, :-1] * s[:, 1:]))
+    # The squared off-diagonals b_1^2 .. b_size^2. The k = 1 coefficient
+    # is written in reduced form: the factor (1 + lo + hi) cancels
+    # against (s - 1), and the unreduced quotient is 0/0 exactly when
+    # lo + hi = -1.
+    off = np.empty_like(diag)
+    off[:, :1] = (lo + 1.0) * (hi + 1.0) / (mass * mass * (mass + 1.0))
+    kk, sq = k[1:], s[:, 1:] ** 2
+    off[:, 1:] = (kk * (kk + total) * (kk + lo) * (kk + hi)
+                  / (sq * (sq - 1.0)))
     sub = np.sqrt(off)
+    # The recurrence b_{j+1} p_{j+1} = (x - c_j) p_j - b_j p_{j-1} runs on
+    # q_j = p_j / lam_j with lam_0 = lam_1 = 1 and lam_{j+1} =
+    # lam_{j-1} b_j / b_{j+1}, where it reads q_{j+1} = (x - c_j)
+    # scale_j q_j - q_{j-1}: one product and one difference per step.
+    lam = np.ones((lo.shape[0], size + 1))
+    ratio = sub[:, :-1] / sub[:, 1:]
+    np.cumprod(ratio[:, 0::2], axis=1, out=lam[:, 2::2])
+    np.cumprod(ratio[:, 1::2], axis=1, out=lam[:, 3::2])
+    scale = lam[:, :-1] / (lam[:, 1:] * sub)
     nodes = np.empty_like(diag)
     weights = np.empty_like(diag)
-    i = np.arange(size)
-    step = max(1, _EIGH_BLOCK // (size * size))
-    for lo in range(0, diag.shape[0], step):
-        block = slice(lo, lo + step)
-        J = np.zeros((diag[block].shape[0], size, size))
-        J[:, i, i] = diag[block]
-        J[:, i[1:], i[:-1]] = sub[block]
-        nodes_u, vecs = np.linalg.eigh(J, UPLO="L")
-        nodes[block] = (nodes_u + 1.0) / 2.0
-        weights[block] = vecs[:, 0, :] ** 2
+    step = max(1, min(diag.shape[0], _EIGH_BLOCK // (size * size)))
+    J = np.zeros((step, size * size))
+    slopes = np.empty((size, step, size), dtype=complex)
+    values = np.empty((size + 2, step, size), dtype=complex)
+    for first in range(0, diag.shape[0], step):
+        block = slice(first, first + step)
+        rows = diag[block].shape[0]
+        J[:rows, ::size + 1] = diag[block]
+        J[:rows, size::size + 1] = sub[block, :-1]
+        x = np.linalg.eigvalsh(J[:rows].reshape(rows, size, size), UPLO="L")
+        # slopes[j] = (x + ih - c_j) scale_j; values[j + 1] = q_j
+        slope = slopes[:, :rows]
+        parts = slope.view(float)
+        np.subtract(x, diag[block].T[:, :, None], out=parts[..., 0::2])
+        parts[..., 0::2] *= scale[block].T[:, :, None]
+        np.multiply(_COMPLEX_STEP, scale[block].T[:, :, None],
+                    out=parts[..., 1::2])
+        q = values[:, :rows]
+        q[0] = 0.0
+        q[1] = 1.0
+        seq = list(q)
+        for slope_j, prev, cur, nxt in zip(slope, seq, seq[1:], seq[2:]):
+            np.multiply(slope_j, cur, nxt)
+            np.subtract(nxt, prev, nxt)
+        # newton = p_size / (h p_size'), and the Newton step is -h newton
+        newton = q[-1].real / q[-1].imag
+        # christoffel = S + ih S' from (p_j + ih p_j')^2
+        p = q[1:-1]
+        p *= lam[block, :-1].T[:, :, None]
+        np.square(p, out=p)
+        christoffel = p.sum(axis=0)
+        w = 1.0 / (christoffel.real - newton * christoffel.imag)
+        nodes[block] = x - _COMPLEX_STEP * newton
+        weights[block] = w / w.sum(axis=1, keepdims=True)
+    _mirror(nodes, weights, alpha > beta)
     return nodes, weights
+
+
+def _mirror(nodes, weights, flip) -> None:
+    """Reflect the rules of the rows ``flip`` by t -> 1 - t, in place:
+    the rule of t^a (1-t)^b becomes the rule of t^b (1-t)^a."""
+    if flip.any():
+        nodes[flip] = 1.0 - nodes[flip, ::-1]
+        weights[flip] = weights[flip, ::-1]
 
 
 def _rule_defect(nodes, weights, alpha, beta):
@@ -429,9 +491,7 @@ def _interior_rules(n: int, rho: float, size: int, ks) -> tuple:
     nodes, weights = _golub_welsch(low * rho - 1.0, (n - low) * rho - 1.0,
                                    size)
     nodes, weights = nodes[row], weights[row]
-    flip = ks > n - ks
-    nodes[flip] = 1.0 - nodes[flip, ::-1]
-    weights[flip] = weights[flip, ::-1]
+    _mirror(nodes, weights, ks > n - ks)
     defect = _rule_defect(nodes, weights, ks * rho - 1.0,
                           (n - ks) * rho - 1.0)
     if defect is not None:
