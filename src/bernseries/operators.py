@@ -100,6 +100,8 @@ _RULE_SIZES = (20, 40, 80)
 # Floats per block of stacked Jacobi matrices handed to one eigensolve.
 # With the complex slopes and values of its recurrence pass a block
 # holds 1.3 MB; a whole 40-node stack at n = 4096 would hold 130 MB.
+# Twice this is 7-10% faster on the 80-node stack at n = 4096 but
+# 6-24% slower on the 80-node stacks at n = 32 to 128.
 _EIGH_BLOCK = 1 << 15
 # Floats of binomial pmf values per block of ``_bernstein_sum``, n + 1
 # per point: a whole 40-node stack at n = 1024 would need 0.3 GB, a
