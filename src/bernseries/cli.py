@@ -123,17 +123,6 @@ class ExperimentConfig:
         return os.path.join(base, f"{self.command}.{self.fmt}")
 
 
-def _fmt(v) -> str:
-    v = float(v)
-    if v == 0.0:
-        v = 0.0  # collapse negative zero
-    return f"{v:.12g}"
-
-
-def _round12(v) -> float:
-    return float(_fmt(v))
-
-
 def _parse_fn(spec: str) -> Tuple[str, Polynomial]:
     """The key ("h" or "f") of a function spec and its polynomial."""
     if "=" not in spec:
@@ -170,7 +159,8 @@ def _parse_fn(spec: str) -> Tuple[str, Polynomial]:
 
 
 def _execute(cfg: ExperimentConfig):
-    """Dispatch to the library; returns (header, rows, summary)."""
+    """Dispatch to the library; returns (header, columns, summary), one
+    column of values per header name."""
     grid = cfg.grid()
     pts = grid.points
     if cfg.command == "apply":
@@ -179,103 +169,117 @@ def _execute(cfg: ExperimentConfig):
         if key == "h":
             poly = PSI * poly
         f = FunctionHandle.from_polynomial(poly)
-        uvals = apply_U(n, rho, f, pts)
-        fvals = f(pts)
-        rows = [[x, fv, uv] for x, fv, uv in zip(pts, fvals, uvals)]
-        return ["x", "f_value", "u_value"], rows, {"n": n, "rho": rho}
+        columns = [pts, f(pts), apply_U(n, rho, f, pts)]
+        return ["x", "f_value", "u_value"], columns, {"n": n, "rho": rho}
     if cfg.command == "eigen":
         n, rho = cfg.n_list[0], cfg.rho_list[0]
         sys_ = compute_eigensystem(n, rho)
-        rows = []
-        for j in range(n + 1):
-            gap, dist = _limit_distances(n, rho, j, sys_.lambdas,
-                                         sys_.basis, pts)
-            coeffs = ";".join(_fmt(c) for c in sys_.eigenpolys[j].coeffs)
-            rows.append([j, sys_.lambdas[j], gap, dist, coeffs])
-        return (["j", "lambda", "gap", "dist_limit", "coeffs"], rows,
+        gaps, dists = zip(*(_limit_distances(n, rho, j, sys_.lambdas,
+                                             sys_.basis, pts)
+                            for j in range(n + 1)))
+        coeffs = [";".join(_column_texts("coeffs", p.coeffs, "csv"))
+                  for p in sys_.eigenpolys]
+        columns = [range(n + 1), sys_.lambdas, gaps, dists, coeffs]
+        return (["j", "lambda", "gap", "dist_limit", "coeffs"], columns,
                 {"n": n, "rho": rho})
     if cfg.command == "series":
         n, rho = cfg.n_list[0], cfg.rho_list[0]
         f = C0Function(cfg.cofactor())
         res = apply_series(n, rho, f)
-        vals = res.value(pts)
-        rows = [[x, v] for x, v in zip(pts, vals)]
-        return ["x", "value"], rows, {
+        return ["x", "value"], [pts, res.value(pts)], {
             "n": n, "rho": rho, "iters": res.iterations,
         }
     if cfg.command == "voronovskaya":
         n, rho = cfg.n_list[0], cfg.rho_list[0]
         resid, inv, _ = _residual_profile(n, rho, cfg.cofactor(), pts)
-        rows = [[x, iv, rv] for x, iv, rv in zip(pts, inv, resid)]
-        return (["x", "inverse_value", "residual"], rows,
+        return (["x", "inverse_value", "residual"], [pts, inv, resid],
                 {"n": n, "rho": rho})
     if cfg.command == "converge":
         h = cfg.cofactor()
-        rows = []
-        for rho in cfg.rho_list:
-            recs = convergence_table(h, rho, cfg.n_list, grid)
-            for r in recs:
-                rows.append([r.n, r.rho, r.sup_h, r.sup_rhs, r.iterations])
-        return ["n", "rho", "sup_H", "sup_rhs", "iters"], rows, None
+        recs = [r for rho in cfg.rho_list
+                for r in convergence_table(h, rho, cfg.n_list, grid)]
+        columns = [[getattr(r, field) for r in recs]
+                   for field in ("n", "rho", "sup_h", "sup_rhs",
+                                 "iterations")]
+        return ["n", "rho", "sup_H", "sup_rhs", "iters"], columns, None
     if cfg.command == "bound":
         n, rho = cfg.n_list[0], cfg.rho_list[0]
         h = cfg.cofactor()
         rep = check_bound(h, n, rho, grid)
-        rows = [[x, lv, rv, rv - lv]
-                for x, lv, rv in zip(pts, rep.lhs, rep.rhs)]
+        columns = [pts, rep.lhs, rep.rhs, rep.rhs - rep.lhs]
         summary = {
             "n": rep.n, "rho": rep.rho, "epsilon": rep.epsilon,
             "margin": rep.margin, "satisfied": rep.satisfied,
             "slack": rep.slack, "iters": rep.iterations,
         }
-        return ["x", "lhs", "rhs", "margin"], rows, summary
+        return ["x", "lhs", "rhs", "margin"], columns, summary
     raise ValueError(f"unknown command {cfg.command!r}")
 
 
-def _cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return _fmt(v)
+def _column_texts(key: str, column, fmt: str) -> List[str]:
+    """The cell texts of one column in ``fmt`` ("csv" or "json").
+
+    The column's numpy dtype picks the text: bools are true/false, ints
+    and strings print as they are (JSON quotes strings), and floats
+    print to 12 significant digits, %.12g in CSV and the shortest repr
+    of that rounding in JSON, with -0.0 as 0. A NaN is nan in CSV and
+    null in JSON; an infinite rho is inf in CSV and "inf" in JSON, the
+    token --rho reads; any other infinity is an error in JSON rather
+    than a non-JSON token.
+    """
+    arr = np.asarray(column)
+    kind = arr.dtype.kind
+    if kind == "b":
+        return ["true" if v else "false" for v in arr.tolist()]
+    if kind in "iu":
+        return [str(v) for v in arr.tolist()]
+    if kind == "U":
+        values = arr.tolist()
+        return values if fmt == "csv" else [json.dumps(v) for v in values]
+    arr = arr.astype(float, copy=False) + 0.0  # -0.0 + 0.0 is 0.0
+    values = arr.tolist()
+    if fmt == "csv":
+        return [f"{v:.12g}" for v in values]
+    texts = [repr(float(f"{v:.12g}")) for v in values]
+    for i in np.flatnonzero(~np.isfinite(arr)).tolist():
+        v = values[i]
+        if math.isnan(v):
+            texts[i] = "null"
+        elif key == "rho" and v == math.inf:
+            texts[i] = '"inf"'
+        else:
+            raise ValueError(f"column {key!r}, row {i}: {v} has no JSON "
+                             "form; only rho may be inf")
+    return texts
 
 
-def _render_csv(header, rows, summary) -> str:
+def _render_csv(header, columns, summary) -> str:
+    texts = [_column_texts(k, col, "csv") for k, col in zip(header, columns)]
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+    lines += [",".join(cells) for cells in zip(*texts)]
     if summary:
-        for key, val in summary.items():
-            lines.append(f"# {key}={_cell(val)}")
+        lines += [f"# {k}={_column_texts(k, [v], 'csv')[0]}"
+                  for k, v in summary.items()]
     return "\n".join(lines) + "\n"
 
 
-def _render_json(command, header, rows, summary) -> str:
-    """JSON text of a result; NaN is written as null and rho = inf as
-    "inf", the token --rho reads, and any other non-finite value is an
-    error rather than a non-JSON token."""
-    def jval(key, v):
-        if isinstance(v, (bool, str)):
-            return v
-        if isinstance(v, (int, np.integer)):
-            return int(v)
-        v = float(v)
-        if key == "rho" and v == math.inf:
-            return "inf"
-        return None if math.isnan(v) else _round12(v)
-
-    def record(keys, values):
-        return {k: jval(k, v) for k, v in zip(keys, values)}
-
-    doc = {
-        "command": command,
-        "rows": [record(header, row) for row in rows],
-    }
+def _render_json(command, header, columns, summary) -> str:
+    """The JSON text of a result: the layout of ``json.dumps(doc,
+    indent=2)`` on {"command", "rows": [one object per row], "summary"},
+    written from one row template filled with each row's cell texts."""
+    texts = [_column_texts(k, col, "json") for k, col in zip(header, columns)]
+    template = "    {\n" + ",\n".join(
+        "      " + json.dumps(k).replace("%", "%%") + ": %s" for k in header
+    ) + "\n    }"
+    rows = ",\n".join(template % cells for cells in zip(*texts))
+    parts = ["{\n  \"command\": ", json.dumps(command), ",\n  \"rows\": ",
+             f"[\n{rows}\n  ]" if rows else "[]"]
     if summary:
-        doc["summary"] = record(summary, summary.values())
-    return json.dumps(doc, indent=2, sort_keys=False, allow_nan=False) + "\n"
+        parts += [",\n  \"summary\": {\n", ",\n".join(
+            f"    {json.dumps(k)}: {_column_texts(k, [v], 'json')[0]}"
+            for k, v in summary.items()), "\n  }"]
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def _atomic_write(path: str, text: str):

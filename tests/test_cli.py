@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,8 @@ import pytest
 
 from bernseries import EIGEN_N_CAP, GridSpec, corpus_entry, voronovskaya
 from bernseries.cli import (OUT_DIR_ENV, ExperimentConfig, _atomic_write,
-                            _build_parser, _parse_fn, main)
+                            _build_parser, _parse_fn, _render_csv,
+                            _render_json, main)
 
 
 @pytest.fixture
@@ -341,6 +343,86 @@ class TestErrorPaths:
         assert code == 0
         assert target.exists()
         assert str(target) in out
+
+
+def _no_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+# One call per subcommand, each with the cell kinds its JSON must hold.
+FORMAT_CASES = {
+    "apply": ["apply", "--n", "8", "--rho", "1", "--fn", "f=0,0,0,1"],
+    "eigen": ["eigen", "--n", "6", "--rho", "0.5"],  # str coeffs
+    "series": ["series", "--n", "16", "--rho", "1", "--fn", "h=cheb6"],
+    "voronovskaya": ["voronovskaya", "--n", "16", "--rho", "1",
+                     "--fn", "h=square"],
+    # rho = 1 admits n >= 10, so the n = 4 and 8 rows carry a null bound
+    "converge": ["converge", "--n", "4,8,16", "--rho", "1",
+                 "--fn", "h=affine"],
+    "bound": ["bound", "--n", "32", "--rho", "1", "--fn", "h=absdev8"],
+}
+
+
+class TestOutputFormat:
+    @pytest.mark.parametrize("rho", [None, "inf"])
+    @pytest.mark.parametrize("command", sorted(FORMAT_CASES))
+    def test_json_is_the_indent_2_layout(self, command, rho, tmp_path,
+                                         capsys):
+        argv = FORMAT_CASES[command] + ["--grid-size", "9"]
+        if rho is not None:
+            argv[argv.index("--rho") + 1] = rho
+        out = tmp_path / "out.json"
+        code, _, err = run_cli(argv + ["--format", "json", "--out",
+                                       str(out)], capsys)
+        assert code == 0, err
+        text = out.read_text()
+        doc = json.loads(text, parse_constant=_no_constant)
+        assert text == json.dumps(doc, indent=2) + "\n"
+        rows = doc["rows"]
+        if rho == "inf":
+            assert doc.get("summary", rows[0])["rho"] == "inf"
+        elif command == "converge":
+            assert [r["sup_rhs"] is None for r in rows] == [True, True, False]
+        elif command == "bound":
+            assert doc["summary"]["satisfied"] is True
+        elif command == "eigen":
+            assert all(isinstance(r["coeffs"], str) for r in rows)
+            assert rows[2]["coeffs"].count(";") == 2
+
+    def test_csv_pinned_on_a_mixed_table(self):
+        header = ["flag", "count", "big", "name", "v", "w", "rho"]
+        columns = [
+            [True, False, True],
+            [0, 7, -3],
+            [np.int64(2**40), np.int64(1), np.int64(-1)],
+            ["0;0.5", "x", ""],
+            [-0.0, math.nan, math.inf],
+            np.array([1.0 / 3.0, -math.inf, 1e-20]),
+            [math.inf, 0.5, 10.0],
+        ]
+        summary = {"n": np.int64(8), "rho": math.inf, "satisfied": False,
+                   "slack": -0.0, "iters": 12}
+        assert _render_csv(header, columns, summary) == (
+            "flag,count,big,name,v,w,rho\n"
+            "true,0,1099511627776,0;0.5,0,0.333333333333,inf\n"
+            "false,7,1,x,nan,-inf,0.5\n"
+            "true,-3,-1,,inf,1e-20,10\n"
+            "# n=8\n"
+            "# rho=inf\n"
+            "# satisfied=false\n"
+            "# slack=0\n"
+            "# iters=12\n"
+        )
+        assert _render_csv(["x", "value"], [[], np.empty(0)], None) == (
+            "x,value\n")
+        assert _render_csv(["x"], [[]], {"n": 3}) == "x\n# n=3\n"
+
+    def test_json_of_an_empty_table(self):
+        text = _render_json("series", ["x", "value"], [[], np.empty(0)],
+                            {"n": 3, "rho": math.inf})
+        assert text == json.dumps(
+            {"command": "series", "rows": [],
+             "summary": {"n": 3, "rho": "inf"}}, indent=2) + "\n"
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

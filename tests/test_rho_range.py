@@ -235,10 +235,18 @@ def test_cli_accepts_infinite_rho(command, tmp_path, capsys):
 
 def test_json_rejects_other_infinities():
     # only rho has a token for inf; NaN is null
-    assert json.loads(_render_json("c", ["rho", "v"], [[math.inf, math.nan]],
+    assert json.loads(_render_json("c", ["rho", "v"], [[math.inf], [math.nan]],
                                    None))["rows"] == [{"rho": "inf", "v": None}]
     with pytest.raises(ValueError):
-        _render_json("c", ["rho", "v"], [[1.0, math.inf]], None)
+        _render_json("c", ["rho", "v"], [[1.0], [math.inf]], None)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf])
+def test_json_infinity_error_names_column_and_row(bad):
+    with pytest.raises(ValueError, match=r"^column 'v', row 1: "):
+        _render_json("c", ["rho", "v"], [[1.0, 2.0], [0.5, bad]], None)
+    with pytest.raises(ValueError, match=r"^column 'rho', row 0: -inf "):
+        _render_json("c", ["rho"], [[-math.inf]], None)
 
 
 @pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
