@@ -39,6 +39,7 @@ from .polyfun import (
     Polynomial,
     _as_handle,
     _finite,
+    _require_index,
     _solve_upper,
     jacobi11,
     limit_eigenpoly,
@@ -82,7 +83,8 @@ def eigenvalue(n: int, rho: float, j: int) -> float:
     factors are (n-i)/n, the eigenvalues of the Bernstein operator.
     """
     r, w = _n_rho(n, rho)
-    if not 0 <= j <= n:
+    _require_index(j)
+    if j > n:
         raise ValueError(f"index {j} outside 0..{n}")
     return float(_eigenvalues(n, r, w, j)[j])
 
@@ -188,8 +190,7 @@ def limit_eigenvalue(rho: float, j: int) -> float:
     At rho = inf the factor is 1/2.
     """
     r, w = _homogeneous(rho)
-    if j < 0:
-        raise ValueError("index must be nonnegative")
+    _require_index(j)
     return -((r + w) / (2.0 * r)) * (j - 1.0) * j
 
 
@@ -214,8 +215,7 @@ def limit_dual(j: int, f) -> float:
     the value, so the accuracy falls as j grows: on cos the value at
     j = 8 is off by 6.6e-11 absolute and at j = 10 by 0.4% relative.
     """
-    if j < 0:
-        raise ValueError("index must be nonnegative")
+    _require_index(j)
     if isinstance(f, C0Function):
         f = FunctionHandle.from_callable(f)
     f = _as_handle(f)

@@ -5,9 +5,10 @@ polynomials with parameters (1, 1), the limit eigenpolynomials they
 generate, and grid-based estimators for sup norms and moduli of
 smoothness. Everything else in the package is built on these types.
 
-Coefficient arithmetic is double precision. Degrees are capped at
-DEGREE_CAP because the monomial basis loses accuracy well before
-degree 100; the cap is enforced at construction time.
+Coefficient arithmetic is double precision; the Jacobi(1,1) polynomials
+and limit eigenpolynomials come from one closed form in integers, each
+coefficient rounded once. Degrees are capped at DEGREE_CAP, on
+construction, because the monomial basis loses accuracy before 100.
 """
 
 from __future__ import annotations
@@ -354,70 +355,66 @@ def _solve_upper(U: np.ndarray, b) -> np.ndarray:
     return x
 
 
-@functools.lru_cache(maxsize=None)
-def _jacobi11_exact(k: int) -> tuple:
-    """Rational monomial coefficients of jacobi11(k), built from k-1 and k-2."""
-    # Imported here: fractions pulls in decimal, which import time
-    # would otherwise pay for.
-    from fractions import Fraction
-
-    if k < 2:
-        return (Fraction(1),) if k == 0 else (Fraction(0), Fraction(2))
-    zero = Fraction(0)
-    shifted = (zero,) + _jacobi11_exact(k - 1)
-    prev = _jacobi11_exact(k - 2) + (zero, zero)
-    return tuple(((2 * k + 1) * (k + 1) * c - k * (k + 1) * p) / (k * (k + 2))
-                 for c, p in zip(shifted, prev))
+def _require_index(j, name: str = "index") -> None:
+    """The one check of a family index or degree: an integer (Python or
+    numpy, not a bool) of at least 0, or a ValueError names it."""
+    if (not isinstance(j, (int, np.integer)) or isinstance(j, bool)
+            or j < 0):
+        raise ValueError(f"{name} must be an integer of at least 0, got {j}")
 
 
-@functools.lru_cache(maxsize=None)
+def _jacobi11_terms(k: int) -> list:
+    """The integers A_m = C(k+1, k-m) C(k+m+2, m), m = 0..k, of the
+    hypergeometric sum for the degree-k Jacobi(1,1) polynomial (DLMF
+    18.5), P_k(z) = sum_m A_m ((z - 1)/2)^m; by P_k(-z) = (-1)^k P_k(z)
+    also P_k(2x - 1) = sum_m (-1)^(k+m) A_m x^m."""
+    return [math.comb(k + 1, k - m) * math.comb(k + m + 2, m)
+            for m in range(k + 1)]
+
+
+# typed, here and in limit_eigenpoly: a bool or a float equal to a
+# cached key must reach the index check
+@functools.lru_cache(maxsize=None, typed=True)
 def jacobi11(k: int) -> Polynomial:
     """Jacobi polynomial with both parameters 1, degree k, on [-1, 1].
 
-    Standard normalization, generated by the three-term recurrence in
-    exact rational arithmetic and rounded to double precision once. The
-    endpoint identity value(1) = k + 1 is checked exactly on the
-    rational coefficients, as a guard on the recurrence coefficients;
-    from degree 23 their absolute sum exceeds 1e8, too much for a
-    floating-point sum to confirm.
+    Standard normalization, from ``_jacobi11_terms``: coefficient i is
+    N_i / 2^k, rounded to double precision once by int true division,
+    with the integers N_i = sum over m >= i of (-1)^(m-i) A_m C(m, i)
+    2^(k-m). The endpoint identity value(1) = k + 1, sum N_i =
+    (k + 1) 2^k, is checked on the integers: from degree 23 the
+    coefficients are too large for a float sum to confirm it.
     """
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    exact = _jacobi11_exact(k)
-    if sum(exact) != k + 1:
-        raise RuntimeError(
-            f"recurrence check failed at degree {k}: value(1)={sum(exact)}"
-        )
-    return Polynomial([float(c) for c in exact])
+    _require_index(k, "degree")
+    a = _jacobi11_terms(k)
+    num = [sum((-1) ** (m - i) * a[m] * math.comb(m, i) * 2 ** (k - m)
+               for m in range(i, k + 1))
+           for i in range(k + 1)]
+    if sum(num) != (k + 1) * 2 ** k:
+        raise RuntimeError(f"closed-form check failed at degree {k}")
+    return Polynomial([c / 2 ** k for c in num])
 
 
-def _compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    out = np.array([0.0])
-    for c in outer[::-1]:
-        out = npoly.polyadd(npoly.polymul(out, inner), np.array([c]))
-    return out
-
-
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def limit_eigenpoly(j: int) -> Polynomial:
     """Monic limit eigenpolynomial of degree j.
 
     Degree 0 gives 1 and degree 1 gives x - 1/2. For j >= 2 the result
     is the monic multiple of x(x-1) times the degree-(j-2) Jacobi(1,1)
-    polynomial evaluated at 2x - 1; it vanishes at both endpoints.
+    polynomial evaluated at 2x - 1; it vanishes at both endpoints. The
+    product is formed in integers from ``_jacobi11_terms`` and each
+    coefficient is divided by the leading one, C(2j - 2, j - 2), and
+    rounded to double precision once.
     """
-    if j < 0:
-        raise ValueError("index must be nonnegative")
+    _require_index(j)
     if j == 0:
         return Polynomial([1.0])
     if j == 1:
         return Polynomial([-0.5, 1.0])
-    inner = np.array([-1.0, 2.0])
-    core = _compose(jacobi11(j - 2).coeffs, inner)
-    full = npoly.polymul(np.array([0.0, -1.0, 1.0]), core)
-    monic = full / full[-1]
-    monic[-1] = 1.0
-    return Polynomial(monic)
+    a = [(-1) ** (j + m) * t for m, t in enumerate(_jacobi11_terms(j - 2))]
+    # (x^2 - x) P_{j-2}(2x - 1): coefficient i is a[i-2] - a[i-1]
+    full = [hi - lo for hi, lo in zip([0, 0] + a, [0] + a + [0])]
+    return Polynomial([c / full[-1] for c in full])
 
 
 def _finite(caller: str, x: np.ndarray, vals) -> np.ndarray:

@@ -20,6 +20,7 @@ from bernseries import (
     dual_coefficients,
     eigenvalue,
     inverse_neg_polynomial,
+    jacobi11,
     limit_dual,
     limit_eigenpoly,
     limit_eigenvalue,
@@ -144,6 +145,38 @@ def test_one_message_past_the_eigen_cap(n, call):
     want = f"eigen block size {d} exceeds n={n} or the eigen cap {EIGEN_N_CAP}"
     with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         call(n, d)
+
+
+@pytest.mark.parametrize("j", [2.5, True, -1],
+                         ids=["float", "bool", "negative"])
+@pytest.mark.parametrize("call", [
+    jacobi11,
+    limit_eigenpoly,
+    lambda j: limit_dual(j, np.cos),
+    lambda j: limit_eigenvalue(1.0, j),
+    lambda j: eigenvalue(8, 1.0, j),
+], ids=["jacobi11", "limit_eigenpoly", "limit_dual", "limit_eigenvalue",
+        "eigenvalue"])
+def test_one_message_for_a_bad_index(call, j):
+    # the family index or degree is an integer (Python or numpy, not a
+    # bool) of at least 0; 2.5 used to fail deep inside or return a
+    # value, and True passed as 1
+    if j is True:
+        # an equal numpy key in a function's cache must not let it by
+        call(np.int64(1))
+    with pytest.raises(ValueError,
+                       match=f"must be an integer of at least 0, got {j}$"):
+        call(j)
+
+
+def test_numpy_integer_index():
+    three = np.int64(3)
+    assert np.array_equal(jacobi11(three).coeffs, jacobi11(3).coeffs)
+    assert np.array_equal(limit_eigenpoly(three).coeffs,
+                          limit_eigenpoly(3).coeffs)
+    assert limit_eigenvalue(1.0, three) == limit_eigenvalue(1.0, 3)
+    assert eigenvalue(8, 1.0, three) == eigenvalue(8, 1.0, 3)
+    assert limit_dual(three, np.cos) == limit_dual(3, np.cos)
 
 
 class TestDualCoefficients:

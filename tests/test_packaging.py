@@ -16,7 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "bernseries"
 
 # Imports the package and runs one CLI call per subcommand, then prints
-# every loaded scipy module on the last line.
+# every loaded fractions or decimal module on one line and every loaded
+# scipy module on the last line.
 _SESSION = """
 import sys
 import bernseries
@@ -31,6 +32,7 @@ for argv in (
     ["bound", "--n", "16", "--fn", "h=affine", "--grid-size", "9"],
 ):
     assert cli.main(argv + ["--out", f"{out}/{argv[0]}.csv"]) == 0, argv
+print(sorted(m for m in sys.modules if m in ("fractions", "decimal")))
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
@@ -108,15 +110,27 @@ def test_imports_equal_declared_dependencies():
     assert _third_party_imports() == declared
 
 
-def test_cli_session_loads_no_scipy(tmp_path):
+@pytest.fixture(scope="module")
+def session_lines(tmp_path_factory):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _SESSION, str(tmp_path)],
+    out = tmp_path_factory.mktemp("session")
+    proc = subprocess.run([sys.executable, "-c", _SESSION, str(out)],
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return proc.stdout.splitlines()
+
+
+def test_cli_session_loads_no_scipy(session_lines):
+    assert session_lines[-1] == "[]"
+
+
+def test_cli_session_loads_no_fractions_or_decimal(session_lines):
+    # the Jacobi(1,1) family is built in integers; fractions (which
+    # imports decimal) cost every cold eigen call its import
+    assert session_lines[-2] == "[]"
 
 
 def test_package_exports_match_the_modules():

@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -226,6 +227,33 @@ class TestSolveUpper:
             assert np.array_equal(_solve_upper(basis, b), want)
 
 
+def _jacobi11_fractions(k_max):
+    """Exact rational monomial coefficients of the Jacobi(1,1)
+    polynomials of degrees 0..k_max, by the three-term recurrence
+    k (k + 2) P_k = (2k + 1)(k + 1) z P_{k-1} - k (k + 1) P_{k-2}."""
+    out = [[Fraction(1)], [Fraction(0), Fraction(2)]]
+    for k in range(2, k_max + 1):
+        shifted = [Fraction(0)] + out[k - 1]
+        prev = out[k - 2] + [Fraction(0), Fraction(0)]
+        out.append([((2 * k + 1) * (k + 1) * c - k * (k + 1) * p)
+                    / (k * (k + 2)) for c, p in zip(shifted, prev)])
+    return out
+
+
+def _limit_fractions(core):
+    """Exact monic coefficients of x(x - 1) core(2x - 1)."""
+    shifted = core[-1:]
+    for c in reversed(core[:-1]):
+        # shifted * (2x - 1) + c
+        shifted = [2 * lo - hi for lo, hi in
+                   zip([Fraction(0)] + shifted, shifted + [Fraction(0)])]
+        shifted[0] += c
+    full = [lo - hi for lo, hi in
+            zip([Fraction(0), Fraction(0)] + shifted,
+                [Fraction(0)] + shifted + [Fraction(0)])]
+    return [c / full[-1] for c in full]
+
+
 class TestJacobi:
     def test_first_few(self):
         assert np.array_equal(jacobi11(0).coeffs, [1.0])
@@ -253,15 +281,32 @@ class TestJacobi:
 
     def test_every_degree_under_the_cap(self):
         # the float sum of the coefficients drifts from k + 1 by more
-        # than 1e-10 (k + 1) from degree 23; the exact check must not
+        # than 1e-10 (k + 1) from degree 23; the integer check of
+        # value(1) must not
         for k in range(DEGREE_CAP - 1):
             p = jacobi11(k)
             assert p.degree == k
             # parity (-1)^k: the coefficients of the other parity are 0
             assert np.all(p.coeffs[(k + 1) % 2::2] == 0.0)
 
+    def test_exact_rationals_rounded_once(self):
+        # against the rational recurrence, bit for bit at every degree
+        for k, exact in enumerate(_jacobi11_fractions(DEGREE_CAP)):
+            want = np.array([float(c) for c in exact])
+            assert jacobi11(k).coeffs.tobytes() == want.tobytes(), k
+
 
 class TestLimitEigenpoly:
+    def test_exact_rationals_rounded_once(self):
+        # every coefficient is the exact monic rational rounded once,
+        # the signs of the smallest ones from degree 52 included
+        cores = _jacobi11_fractions(DEGREE_CAP - 2)
+        exact = [[Fraction(1)], [Fraction(-1, 2), Fraction(1)]]
+        exact += [_limit_fractions(core) for core in cores]
+        for j, coeffs in enumerate(exact):
+            want = np.array([float(c) for c in coeffs])
+            assert limit_eigenpoly(j).coeffs.tobytes() == want.tobytes(), j
+
     def test_low_degrees(self):
         assert np.array_equal(limit_eigenpoly(0).coeffs, [1.0])
         assert np.array_equal(limit_eigenpoly(1).coeffs, [-0.5, 1.0])
