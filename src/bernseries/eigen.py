@@ -83,7 +83,7 @@ def eigenvalue(n: int, rho: float, j: int) -> float:
     factors are (n-i)/n, the eigenvalues of the Bernstein operator.
     """
     r, w = _n_rho(n, rho)
-    _require_index(j)
+    j = _require_index(j)
     if j > n:
         raise ValueError(f"index {j} outside 0..{n}")
     return float(_eigenvalues(n, r, w, j)[j])
@@ -190,7 +190,7 @@ def limit_eigenvalue(rho: float, j: int) -> float:
     At rho = inf the factor is 1/2.
     """
     r, w = _homogeneous(rho)
-    _require_index(j)
+    j = _require_index(j)
     return -((r + w) / (2.0 * r)) * (j - 1.0) * j
 
 
@@ -215,7 +215,7 @@ def limit_dual(j: int, f) -> float:
     the value, so the accuracy falls as j grows: on cos the value at
     j = 8 is off by 6.6e-11 absolute and at j = 10 by 0.4% relative.
     """
-    _require_index(j)
+    j = _require_index(j)
     if isinstance(f, C0Function):
         f = FunctionHandle.from_callable(f)
     f = _as_handle(f)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -355,12 +356,18 @@ def _solve_upper(U: np.ndarray, b) -> np.ndarray:
     return x
 
 
-def _require_index(j, name: str = "index") -> None:
+def _require_index(j, name: str = "index", cap: Optional[int] = None) -> int:
     """The one check of a family index or degree: an integer (Python or
-    numpy, not a bool) of at least 0, or a ValueError names it."""
+    numpy, not a bool) of at least 0, and at most ``cap`` when one is
+    given, or a ValueError names it. Returns it as a Python int, so that
+    the integer arithmetic on it stays exact at any size."""
     if (not isinstance(j, (int, np.integer)) or isinstance(j, bool)
             or j < 0):
         raise ValueError(f"{name} must be an integer of at least 0, got {j}")
+    j = operator.index(j)
+    if cap is not None and j > cap:
+        raise ValueError(f"degree {j} exceeds the cap {cap}")
+    return j
 
 
 def _jacobi11_terms(k: int) -> list:
@@ -381,16 +388,19 @@ def jacobi11(k: int) -> Polynomial:
     Standard normalization, from ``_jacobi11_terms``: coefficient i is
     N_i / 2^k, rounded to double precision once by int true division,
     with the integers N_i = sum over m >= i of (-1)^(m-i) A_m C(m, i)
-    2^(k-m). The endpoint identity value(1) = k + 1, sum N_i =
-    (k + 1) 2^k, is checked on the integers: from degree 23 the
-    coefficients are too large for a float sum to confirm it.
+    2^(k-m). The endpoint identity value(-1) = (-1)^k (k + 1), which
+    weighs every A_m by (-1)^m, is checked on the integers as
+    sum (-1)^i N_i = (-1)^k (k + 1) 2^k: from degree 23 the
+    coefficients are too large for a float sum to confirm it. A degree
+    above DEGREE_CAP raises a ValueError before any of this work.
     """
-    _require_index(k, "degree")
+    k = _require_index(k, "degree", DEGREE_CAP)
     a = _jacobi11_terms(k)
     num = [sum((-1) ** (m - i) * a[m] * math.comb(m, i) * 2 ** (k - m)
                for m in range(i, k + 1))
            for i in range(k + 1)]
-    if sum(num) != (k + 1) * 2 ** k:
+    at_minus_one = sum((-1) ** i * c for i, c in enumerate(num))
+    if at_minus_one != (-1) ** k * (k + 1) * 2 ** k:
         raise RuntimeError(f"closed-form check failed at degree {k}")
     return Polynomial([c / 2 ** k for c in num])
 
@@ -404,9 +414,10 @@ def limit_eigenpoly(j: int) -> Polynomial:
     polynomial evaluated at 2x - 1; it vanishes at both endpoints. The
     product is formed in integers from ``_jacobi11_terms`` and each
     coefficient is divided by the leading one, C(2j - 2, j - 2), and
-    rounded to double precision once.
+    rounded to double precision once. An index above DEGREE_CAP raises
+    a ValueError before any of this work.
     """
-    _require_index(j)
+    j = _require_index(j, cap=DEGREE_CAP)
     if j == 0:
         return Polynomial([1.0])
     if j == 1:

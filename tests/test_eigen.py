@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bernseries import (
+    DEGREE_CAP,
     EIGEN_N_CAP,
     PSI,
     QUAD_TOL,
@@ -177,6 +178,27 @@ def test_numpy_integer_index():
     assert limit_eigenvalue(1.0, three) == limit_eigenvalue(1.0, 3)
     assert eigenvalue(8, 1.0, three) == eigenvalue(8, 1.0, 3)
     assert limit_dual(three, np.cos) == limit_dual(3, np.cos)
+    # the integer work is done on a Python int: at the cap the terms
+    # are far outside int64
+    cap = np.int64(DEGREE_CAP)
+    assert (jacobi11(cap).coeffs.tobytes()
+            == jacobi11(DEGREE_CAP).coeffs.tobytes())
+    assert (limit_eigenpoly(cap).coeffs.tobytes()
+            == limit_eigenpoly(DEGREE_CAP).coeffs.tobytes())
+    # from index 30 on the 64- and 128-node rules disagree on cos; the
+    # Jacobi(1,1) core of degree 28 is already past int64
+    assert limit_dual(np.int64(30), PSI) == limit_dual(30, PSI)
+
+
+@pytest.mark.parametrize("call", [
+    jacobi11,
+    limit_eigenpoly,
+    lambda j: limit_dual(j, np.cos),
+], ids=["jacobi11", "limit_eigenpoly", "limit_dual"])
+def test_degree_past_the_cap_fails_before_the_work(call):
+    # the check comes before the O(k^2) big-integer sums
+    with pytest.raises(ValueError, match=f"exceeds the cap {DEGREE_CAP}$"):
+        call(10 ** 6)
 
 
 class TestDualCoefficients:

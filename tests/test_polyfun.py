@@ -280,9 +280,9 @@ class TestJacobi:
             jacobi11(-1)
 
     def test_every_degree_under_the_cap(self):
-        # the float sum of the coefficients drifts from k + 1 by more
-        # than 1e-10 (k + 1) from degree 23; the integer check of
-        # value(1) must not
+        # a float sum of the coefficients drifts from the endpoint value
+        # by more than 1e-10 (k + 1) from degree 23; the integer check of
+        # value(-1) = (-1)^k (k + 1) inside jacobi11 must pass at every one
         for k in range(DEGREE_CAP - 1):
             p = jacobi11(k)
             assert p.degree == k
