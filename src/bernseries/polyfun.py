@@ -5,10 +5,9 @@ polynomials with parameters (1, 1), the limit eigenpolynomials they
 generate, and grid-based estimators for sup norms and moduli of
 smoothness. Everything else in the package is built on these types.
 
-Coefficient arithmetic is double precision; the Jacobi(1,1) polynomials
-and limit eigenpolynomials come from one closed form in integers, each
-coefficient rounded once. Degrees are capped at DEGREE_CAP, on
-construction, because the monomial basis loses accuracy before 100.
+Coefficient arithmetic is double precision; the Jacobi(1,1) family
+comes from one integer closed form, rounded once. DEGREE_CAP caps
+degrees on construction: the monomial basis loses accuracy before 100.
 """
 
 from __future__ import annotations
@@ -356,16 +355,14 @@ def _solve_upper(U: np.ndarray, b) -> np.ndarray:
     return x
 
 
-def _require_index(j, name: str = "index", cap: Optional[int] = None) -> int:
+def _require_index(j, name: str = "index", cap=math.inf) -> int:
     """The one check of a family index or degree: an integer (Python or
-    numpy, not a bool) of at least 0, and at most ``cap`` when one is
-    given, or a ValueError names it. Returns it as a Python int, so that
-    the integer arithmetic on it stays exact at any size."""
-    if (not isinstance(j, (int, np.integer)) or isinstance(j, bool)
-            or j < 0):
+    numpy, not a bool) from 0 to ``cap``, or a ValueError names it. It
+    is returned as a Python int, on which integer arithmetic is exact."""
+    if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or j < 0:
         raise ValueError(f"{name} must be an integer of at least 0, got {j}")
     j = operator.index(j)
-    if cap is not None and j > cap:
+    if j > cap:
         raise ValueError(f"degree {j} exceeds the cap {cap}")
     return j
 
@@ -379,28 +376,23 @@ def _jacobi11_terms(k: int) -> list:
             for m in range(k + 1)]
 
 
-# typed, here and in limit_eigenpoly: a bool or a float equal to a
-# cached key must reach the index check
+# typed, here and below: a bool or float equal to a cached key must be checked
 @functools.lru_cache(maxsize=None, typed=True)
 def jacobi11(k: int) -> Polynomial:
     """Jacobi polynomial with both parameters 1, degree k, on [-1, 1].
 
     Standard normalization, from ``_jacobi11_terms``: coefficient i is
-    N_i / 2^k, rounded to double precision once by int true division,
-    with the integers N_i = sum over m >= i of (-1)^(m-i) A_m C(m, i)
-    2^(k-m). The endpoint identity value(-1) = (-1)^k (k + 1), which
-    weighs every A_m by (-1)^m, is checked on the integers as
-    sum (-1)^i N_i = (-1)^k (k + 1) 2^k: from degree 23 the
-    coefficients are too large for a float sum to confirm it. A degree
-    above DEGREE_CAP raises a ValueError before any of this work.
+    N_i / 2^k, rounded once by int true division, with the integers
+    N_i = sum over m >= i of (-1)^(m-i) A_m C(m, i) 2^(k-m). The guard
+    value(-1) = (-1)^k (k + 1), which weighs every A_m, is checked on
+    the integers; a degree above DEGREE_CAP fails before the work.
     """
     k = _require_index(k, "degree", DEGREE_CAP)
     a = _jacobi11_terms(k)
     num = [sum((-1) ** (m - i) * a[m] * math.comb(m, i) * 2 ** (k - m)
                for m in range(i, k + 1))
            for i in range(k + 1)]
-    at_minus_one = sum((-1) ** i * c for i, c in enumerate(num))
-    if at_minus_one != (-1) ** k * (k + 1) * 2 ** k:
+    if sum(num[::2]) - sum(num[1::2]) != (-1) ** k * (k + 1) * 2 ** k:
         raise RuntimeError(f"closed-form check failed at degree {k}")
     return Polynomial([c / 2 ** k for c in num])
 
@@ -412,16 +404,13 @@ def limit_eigenpoly(j: int) -> Polynomial:
     Degree 0 gives 1 and degree 1 gives x - 1/2. For j >= 2 the result
     is the monic multiple of x(x-1) times the degree-(j-2) Jacobi(1,1)
     polynomial evaluated at 2x - 1; it vanishes at both endpoints. The
-    product is formed in integers from ``_jacobi11_terms`` and each
-    coefficient is divided by the leading one, C(2j - 2, j - 2), and
-    rounded to double precision once. An index above DEGREE_CAP raises
-    a ValueError before any of this work.
+    product is formed in integers from ``_jacobi11_terms``, and each
+    coefficient is divided by the leading one and rounded once. An
+    index above DEGREE_CAP fails before the work.
     """
     j = _require_index(j, cap=DEGREE_CAP)
-    if j == 0:
-        return Polynomial([1.0])
-    if j == 1:
-        return Polynomial([-0.5, 1.0])
+    if j < 2:
+        return Polynomial([1.0] if j == 0 else [-0.5, 1.0])
     a = [(-1) ** (j + m) * t for m, t in enumerate(_jacobi11_terms(j - 2))]
     # (x^2 - x) P_{j-2}(2x - 1): coefficient i is a[i-2] - a[i-1]
     full = [hi - lo for hi, lo in zip([0, 0] + a, [0] + a + [0])]
