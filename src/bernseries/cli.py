@@ -7,6 +7,13 @@ and the quantitative bound check. Identical configurations produce
 byte-identical output files; numbers are printed with 12 significant
 digits.
 
+``main(argv)`` is the one entry point, for the console script and
+Python callers alike (``main(["eigen", "--n", "6"])``). It writes one
+file, prints its path and returns 0; a value it rejects, or a library
+error, prints one ``error:`` line to stderr, writes no file and
+returns 1. argparse rejects an unknown subcommand, flag or choice
+with status 2, raising SystemExit(2) in a Python caller.
+
 The function argument names a corpus cofactor (``--fn h=cheb6``),
 gives inline cofactor coefficients (``--fn h=0,1``), or, for the
 apply command only, gives the function itself (``--fn f=0,1,-1``).
@@ -22,7 +29,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,7 +41,7 @@ from .voronovskaya import _residual_profile
 from .bounds import check_bound, convergence_table
 from .corpus import corpus_entry
 
-__all__ = ["ExperimentConfig", "run", "main"]
+__all__ = ["main"]
 
 OUT_DIR_ENV = "BERNSERIES_OUT_DIR"
 
@@ -55,72 +61,6 @@ _COMMANDS = {
     "bound": "check the quantitative residual bound (columns x, "
              "lhs, rhs, margin; summary record)",
 }
-
-
-@dataclass
-class ExperimentConfig:
-    """Fully resolved experiment description.
-
-    ``fn`` is a function spec as ``--fn`` takes it, parsed on
-    construction: ``h=NAME`` (a corpus cofactor), ``h=c0,c1,...``
-    (inline cofactor coefficients) or ``f=c0,c1,...`` (the function
-    itself). The last is accepted by the apply command only, since
-    every other command works through the cofactor.
-    """
-
-    command: str
-    n_list: List[int]
-    rho_list: List[float]
-    fn: str = "h=one"
-    grid_kind: str = "uniform"
-    grid_size: int = 129
-    out_path: Optional[str] = None
-    fmt: str = "csv"
-
-    def __post_init__(self):
-        self._fn = _parse_fn(self.fn)
-        if self.command not in _COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if not self.n_list:
-            raise ValueError("at least one n value is required")
-        if not self.rho_list:
-            raise ValueError("at least one rho value is required")
-        for n in self.n_list:
-            for rho in self.rho_list:
-                _n_rho(n, rho)
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"unknown format {self.fmt!r}")
-        if self.grid_kind not in ("uniform", "chebyshev"):
-            raise ValueError(f"unknown grid kind {self.grid_kind!r}")
-        if self.grid_size < 2:
-            raise ValueError("grid size must be at least 2")
-        if self._fn[0] == "f" and self.command != "apply":
-            raise ValueError(
-                "a raw function spec (f=...) is only supported by apply; "
-                "give the cofactor instead (h=...)"
-            )
-        if self.command != "converge":
-            if len(self.n_list) != 1:
-                raise ValueError(f"{self.command} takes exactly one n")
-            if len(self.rho_list) != 1:
-                raise ValueError(f"{self.command} takes exactly one rho")
-
-    def grid(self) -> GridSpec:
-        if self.grid_kind == "uniform":
-            return GridSpec.uniform(self.grid_size)
-        return GridSpec.chebyshev(self.grid_size)
-
-    def cofactor(self) -> Polynomial:
-        key, poly = self._fn
-        if key != "h":
-            raise ValueError("a raw function spec has no cofactor")
-        return poly
-
-    def resolved_out(self) -> str:
-        if self.out_path:
-            return self.out_path
-        base = os.environ.get(OUT_DIR_ENV, ".")
-        return os.path.join(base, f"{self.command}.{self.fmt}")
 
 
 def _parse_fn(spec: str) -> Tuple[str, Polynomial]:
@@ -158,21 +98,19 @@ def _parse_fn(spec: str) -> Tuple[str, Polynomial]:
         raise ValueError(exc.args[0]) from None
 
 
-def _execute(cfg: ExperimentConfig):
+def _execute(command: str, n_list: List[int], rho_list: List[float],
+             key: str, poly: Polynomial, grid: GridSpec):
     """Dispatch to the library; returns (header, columns, summary), one
-    column of values per header name."""
-    grid = cfg.grid()
+    column of values per header name. ``poly`` is the cofactor, or for
+    apply with key "f" the function itself."""
     pts = grid.points
-    if cfg.command == "apply":
-        n, rho = cfg.n_list[0], cfg.rho_list[0]
-        key, poly = cfg._fn
-        if key == "h":
-            poly = PSI * poly
-        f = FunctionHandle.from_polynomial(poly)
+    # every command but converge takes exactly one n and one rho
+    n, rho = n_list[0], rho_list[0]
+    if command == "apply":
+        f = FunctionHandle.from_polynomial(PSI * poly if key == "h" else poly)
         columns = [pts, f(pts), apply_U(n, rho, f, pts)]
         return ["x", "f_value", "u_value"], columns, {"n": n, "rho": rho}
-    if cfg.command == "eigen":
-        n, rho = cfg.n_list[0], cfg.rho_list[0]
+    if command == "eigen":
         sys_ = compute_eigensystem(n, rho)
         gaps, dists = zip(*(_limit_distances(n, rho, j, sys_.lambdas,
                                              sys_.basis, pts)
@@ -182,38 +120,31 @@ def _execute(cfg: ExperimentConfig):
         columns = [range(n + 1), sys_.lambdas, gaps, dists, coeffs]
         return (["j", "lambda", "gap", "dist_limit", "coeffs"], columns,
                 {"n": n, "rho": rho})
-    if cfg.command == "series":
-        n, rho = cfg.n_list[0], cfg.rho_list[0]
-        f = C0Function(cfg.cofactor())
-        res = apply_series(n, rho, f)
+    if command == "series":
+        res = apply_series(n, rho, C0Function(poly))
         return ["x", "value"], [pts, res.value(pts)], {
             "n": n, "rho": rho, "iters": res.iterations,
         }
-    if cfg.command == "voronovskaya":
-        n, rho = cfg.n_list[0], cfg.rho_list[0]
-        resid, inv, _ = _residual_profile(n, rho, cfg.cofactor(), pts)
+    if command == "voronovskaya":
+        resid, inv, _ = _residual_profile(n, rho, poly, pts)
         return (["x", "inverse_value", "residual"], [pts, inv, resid],
                 {"n": n, "rho": rho})
-    if cfg.command == "converge":
-        h = cfg.cofactor()
-        recs = [r for rho in cfg.rho_list
-                for r in convergence_table(h, rho, cfg.n_list, grid)]
+    if command == "converge":
+        recs = [r for rho in rho_list
+                for r in convergence_table(poly, rho, n_list, grid)]
         columns = [[getattr(r, field) for r in recs]
                    for field in ("n", "rho", "sup_h", "sup_rhs",
                                  "iterations")]
         return ["n", "rho", "sup_H", "sup_rhs", "iters"], columns, None
-    if cfg.command == "bound":
-        n, rho = cfg.n_list[0], cfg.rho_list[0]
-        h = cfg.cofactor()
-        rep = check_bound(h, n, rho, grid)
-        columns = [pts, rep.lhs, rep.rhs, rep.rhs - rep.lhs]
-        summary = {
-            "n": rep.n, "rho": rep.rho, "epsilon": rep.epsilon,
-            "margin": rep.margin, "satisfied": rep.satisfied,
-            "slack": rep.slack, "iters": rep.iterations,
-        }
-        return ["x", "lhs", "rhs", "margin"], columns, summary
-    raise ValueError(f"unknown command {cfg.command!r}")
+    # bound, the last of the parser's choices
+    rep = check_bound(poly, n, rho, grid)
+    columns = [pts, rep.lhs, rep.rhs, rep.rhs - rep.lhs]
+    summary = {
+        "n": rep.n, "rho": rep.rho, "epsilon": rep.epsilon,
+        "margin": rep.margin, "satisfied": rep.satisfied,
+        "slack": rep.slack, "iters": rep.iterations,
+    }
+    return ["x", "lhs", "rhs", "margin"], columns, summary
 
 
 def _column_texts(key: str, column, fmt: str) -> List[str]:
@@ -298,23 +229,6 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def run(config: ExperimentConfig) -> int:
-    """Execute one experiment; returns a process exit status."""
-    try:
-        header, rows, summary = _execute(config)
-        if config.fmt == "csv":
-            text = _render_csv(header, rows, summary)
-        else:
-            text = _render_json(config.command, header, rows, summary)
-        out = config.resolved_out()
-        _atomic_write(out, text)
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(out)
-    return 0
-
-
 # The parser holds only constants, so one instance serves every call.
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
@@ -360,22 +274,47 @@ def _parse_list(flag: str, text: str, kind) -> list:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run the subcommand in ``argv``; returns 0 or 1, as the module
+    docstring says. The values are checked before any work: the --n and
+    --rho tokens, the --fn spec, each (n, rho), the grid size, f= off
+    apply, and one n and one rho except for converge."""
     args = _build_parser().parse_args(argv)
+    command = args.command
     try:
-        config = ExperimentConfig(
-            command=args.command,
-            n_list=_parse_list("--n", args.n, int),
-            rho_list=_parse_list("--rho", args.rho, float),
-            fn=args.fn,
-            grid_kind=args.grid,
-            grid_size=args.grid_size,
-            out_path=args.out,
-            fmt=args.format,
-        )
-    except ValueError as exc:
+        n_list = _parse_list("--n", args.n, int)
+        rho_list = _parse_list("--rho", args.rho, float)
+        key, poly = _parse_fn(args.fn)
+        for n in n_list:
+            for rho in rho_list:
+                _n_rho(n, rho)
+        if args.grid_size < 2:
+            raise ValueError("grid size must be at least 2")
+        if key == "f" and command != "apply":
+            raise ValueError(
+                "a raw function spec (f=...) is only supported by apply; "
+                "give the cofactor instead (h=...)"
+            )
+        if command != "converge":
+            if len(n_list) != 1:
+                raise ValueError(f"{command} takes exactly one n")
+            if len(rho_list) != 1:
+                raise ValueError(f"{command} takes exactly one rho")
+        grid = (GridSpec.uniform if args.grid == "uniform"
+                else GridSpec.chebyshev)(args.grid_size)
+        header, columns, summary = _execute(command, n_list, rho_list,
+                                            key, poly, grid)
+        if args.format == "csv":
+            text = _render_csv(header, columns, summary)
+        else:
+            text = _render_json(command, header, columns, summary)
+        out = args.out or os.path.join(os.environ.get(OUT_DIR_ENV, "."),
+                                       f"{command}.{args.format}")
+        _atomic_write(out, text)
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return run(config)
+    print(out)
+    return 0
 
 
 if __name__ == "__main__":

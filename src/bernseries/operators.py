@@ -48,6 +48,7 @@ from .polyfun import (
     FunctionHandle,
     Polynomial,
     _finite,
+    _require_index,
     _require_unit_interval,
 )
 
@@ -341,13 +342,17 @@ def functional_moment(n: int, k: int, rho: float, m: int) -> float:
 
     Equals the product over i < m of (k rho + i) / (n rho + i), the
     moment of the Beta density with parameters (k rho, (n-k) rho); at
-    rho = inf it is (k/n)^m, the moment of the point mass at k/n.
+    rho = inf it is (k/n)^m, the moment of the point mass at k/n. k and
+    m are integers (Python or numpy, not a bool): k from 1 to n - 1 and
+    m from 0; anything else raises a ValueError.
     """
     r, w = _n_rho(n, rho)
     if not 1 <= k <= n - 1:
         raise ValueError(f"node index {k} outside 1..{n - 1}")
     if m < 0:
         raise ValueError("moment order must be nonnegative")
+    k = _require_index(k, "node index")
+    m = _require_index(m, "moment order")
     i = np.arange(m, dtype=float)
     return float(np.prod((k * r + i * w) / (n * r + i * w)))
 
@@ -397,16 +402,17 @@ def u_matrix_leading_block(n: int, rho: float, d: int) -> np.ndarray:
 
     The package's one public matrix entry point: d = n gives the whole
     matrix on Pi_n. Valid for any n >= d; only the block size is
-    limited by the degree cap. The derivative recurrence behind it
-    keeps the diagonal (the eigenvalues) accurate to working precision
-    and the constant coefficient of every column beyond the first at
-    exactly zero.
+    limited by the degree cap. d is an integer (Python or numpy, not a
+    bool). The derivative recurrence behind it keeps the diagonal (the
+    eigenvalues) accurate to working precision and the constant
+    coefficient of every column beyond the first at exactly zero.
     """
     _n_rho(n, rho)
     if d < 0 or d > n:
         raise ValueError("block size must satisfy 0 <= d <= n")
     if d > DEGREE_CAP:
         raise ValueError(f"block size {d} exceeds the degree cap {DEGREE_CAP}")
+    d = _require_index(d, "block size")
     return _leading_block(n, rho, d)
 
 
@@ -622,7 +628,8 @@ def central_moment(n: int, rho: float, y: float, r: int) -> float:
     With rho = a / w from ``_homogeneous`` (r is the order here); at
     rho = inf they are the moments of the Bernstein operator. y is one
     point of [0, 1]; a point outside, NaN among them, or more than one
-    point raises a ValueError.
+    point raises a ValueError. The order r is an integer (Python or
+    numpy, not a bool) from 0 to 4; anything else raises a ValueError.
     """
     a, w = _n_rho(n, rho)
     ys = _require_unit_interval(y)
@@ -631,6 +638,7 @@ def central_moment(n: int, rho: float, y: float, r: int) -> float:
     y = float(ys[0])
     if not 0 <= r <= 4:
         raise ValueError("order must be between 0 and 4")
+    r = _require_index(r, "order")
     psi = y * (1.0 - y)
     if r == 0:
         return 1.0

@@ -518,9 +518,11 @@ def omega(f: FunctionHandle, order: int, delta: float,
     on larger ones. Neither builds a grid-by-grid array: besides what f
     allocates, memory is O(grid), with a peak of 2.3 MB at order 2 for
     a cubic on a 20001-point grid. A non-finite value of f raises a
-    ValueError that names the least point where it was found.
+    ValueError that names the least point where it was found, and a
+    delta outside (0, 1] at order 1 or (0, 1/2] at order 2, NaN
+    included, raises one too.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     if order == 1:
         if delta > 1.0:

@@ -1,6 +1,5 @@
 """Command-line experiment driver: parsing, outputs, determinism."""
 
-import dataclasses
 import json
 import math
 import os
@@ -12,9 +11,8 @@ import numpy as np
 import pytest
 
 from bernseries import EIGEN_N_CAP, GridSpec, corpus_entry, voronovskaya
-from bernseries.cli import (OUT_DIR_ENV, ExperimentConfig, _atomic_write,
-                            _build_parser, _parse_fn, _render_csv,
-                            _render_json, main)
+from bernseries.cli import (OUT_DIR_ENV, _atomic_write, _build_parser,
+                            _parse_fn, _render_csv, _render_json, main)
 
 
 @pytest.fixture
@@ -55,25 +53,37 @@ class TestParseFn:
 
 
 class TestConfigValidation:
-    def test_multi_n_only_for_converge(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(command="eigen", n_list=[2, 3], rho_list=[1.0])
+    """The checks main makes before any work: each failure prints one
+    error line, returns 1 and writes no file."""
 
-    def test_multi_rho_only_for_converge(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(command="bound", n_list=[16],
-                             rho_list=[1.0, 2.0])
-        ExperimentConfig(command="converge", n_list=[8, 16],
-                         rho_list=[0.5, 1.0])
+    def reject(self, argv, outdir, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert list(outdir.iterdir()) == []
+        return err
 
-    def test_raw_function_only_for_apply(self):
-        with pytest.raises(ValueError, match="only supported by apply"):
-            ExperimentConfig(command="series", n_list=[8], rho_list=[1.0],
-                             fn="f=0,1")
-        cfg = ExperimentConfig(command="apply", n_list=[8], rho_list=[1.0],
-                               fn="f=0,1,-1")
-        with pytest.raises(ValueError, match="no cofactor"):
-            cfg.cofactor()
+    def test_multi_n_only_for_converge(self, outdir, capsys):
+        err = self.reject(["eigen", "--n", "2,3"], outdir, capsys)
+        assert err == "error: eigen takes exactly one n\n"
+
+    def test_multi_rho_only_for_converge(self, outdir, capsys):
+        err = self.reject(["bound", "--n", "16", "--rho", "1,2"], outdir,
+                          capsys)
+        assert err == "error: bound takes exactly one rho\n"
+        code, _, _ = run_cli(["converge", "--n", "8,16", "--rho", "0.5,1"],
+                             capsys)
+        assert code == 0
+
+    def test_raw_function_only_for_apply(self, outdir, capsys):
+        for argv in (["series", "--n", "8"], ["eigen", "--n", "8"],
+                     ["converge", "--n", "8,16"]):
+            err = self.reject(argv + ["--fn", "f=0,1"], outdir, capsys)
+            assert err == ("error: a raw function spec (f=...) is only "
+                           "supported by apply; give the cofactor instead "
+                           "(h=...)\n")
+        code, _, _ = run_cli(["apply", "--n", "8", "--fn", "f=0,1,-1"],
+                             capsys)
+        assert code == 0
 
     @pytest.mark.parametrize("spec, message", [
         ("bogus", "must look like"),
@@ -87,37 +97,51 @@ class TestConfigValidation:
         ("f=1,a", "f= coefficients must be comma-separated floats, "
                   "got 'a'"),
     ])
-    def test_rejects_bad_spec(self, spec, message):
-        # the spec is parsed on construction, so a bad one never
-        # reaches a run
-        with pytest.raises((ValueError, KeyError), match=message):
-            ExperimentConfig(command="series", n_list=[8], rho_list=[1.0],
-                             fn=spec)
+    def test_rejects_bad_spec(self, spec, message, outdir, capsys):
+        # the spec is parsed before any work
+        err = self.reject(["series", "--n", "8", "--fn", spec], outdir,
+                          capsys)
+        assert err.startswith("error: ") and message in err
 
     @pytest.mark.parametrize("field, value, message", [
-        ("command", "plot", "unknown command 'plot'"),
-        ("n_list", [], "at least one n value is required"),
-        ("rho_list", [], "at least one rho value is required"),
-        ("fmt", "xml", "unknown format 'xml'"),
-        ("grid_kind", "random", "unknown grid kind 'random'"),
-        ("grid_size", 1, "grid size must be at least 2"),
+        ("grid_size", "1", "grid size must be at least 2"),
+        pytest.param("n", "", "--n takes comma-separated int values, "
+                     "got ''", id="empty-n"),
+        pytest.param("rho", "", "--rho takes comma-separated float values, "
+                     "got ''", id="empty-rho"),
     ])
-    def test_rejects_bad_field(self, field, value, message):
-        # the parser's choices keep most of these out of main; the
-        # configuration checks them for callers that build it directly
-        spec = {"command": "series", "n_list": [8], "rho_list": [1.0],
-                field: value}
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            ExperimentConfig(**spec)
+    def test_rejects_bad_field(self, field, value, message, outdir, capsys):
+        # an empty --n or --rho is one empty token, never an empty list
+        flags = {"--n": "8", "--" + field.replace("_", "-"): value}
+        argv = ["series"] + [tok for item in flags.items() for tok in item]
+        assert self.reject(argv, outdir, capsys) == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["plot", "--n", "8"],
+        ["series", "--n", "8", "--format", "xml"],
+        ["series", "--n", "8", "--grid", "random"],
+    ], ids=["command", "format", "grid"])
+    def test_parser_rejects_bad_choice(self, argv, outdir, capsys):
+        # the parser's choices hold the command, the format and the
+        # grid kind; argparse exits 2 before main checks anything
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
 
     def test_fields(self):
-        # one field carries the function spec
-        names = [f.name for f in dataclasses.fields(ExperimentConfig)]
-        assert names == ["command", "n_list", "rho_list", "fn", "grid_kind",
-                         "grid_size", "out_path", "fmt"]
-        cfg = ExperimentConfig(command="series", n_list=[8], rho_list=[1.0])
-        assert cfg.fn == "h=one"
-        assert cfg.cofactor().coeffs.tolist() == [1.0]
+        # seven flags are the whole configuration, the same for every
+        # subcommand
+        parser = _build_parser()
+        for command in ("apply", "eigen", "series", "voronovskaya",
+                        "converge", "bound"):
+            args = parser.parse_args([command, "--n", "8"])
+            assert vars(args) == {
+                "command": command, "n": "8", "rho": "1", "fn": "h=one",
+                "grid_size": 129, "grid": "uniform", "out": None,
+                "format": "csv",
+            }
 
 
 class TestEigenCommand:
@@ -306,11 +330,13 @@ class TestErrorPaths:
     @pytest.mark.parametrize("argv, message", [
         (["eigen", "--n", "2.5"], "--n takes comma-separated int values, "
                                   "got '2.5'"),
+        (["eigen", "--n", "8.0"], "--n takes comma-separated int values, "
+                                  "got '8.0'"),
         (["converge", "--n", "8,,16"], "--n takes comma-separated int "
                                        "values, got ''"),
         (["eigen", "--n", "4", "--rho", "abc"], "--rho takes "
          "comma-separated float values, got 'abc'"),
-    ], ids=["fractional-n", "empty-n", "word-rho"])
+    ], ids=["fractional-n", "integral-float-n", "empty-n", "word-rho"])
     def test_parse_errors_name_the_flag(self, argv, message, outdir,
                                         capsys):
         code, _, err = run_cli(argv, capsys)

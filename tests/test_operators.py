@@ -988,6 +988,26 @@ class TestCentralMoment:
         assert central_moment(8, 1.0, 1.0, 2) == 0.0
 
 
+@pytest.mark.parametrize("j", [2.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("call, name", [
+    (lambda j: central_moment(8, 1.0, 0.3, j), "order"),
+    (lambda j: functional_moment(8, j, 1.0, 2), "node index"),
+    (lambda j: functional_moment(8, 1, 1.0, j), "moment order"),
+    (lambda j: u_matrix_leading_block(8, 1.0, j), "block size"),
+], ids=["central_moment", "functional_moment-k", "functional_moment-m",
+        "u_matrix_leading_block"])
+def test_one_message_for_a_bad_operator_index(call, name, j):
+    # an order, node or block size is an integer (Python or numpy, not a
+    # bool), checked by the package's one index check; 2.5 used to give
+    # another order's value, a non-node moment or a TypeError, and True
+    # passed as 1
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be an integer of at least 0, "
+                             f"got {j}$"):
+        call(j)
+    assert np.array_equal(call(np.int64(2)), call(2))
+
+
 class TestNormAndSizes:
     def test_u_norm0_oracle(self):
         assert u_norm0(3, 1.0) == 0.5

@@ -1,5 +1,6 @@
 """Polynomial container, weight handling, special polynomials, moduli."""
 
+import math
 import re
 import tracemalloc
 from fractions import Fraction
@@ -572,6 +573,14 @@ class TestOmega:
             omega(f, 2, 0.6)  # second order needs delta <= 1/2
         with pytest.raises(ValueError):
             omega(f, 1, 1.5)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_nan_step_is_rejected(self, order):
+        # NaN fails both delta <= 0 and delta > 1, so it used to pass:
+        # order 1 gave sup - inf of f, order 2 gave 0
+        f = FunctionHandle.from_callable(np.sin)
+        with pytest.raises(ValueError, match="^delta must be positive$"):
+            omega(f, order, math.nan)
 
 
 class TestFunctionHandle:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import bernseries as bs
-from bernseries.cli import ExperimentConfig, _render_json, main
+from bernseries.cli import _render_json, main
 from bernseries.series import apply_series_bernstein
 
 H = bs.Polynomial([1.0, -0.5])
@@ -43,8 +43,6 @@ ENTRY_POINTS = {
     "theorem52_rhs": lambda r: bs.theorem52_rhs(H, 64, r, 0.5),
     "check_bound": lambda r: bs.check_bound(H, 16, r),
     "convergence_table": lambda r: bs.convergence_table(H, r, [8]),
-    "ExperimentConfig": lambda r: ExperimentConfig(
-        command="eigen", n_list=[4], rho_list=[r]),
 }
 
 # Records that carry the rho they were computed at; they are built by
@@ -107,8 +105,6 @@ N_ENTRY_POINTS = {
     # keeps the type of n, so a bool stays a bool
     "bernstein_limit_rhs": lambda n: bs.bernstein_limit_rhs(
         H, type(n)(2 * n), 0.5),
-    "ExperimentConfig": lambda n: ExperimentConfig(
-        command="eigen", n_list=[n], rho_list=[1.0]),
 }
 
 
@@ -139,12 +135,8 @@ def test_entry_points_cover_every_public_rho_parameter():
     found = {name for name in bs.__all__
              if callable(getattr(bs, name))
              and "rho" in inspect.signature(getattr(bs, name)).parameters}
-    # the CLI's configuration takes rho but is not in the package's
-    # __all__
-    outside_all = {"ExperimentConfig"}
-    assert found == (set(ENTRY_POINTS) - outside_all) | RECORD_TYPES
-    # the CLI's configuration takes a list of rho values instead
-    assert "rho_list" in inspect.signature(ExperimentConfig).parameters
+    # the CLI reads rho from --rho, checked by the test_cli_* tests below
+    assert found == set(ENTRY_POINTS) | RECORD_TYPES
 
 
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
@@ -183,9 +175,9 @@ def test_n_entry_points_cover_every_public_n_parameter():
     found = {name for name in bs.__all__
              if callable(getattr(bs, name))
              and "n" in inspect.signature(getattr(bs, name)).parameters}
-    # the CLI's configuration takes a list of n values and the sampling
-    # series is called by the benchmark; neither is in __all__
-    outside_all = {"ExperimentConfig", "apply_series_bernstein"}
+    # the sampling series is called by the benchmark and is not in
+    # __all__; the CLI reads n from --n, checked by the test_cli_* tests
+    outside_all = {"apply_series_bernstein"}
     assert found == (set(N_ENTRY_POINTS) - outside_all) | N_RECORD_TYPES
 
 
@@ -256,4 +248,31 @@ def test_cli_rejects_nan_rho_in_every_subcommand(command, tmp_path, capsys):
                 + ["--rho", "nan", "--format", "json", "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: rho must be positive")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--n", "0", "n must be at least 1"),
+    ("--n", "-1", "n must be at least 1"),
+    ("--rho", "0", "rho must be positive (inf included)"),
+    ("--rho", "-1", "rho must be positive (inf included)"),
+], ids=["n=0", "n=-1", "rho=0", "rho=-1"])
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+def test_cli_rejects_n_and_rho_outside_range_in_every_subcommand(
+        command, flag, value, message, tmp_path, capsys):
+    # the command line's n and rho meet the library's one check before
+    # any work
+    argv = [command] + _SUBCOMMANDS[command]
+    if flag == "--n":
+        # converge checks every n of its list, not only the first
+        i = argv.index("--n") + 1
+        argv[i] = argv[i] + "," + value if command == "converge" else value
+    else:
+        argv += [flag, value]
+    out = tmp_path / f"{command}.csv"
+    code = main(argv + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
     assert not out.exists()
