@@ -225,6 +225,47 @@ def test_cli_accepts_infinite_rho(command, tmp_path, capsys):
     capsys.readouterr()
 
 
+def _json_numbers(path):
+    """Every number of a JSON output, column by column, rho left out;
+    a null (NaN) cell reads as NaN and a ';'-joined coefficient cell
+    as its numbers."""
+    doc = json.loads(path.read_text())
+    records = doc["rows"] + ([doc["summary"]] if "summary" in doc else [])
+    columns = {}
+    for record in records:
+        for key, value in record.items():
+            if key == "rho":
+                continue
+            if isinstance(value, str):
+                cells = [float(c) for c in value.split(";")]
+            else:
+                cells = [math.nan if value is None else float(value)]
+            columns.setdefault(key, []).extend(cells)
+    return {key: np.array(cells) for key, cells in columns.items()}
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+def test_cli_infinite_rho_continues_large_rho(command, tmp_path, capsys):
+    # the command line's output at rho = inf is the limit of its output
+    # at large rho, as for the library entry points above
+    def run(rho):
+        out = tmp_path / f"{rho}.json"
+        assert main([command] + _SUBCOMMANDS[command]
+                    + ["--rho", rho, "--grid-size", "9",
+                       "--format", "json", "--out", str(out)]) == 0
+        return _json_numbers(out)
+
+    got, near = run("inf"), run("1e8")
+    capsys.readouterr()
+    assert got.keys() == near.keys()
+    for key in got:
+        a, b = got[key], near[key]
+        assert a.shape == b.shape
+        np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
+        scale = float(np.nanmax(np.abs(b), initial=0.0))
+        assert np.nanmax(np.abs(a - b), initial=0.0) <= 1e-7 * scale, key
+
+
 def test_json_rejects_other_infinities():
     # only rho has a token for inf; NaN is null
     assert json.loads(_render_json("c", ["rho", "v"], [[math.inf], [math.nan]],
@@ -254,9 +295,12 @@ def test_cli_rejects_nan_rho_in_every_subcommand(command, tmp_path, capsys):
 @pytest.mark.parametrize("flag, value, message", [
     ("--n", "0", "n must be at least 1"),
     ("--n", "-1", "n must be at least 1"),
+    # a fractional n is refused as a token, before any range check
+    ("--n", "2.5", "--n takes comma-separated int values, got '2.5'"),
     ("--rho", "0", "rho must be positive (inf included)"),
     ("--rho", "-1", "rho must be positive (inf included)"),
-], ids=["n=0", "n=-1", "rho=0", "rho=-1"])
+    ("--rho", "nan", "rho must be positive (inf included)"),
+], ids=["n=0", "n=-1", "n=2.5", "rho=0", "rho=-1", "rho=nan"])
 @pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
 def test_cli_rejects_n_and_rho_outside_range_in_every_subcommand(
         command, flag, value, message, tmp_path, capsys):
