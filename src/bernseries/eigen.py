@@ -33,6 +33,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .polyfun import (
     DEFAULT_SUP_GRID,
+    DEGREE_CAP,
     C0Function,
     FunctionHandle,
     GridSpec,
@@ -214,8 +215,12 @@ def limit_dual(j: int, f) -> float:
     factor j C(2j, j) / 2 multiplies the rounding of the integral into
     the value, so the accuracy falls as j grows: on cos the value at
     j = 8 is off by 6.6e-11 absolute and at j = 10 by 0.4% relative.
+    On PSI, exactly 0 from j = 3 on, it returns 9.8e-13 at j = 8,
+    -2.9e-10 at 12, -8.1e-6 at 16, -0.023 at 20, 256 at 24 and -9.6e8 at
+    30, and raises the error above from j = 32. j is an index up to
+    DEGREE_CAP + 2, where the Jacobi(1,1) core reaches the degree cap.
     """
-    j = _require_index(j)
+    j = _require_index(j, cap=DEGREE_CAP + 2)
     if isinstance(f, C0Function):
         f = FunctionHandle.from_callable(f)
     f = _as_handle(f)
@@ -271,7 +276,8 @@ def asymptotic_report(rho: float, j: int, n_list: Iterable[int],
     of the operator matrix (``_eigenbasis``) keep this cheap for n far
     beyond the full-matrix cap. ``_eigenbasis`` limits the block size
     max(j, test degree) to each n and to EIGEN_N_CAP: past the cap the
-    dual gaps are rounding, not convergence.
+    dual gaps are rounding, not convergence. Below it a gap can measure
+    ``limit_dual``'s own error, -9.6e8 instead of 0 on PSI at j = 30.
     """
     if grid is None:
         grid = DEFAULT_SUP_GRID

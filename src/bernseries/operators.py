@@ -55,7 +55,6 @@ from .polyfun import (
 __all__ = [
     "QUAD_TOL",
     "QuadratureRule",
-    "functional_moment",
     "u_matrix_leading_block",
     "apply_U_poly",
     "apply_U",
@@ -278,10 +277,6 @@ class QuadratureRule:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
-    @property
-    def size(self) -> int:
-        return self.nodes.size
-
     def integrate(self, f) -> float:
         """Expectation of f against the normalized weight."""
         vals = np.asarray(f(self.nodes), dtype=float)
@@ -335,26 +330,6 @@ def _settle(values, sizes, where, family: str) -> np.ndarray:
         f"{where(int(todo[0]))}: the {sizes[-2]}- and {sizes[-1]}-node "
         f"{family} rules differ by {gap[0]:.3g}, more than QUAD_TOL"
     )
-
-
-def functional_moment(n: int, k: int, rho: float, m: int) -> float:
-    """m-th raw moment of the interior averaging functional at node k.
-
-    Equals the product over i < m of (k rho + i) / (n rho + i), the
-    moment of the Beta density with parameters (k rho, (n-k) rho); at
-    rho = inf it is (k/n)^m, the moment of the point mass at k/n. k and
-    m are integers (Python or numpy, not a bool): k from 1 to n - 1 and
-    m from 0; anything else raises a ValueError.
-    """
-    r, w = _n_rho(n, rho)
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"node index {k} outside 1..{n - 1}")
-    if m < 0:
-        raise ValueError("moment order must be nonnegative")
-    k = _require_index(k, "node index")
-    m = _require_index(m, "moment order")
-    i = np.arange(m, dtype=float)
-    return float(np.prod((k * r + i * w) / (n * r + i * w)))
 
 
 def _leading_block(n: int, rho: float, d: int) -> np.ndarray:
@@ -562,9 +537,9 @@ def _moment_coefficients(n: int, rho: float, a) -> np.ndarray:
     """All n + 1 Bernstein coefficients F_0 p .. F_n p of a polynomial.
 
     ``a`` holds the monomial coefficients a_0 .. a_d. Node k takes x^m
-    to the Beta moment prod_{i<m} (k r + i w) / (n r + i w) (see
-    ``functional_moment``), so the sum over m nests like Horner's
-    scheme on the array k = 0..n, at O(n d) cost:
+    to prod_{i<m} (k r + i w) / (n r + i w), the m-th moment of the Beta
+    density with parameters (k rho, (n-k) rho), or (k/n)^m at rho = inf,
+    so the sum over m nests like Horner's scheme on k = 0..n, at O(n d):
 
         acc = a_m + acc * (k r + m w) / (n r + m w),  m = d-1 .. 0
 

@@ -47,6 +47,18 @@ DEGREE_CAP = 60
 ENDPOINT_TOL = 1e-12
 
 
+def _require_index(j, name: str = "index", cap=math.inf) -> int:
+    """The one check of a family index or degree: an integer (Python or
+    numpy, not a bool) from 0 to ``cap``, or a ValueError names it. It
+    is returned as a Python int, on which integer arithmetic is exact."""
+    if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or j < 0:
+        raise ValueError(f"{name} must be an integer of at least 0, got {j}")
+    j = operator.index(j)
+    if j > cap:
+        raise ValueError(f"{name} {j} exceeds the cap {cap}")
+    return j
+
+
 class Polynomial:
     """Real polynomial on [0, 1] stored by monomial coefficients.
 
@@ -105,10 +117,6 @@ class Polynomial:
         if self.degree == 0:
             return Polynomial.zero()
         return Polynomial(npoly.polyder(self._coeffs))
-
-    def antiderivative(self) -> "Polynomial":
-        """Exact coefficient-level antiderivative, zero at x = 0."""
-        return Polynomial(npoly.polyint(self._coeffs))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -195,7 +203,8 @@ class FunctionHandle:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Strictly increasing evaluation points on [0, 1] with both endpoints."""
+    """Strictly increasing evaluation points on [0, 1] with both
+    endpoints; a constructor's count is an integer of at least 2."""
 
     points: np.ndarray
 
@@ -211,21 +220,18 @@ class GridSpec:
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
-    @property
-    def count(self) -> int:
-        return self.points.size
-
     @classmethod
     def uniform(cls, count: int) -> "GridSpec":
         if count < 2:
             raise ValueError("count must be at least 2")
-        return cls(np.linspace(0.0, 1.0, count))
+        return cls(np.linspace(0.0, 1.0, _require_index(count, "count")))
 
     @classmethod
     def chebyshev(cls, count: int = 257) -> "GridSpec":
         """Chebyshev-spaced points, denser near the endpoints."""
         if count < 2:
             raise ValueError("count must be at least 2")
+        count = _require_index(count, "count")
         i = np.arange(count)
         pts = 0.5 * (1.0 - np.cos(np.pi * i / (count - 1)))
         pts[0], pts[-1] = 0.0, 1.0
@@ -283,7 +289,7 @@ def _horner(c: list, t: float) -> float:
     ``npoly.polyval``'s operation order on plain floats: c[-1] + t * 0,
     then c[i] + acc * t from the top down. Each step is one IEEE
     multiply and one add in both, with no fused multiply-add, so the
-    bits agree (signed zeros and NaN included)."""
+    bits agree (signed zeros and NaN included). Only ``sup_norm`` uses it."""
     acc = c[-1] + t * 0.0
     for ci in c[-2::-1]:
         acc = ci + acc * t
@@ -291,17 +297,10 @@ def _horner(c: list, t: float) -> float:
 
 
 def poly_eval(p: Polynomial, x):
-    """Horner-scheme value of p at x: a float for a scalar x, else an array.
-
-    An array x goes through ``npoly.polyval``. A scalar x (a Python or
-    numpy number, or a 0-d array) takes ``_horner``, the float loop in
-    ``polyval``'s operation order, with the same bits; it skips one
-    numpy call per coefficient.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim:
-        return npoly.polyval(x, p.coeffs)
-    return _horner(p.coeffs.tolist(), float(x))
+    """Horner-scheme value of p at x by ``npoly.polyval``: a float for a
+    scalar x (a Python or numpy number, or a 0-d array), else an array."""
+    out = npoly.polyval(np.asarray(x, dtype=float), p.coeffs)
+    return float(out) if out.ndim == 0 else out
 
 
 def require_pinned(p) -> None:
@@ -353,18 +352,6 @@ def _solve_upper(U: np.ndarray, b) -> np.ndarray:
     for j in range(x.size - 1, -1, -1):
         x[j] = (x[j] - U[j, j + 1:] @ x[j + 1:]) / U[j, j]
     return x
-
-
-def _require_index(j, name: str = "index", cap=math.inf) -> int:
-    """The one check of a family index or degree: an integer (Python or
-    numpy, not a bool) from 0 to ``cap``, or a ValueError names it. It
-    is returned as a Python int, on which integer arithmetic is exact."""
-    if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or j < 0:
-        raise ValueError(f"{name} must be an integer of at least 0, got {j}")
-    j = operator.index(j)
-    if j > cap:
-        raise ValueError(f"degree {j} exceeds the cap {cap}")
-    return j
 
 
 def _jacobi11_terms(k: int) -> list:
@@ -520,18 +507,18 @@ def omega(f: FunctionHandle, order: int, delta: float,
     a cubic on a 20001-point grid. A non-finite value of f raises a
     ValueError that names the least point where it was found, and a
     delta outside (0, 1] at order 1 or (0, 1/2] at order 2, NaN
-    included, raises one too.
+    included, raises one too, as does any order but the integer 1 or 2.
     """
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
+    order = _require_index(order, "order")
     if not delta > 0:
         raise ValueError("delta must be positive")
     if order == 1:
         if delta > 1.0:
             raise ValueError("order-1 modulus needs delta <= 1")
-    elif order == 2:
-        if delta > 0.5:
-            raise ValueError("order-2 modulus needs delta <= 1/2")
-    else:
-        raise ValueError("order must be 1 or 2")
+    elif delta > 0.5:
+        raise ValueError("order-2 modulus needs delta <= 1/2")
     if g is None:
         g = DEFAULT_SUP_GRID
     pts = g.points

@@ -86,12 +86,11 @@ class SeriesResult(C0Function):
     def iterations(self) -> int:
         if self._q == 0.0:
             return 0
-        return _truncation_count(self._q, self._scale, self._f.norm0, _TOL)
+        return _truncation_count(self._q, self._scale, self._f.norm0)
 
 
-def _truncation_count(q: float, scale: float, norm0: float,
-                      tol: float) -> int:
-    """Smallest K with scale * norm0 * q^(K+1) / (1-q) <= tol.
+def _truncation_count(q: float, scale: float, norm0: float) -> int:
+    """Smallest K with scale * norm0 * q^(K+1) / (1-q) <= _TOL.
 
     K counts operator applications of the truncated sum, which then
     holds K + 1 terms; it is reported, not iterated.
@@ -99,7 +98,7 @@ def _truncation_count(q: float, scale: float, norm0: float,
     # scale * norm0 also underflows to zero on a subnormal norm0
     if q == 0.0 or scale * norm0 == 0.0:
         return 0
-    t = tol * (1.0 - q) / (scale * norm0)
+    t = _TOL * (1.0 - q) / (scale * norm0)
     if t >= 1.0:
         return 0
     return max(0, math.ceil(math.log(t) / math.log(q)) - 1)

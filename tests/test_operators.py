@@ -21,7 +21,6 @@ from bernseries import (
     apply_series,
     central_moment,
     eigenvalue,
-    functional_moment,
     poly_eval,
     standard_corpus,
     u_matrix_leading_block,
@@ -43,7 +42,7 @@ from bernseries.operators import (
 class TestQuadratureRule:
     def test_basic_shape_and_weights(self):
         q = QuadratureRule.beta_rule(0.5, 1.5, 12)
-        assert q.size == 12
+        assert q.nodes.size == 12
         assert np.all(q.nodes > 0) and np.all(q.nodes < 1)
         assert np.all(np.diff(q.nodes) > 0)
         assert np.all(q.weights > 0)
@@ -74,7 +73,7 @@ class TestQuadratureRule:
 
     def test_single_node(self):
         q = QuadratureRule.beta_rule(1.0, 1.0, 1)
-        assert q.size == 1
+        assert q.nodes.size == 1
         assert abs(q.nodes[0] - 0.5) < 1e-14
 
     def test_invalid_exponents(self):
@@ -292,22 +291,35 @@ class TestStackedRules:
                            0.0, 0.0)
 
 
+def functional_moment(n, k, rho, m):
+    """m-th raw moment of the interior functional at node k: the product
+    over i < m of (k rho + i) / (n rho + i), the moment of the Beta
+    density with parameters (k rho, (n-k) rho); (k/n)^m at rho = inf."""
+    if rho == math.inf:
+        return (k / n) ** m
+    i = np.arange(m, dtype=float)
+    return float(np.prod((k * rho + i) / (n * rho + i)))
+
+
 class TestFunctionalMoment:
+    # the library forms the moments of node k as the Bernstein
+    # coefficients of a monomial, _moment_coefficients(n, rho, e_m)[k]
+
+    @staticmethod
+    def moments(n, rho, m):
+        return operators._moment_coefficients(n, rho, np.eye(m + 1)[m])
+
     def test_trivial_orders(self):
-        assert functional_moment(6, 2, 1.3, 0) == 1.0
-        for n, k in ((6, 2), (9, 5)):
-            assert abs(functional_moment(n, k, 1.0, 1) - k / n) < 1e-15
+        assert np.all(self.moments(6, 1.3, 0) == 1.0)
+        for n in (6, 9):
+            got = self.moments(n, 1.0, 1)
+            assert np.max(np.abs(got - np.arange(n + 1) / n)) < 1e-15
 
     def test_oracle(self):
-        assert abs(functional_moment(2, 1, 1.0, 2) - 1.0 / 3.0) < 1e-15
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            functional_moment(4, 0, 1.0, 2)
-        with pytest.raises(ValueError):
-            functional_moment(4, 4, 1.0, 2)
-        with pytest.raises(ValueError):
-            functional_moment(4, 1, -1.0, 2)
+        assert abs(self.moments(2, 1.0, 2)[1] - 1.0 / 3.0) < 1e-15
+        for n, k, rho, m in ((5, 2, 0.7, 14), (9, 4, math.inf, 5)):
+            got = self.moments(n, rho, m)[k]
+            assert abs(got - functional_moment(n, k, rho, m)) < 1e-15
 
 
 def _u_matrix_from_moments(n, rho):
@@ -653,7 +665,7 @@ class TestApplyUMoments:
 
     @pytest.mark.parametrize("n", [2, 9, 64])
     def test_interior_coefficients_are_functional_moments(self, n, rng):
-        # the public closed form is the oracle of every interior
+        # the product formula is the oracle of every interior
         # coefficient: sum_m a_m functional_moment(n, k, rho, m); measured
         # at most 1.0e-16 of sum |a_m|
         for rho in _RHOS:
@@ -991,16 +1003,12 @@ class TestCentralMoment:
 @pytest.mark.parametrize("j", [2.5, True], ids=["float", "bool"])
 @pytest.mark.parametrize("call, name", [
     (lambda j: central_moment(8, 1.0, 0.3, j), "order"),
-    (lambda j: functional_moment(8, j, 1.0, 2), "node index"),
-    (lambda j: functional_moment(8, 1, 1.0, j), "moment order"),
     (lambda j: u_matrix_leading_block(8, 1.0, j), "block size"),
-], ids=["central_moment", "functional_moment-k", "functional_moment-m",
-        "u_matrix_leading_block"])
+], ids=["central_moment", "u_matrix_leading_block"])
 def test_one_message_for_a_bad_operator_index(call, name, j):
-    # an order, node or block size is an integer (Python or numpy, not a
+    # an order or block size is an integer (Python or numpy, not a
     # bool), checked by the package's one index check; 2.5 used to give
-    # another order's value, a non-node moment or a TypeError, and True
-    # passed as 1
+    # another order's value or a TypeError, and True passed as 1
     with pytest.raises(ValueError,
                        match=f"^{name} must be an integer of at least 0, "
                              f"got {j}$"):

@@ -79,19 +79,28 @@ def test_every_import_is_used_or_exported():
         assert sorted(bound - used) == [], path.name
 
 
+def _referenced_names(*directories):
+    """Every name the modules of the directories read, as a bare name,
+    an attribute or an imported name; assigning a name is not reading
+    it."""
+    refs = set()
+    for directory in directories:
+        for tree in _trees(directory).values():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                             ast.Load):
+                    refs.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    refs.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    refs.update(alias.name for alias in node.names)
+    return refs
+
+
 def test_every_private_definition_is_referenced():
     # a module-level private function or class that nothing in the
     # library or the benchmark names is dead code; tests do not count
-    trees = {**_trees(PACKAGE), **_trees(ROOT / "bench")}
-    refs = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                refs.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                refs.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                refs.update(alias.name for alias in node.names)
+    refs = _referenced_names(PACKAGE, ROOT / "bench")
     private = {(path.name, node.name)
                for path, tree in _trees(PACKAGE).items()
                for node in tree.body
@@ -99,6 +108,15 @@ def test_every_private_definition_is_referenced():
                and node.name.startswith("_")
                and not node.name.startswith("__")}
     assert sorted((f, name) for f, name in private if name not in refs) == []
+
+
+def test_every_public_name_has_a_caller():
+    # a public name that nothing in the library, the benchmark or the
+    # demos reads (an __all__ entry is a string, not a use) serves only
+    # the tests; tests do not count, nor does __version__
+    import bernseries
+    refs = _referenced_names(PACKAGE, ROOT / "bench", ROOT / "demos")
+    assert sorted(set(bernseries.__all__) - refs - {"__version__"}) == []
 
 
 def test_imports_equal_declared_dependencies():
@@ -149,7 +167,7 @@ def test_package_exports_match_the_modules():
     # and polynomial calculus is Polynomial's methods, not names of
     # their own
     assert {"bernstein", "apply_F", "poly_calculus"}.isdisjoint(union)
-    assert len(bernseries.__all__) == 52
+    assert len(bernseries.__all__) == 51
 
 
 _FAILING_PROPERTY = """

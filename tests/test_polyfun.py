@@ -27,7 +27,7 @@ from bernseries import (
     psi_values,
     sup_norm,
 )
-from bernseries.polyfun import _solve_upper
+from bernseries.polyfun import _horner, _solve_upper
 
 
 def _omega2_per_step(f, delta, pts):
@@ -98,8 +98,7 @@ class TestPolynomial:
     def test_calculus_round_trip(self):
         p = Polynomial([0.5, -1.0, 3.0])
         assert np.array_equal(p.derivative().coeffs, [-1.0, 6.0])
-        a = p.antiderivative()
-        assert np.array_equal(a.coeffs, [0.0, 0.5, -0.5, 1.0])
+        a = Polynomial(npoly.polyint(p.coeffs))
         back = a.derivative()
         assert np.max(np.abs(back.coeffs - p.coeffs)) < 1e-15
         assert Polynomial([2.0]).derivative().is_zero
@@ -125,7 +124,9 @@ class TestPolynomial:
 
 
 class TestScalarEval:
-    """A scalar x takes poly_eval's float loop; it must give polyval's bits."""
+    """sup_norm's refinement points take _horner, the float loop in
+    polyval's operation order; it must give polyval's bits, and so must
+    poly_eval at a scalar."""
 
     @settings(max_examples=300, deadline=None)
     @given(c=st.lists(st.floats(-1e8, 1e8), min_size=1,
@@ -148,12 +149,19 @@ class TestScalarEval:
                 x = 0.0
             x = round(x)
         p = Polynomial(c)
-        got = poly_eval(p, kind(x))
         with np.errstate(all="ignore"):
             want = npoly.polyval(np.asarray(x, dtype=float), p.coeffs)
-        assert type(got) is float
-        assert np.array_equal(got, want, equal_nan=True)
-        assert np.signbit(got) == np.signbit(want)
+            evaluated = poly_eval(p, kind(x))
+        for got in (_horner(p.coeffs.tolist(), float(x)), evaluated):
+            assert type(got) is float
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.signbit(got) == np.signbit(want)
+
+    def test_infinite_scalar_warns_as_an_array_does(self):
+        # a scalar and an array x take the one polyval path
+        for x in (math.inf, np.array([math.inf])):
+            with pytest.warns(RuntimeWarning, match="invalid value"):
+                poly_eval(PSI, x)
 
     def test_arrays_keep_polyval(self):
         p = Polynomial([1.0, 0.0, -2.0, 0.5])
@@ -346,14 +354,29 @@ class TestGridSpec:
     def test_uniform(self):
         g = GridSpec.uniform(5)
         assert np.array_equal(g.points, [0.0, 0.25, 0.5, 0.75, 1.0])
-        assert g.count == 5
 
     def test_chebyshev(self):
         g = GridSpec.chebyshev(257)
-        assert g.count == 257
+        assert g.points.size == 257
         assert g.points[0] == 0.0 and g.points[-1] == 1.0
         # denser near endpoints than in the middle
         assert g.points[1] < 1.0 / 256
+
+
+    @pytest.mark.parametrize("build", [GridSpec.uniform, GridSpec.chebyshev],
+                             ids=["uniform", "chebyshev"])
+    def test_count_is_an_integer(self, build):
+        # chebyshev(2.5) used to build [0, 0.75, 1] and chebyshev(3.0)
+        # a grid; uniform raised numpy's bare TypeError on both
+        for count in (2.5, 3.0, np.float64(3.0)):
+            with pytest.raises(ValueError,
+                               match=f"^count must be an integer of at "
+                                     f"least 0, got {count}$"):
+                build(count)
+        for count in (1, True, -3):
+            with pytest.raises(ValueError, match="^count must be at least 2$"):
+                build(count)
+        assert np.array_equal(build(np.int64(5)).points, build(5).points)
 
 
 class TestSupNorm:
@@ -573,6 +596,21 @@ class TestOmega:
             omega(f, 2, 0.6)  # second order needs delta <= 1/2
         with pytest.raises(ValueError):
             omega(f, 1, 1.5)
+
+    def test_order_is_the_integer_one_or_two(self):
+        # order == 1 and order == 2 hold for True and 2.0, which used to
+        # give the order-1 and order-2 moduli
+        f = FunctionHandle.from_callable(np.cos)
+        for order in (True, 2.0, np.float64(1.0)):
+            with pytest.raises(ValueError,
+                               match=f"^order must be an integer of at "
+                                     f"least 0, got {order}$"):
+                omega(f, order, 0.1)
+        for order in (0, 3, -1, 1.5, math.nan):
+            with pytest.raises(ValueError, match="^order must be 1 or 2$"):
+                omega(f, order, 0.1)
+        for order in (1, 2):
+            assert omega(f, np.int64(order), 0.1) == omega(f, order, 0.1)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_nan_step_is_rejected(self, order):

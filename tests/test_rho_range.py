@@ -21,7 +21,6 @@ HANDLE = bs.FunctionHandle.from_polynomial(bs.PSI)
 
 # name -> call with the rho under test
 ENTRY_POINTS = {
-    "functional_moment": lambda r: bs.functional_moment(8, 3, r, 2),
     "u_matrix_leading_block": lambda r: bs.u_matrix_leading_block(8, r, 4),
     "apply_U_poly": lambda r: bs.apply_U_poly(8, r, bs.PSI),
     "apply_U": lambda r: bs.apply_U(8, r, HANDLE, 0.5),
@@ -84,7 +83,6 @@ N_RECORD_TYPES = RECORD_TYPES | {"AsymptoticRecord"}
 
 # name -> call with the n under test, valid at n = 8
 N_ENTRY_POINTS = {
-    "functional_moment": lambda n: bs.functional_moment(n, 3, 1.0, 2),
     "u_matrix_leading_block": lambda n: bs.u_matrix_leading_block(n, 1.0, 4),
     "apply_U_poly": lambda n: bs.apply_U_poly(n, 1.0, bs.PSI),
     "apply_U": lambda n: bs.apply_U(n, 1.0, HANDLE, 0.5),
