@@ -31,8 +31,9 @@ a Newton step and gives its weight. ``_settle`` is the package's one
 ladder of rule sizes (these rules and the Legendre rules of
 ``inverse_neg`` and ``limit_dual``), ``_bernstein_sum`` its one
 Bernstein blend (``apply_U`` and the series), which forms the basis at
-a point as a binomial pmf in log space at O(n) cost. The module needs
-numpy only.
+a point as a binomial pmf at O(n) cost through ``_binomial_pmf``, the
+one pmf kernel, which also builds the rows of the series' transfer
+matrix. The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -422,16 +423,38 @@ def bernstein_basis(n: int, x) -> np.ndarray:
     return b
 
 
+def _binomial_pmf(a, axis: int):
+    """The package's one pmf kernel, in place on ``a``, which it returns.
+
+    Along ``axis`` ``a`` holds m + 1 entries: one that is overwritten,
+    then the log-odds steps s_j of a pmf on 0..m with pmf(j+1) / pmf(j)
+    = (m-j)/(j+1) exp(s_j); a constant s_j = log(p / (1-p)) gives the
+    binomial pmf. log((m-j)/(j+1)) is added to the steps, which are
+    summed cumulatively from j = 0 (callers put the end nearer the mode
+    there), shifted by their maximum, exponentiated and normalized. No
+    binomial coefficient, power or Beta value is formed.
+    """
+    m = a.shape[axis] - 1
+    j = np.arange(m, dtype=float).reshape((m,) + (1,) * (a.ndim - axis - 1))
+    lead = (slice(None),) * axis
+    a[lead + (0,)] = 0.0
+    a[lead + (slice(1, None),)] += np.log((m - j) / (j + 1.0))
+    np.cumsum(a, axis=axis, out=a)
+    a -= a.max(axis=axis, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=axis, keepdims=True)
+    return a
+
+
 def _bernstein_sum(c, x):
     """Sum of c times the degree n = len(c) - 1 Bernstein basis at x.
 
     The basis at x is the binomial pmf with n trials and success
-    probability x, formed in O(n) per point as ``_cofactor_transfer``
-    forms its rho = inf rows: with t = min(x, 1 - x), the log ratios
-    log((n-j)/(j+1)) + log t - log1p(-t) are summed cumulatively over
-    j, shifted by their maximum, exponentiated and normalized, and a
-    point above 1/2 takes the coefficients reversed. No binomial
-    coefficient or power is formed, and the ends interpolate exactly:
+    probability x, formed in O(n) per point by ``_binomial_pmf``, which
+    also builds the rows of ``_cofactor_transfer``. Its log-odds step
+    is log t - log1p(-t) with t = min(x, 1 - x), so the pmf is summed
+    from its end nearer the mode, and a point above 1/2 takes the
+    coefficients reversed. The ends interpolate exactly:
     x = 0 gives c[0] and x = 1 gives c[-1]. Elementwise on x of any
     shape; x is taken in flattened blocks, so the pmf never holds more
     than ``_BERNSTEIN_BLOCK`` floats.
@@ -441,20 +464,15 @@ def _bernstein_sum(c, x):
     n = c.size - 1
     flat = x.reshape(-1)
     out = np.empty(flat.size)
-    j = np.arange(n, dtype=float)[:, None]
-    ratios = np.log((n - j) / (j + 1.0))
     step = max(1, _BERNSTEIN_BLOCK // c.size)
     for lo in range(0, flat.size, step):
         xb = flat[lo:lo + step]
         t = np.minimum(xb, 1.0 - xb)
-        pmf = np.zeros((n + 1, t.size))
+        pmf = np.empty((n + 1, t.size))
         # t = 0 gives log t = -inf: the pmf is the unit mass at j = 0
         with np.errstate(divide="ignore"):
-            np.add(ratios, np.log(t) - np.log1p(-t), out=pmf[1:])
-        np.cumsum(pmf, axis=0, out=pmf)
-        pmf -= pmf.max(axis=0)
-        np.exp(pmf, out=pmf)
-        pmf /= pmf.sum(axis=0)
+            pmf[1:] = np.log(t) - np.log1p(-t)
+        _binomial_pmf(pmf, 0)
         out[lo:lo + step] = np.where(xb > 0.5, c[::-1] @ pmf, c @ pmf)
     return out.reshape(x.shape)
 

@@ -16,11 +16,14 @@ nothing is iterated or truncated:
   into the weight times a degree n-2 Bernstein span, and a dense
   nonnegative transfer matrix with row sums q < 1 reproduces it on
   Bernstein coefficients without any basis conversion, so I minus that
-  matrix is a well conditioned M-matrix at any n. Its first vector
-  takes the interior Beta rules of ``apply_U``, which sample the input
-  at k/n at rho = inf; the result blends the solved coefficients as
-  ``apply_U`` does, through ``_bernstein_sum`` at O(n) per point,
-  elementwise on any shape of x in [0, 1].
+  matrix is a well conditioned M-matrix at any n. Its rows are pmfs
+  from ``_binomial_pmf``, the one pmf kernel, which also forms the
+  basis of the blend; the upper half of the rows is built and mirrored
+  onto the lower half, so the matrix is exactly centrosymmetric. Its
+  first vector takes the interior Beta rules of ``apply_U``, which
+  sample the input at k/n at rho = inf; the result blends the solved
+  coefficients as ``apply_U`` does, through ``_bernstein_sum`` at O(n)
+  per point, elementwise on any shape of x in [0, 1].
 
 An eigen-expansion route sums the series in closed form through the
 one eigen assembly, on polynomials up to the eigen cap at every n >=
@@ -52,6 +55,7 @@ from .polyfun import (
 )
 from .operators import (
     _bernstein_sum,
+    _binomial_pmf,
     _homogeneous,
     _interior_values,
     _leading_block,
@@ -104,7 +108,7 @@ def _truncation_count(q: float, scale: float, norm0: float) -> int:
     return max(0, math.ceil(math.log(t) / math.log(q)) - 1)
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def _cofactor_transfer(n: int, rho: float) -> np.ndarray:
     """Matrix sending cofactor Bernstein coefficients through the operator.
 
@@ -113,14 +117,18 @@ def _cofactor_transfer(n: int, rho: float) -> np.ndarray:
     rho = r / w from ``_homogeneous``, row k-1 is the contraction factor
     ``u_norm0(n, rho)`` times the Beta-binomial pmf with n-2 trials and
     parameters (k rho + 1, (n-k) rho + 1), whose consecutive ratios are
-    (k r + (j+1) w) (n-2-j) / (((n-k) r + (n-2-j) w) (j+1)). It is
-    built from these ratios in log space and normalized, so no
-    factorial or Beta value is ever formed. At rho = inf (w = 0) the
-    rows are the binomial pmfs with success probability k/n: the
-    transfer matrix of the sampling operator. Every rho the entry points
-    accept, inf included, gives a matrix. Each matrix holds (n-1)^2
-    floats and is built in place, so the build peaks near one matrix;
-    only the last two are kept.
+    (k r + (j+1) w) (n-2-j) / (((n-k) r + (n-2-j) w) (j+1)). At rho =
+    inf (w = 0) the rows are the binomial pmfs with success probability
+    k/n: the transfer matrix of the sampling operator. Every rho the
+    entry points accept, inf included, gives a matrix.
+
+    Row n-k is row k reversed, so only the rows k <= n/2, whose modes
+    lie at j <= (n-2)/2, are built, by the pmf kernel of
+    ``_bernstein_sum``, ``_binomial_pmf``, which sums from j = 0. They
+    are mirrored onto the rows n-k, and the middle row of an even n is
+    averaged with its reverse, so the matrix is exactly centrosymmetric.
+    It holds (n-1)^2 floats, 134 MB at n = 4096, and is built in place,
+    so the build peaks near one matrix; only the last one is kept.
     """
     if n < 2:
         raise ValueError("the transfer matrix needs n >= 2")
@@ -128,23 +136,24 @@ def _cofactor_transfer(n: int, rho: float) -> np.ndarray:
     k = np.arange(1, n, dtype=float)[:, None]
     j = np.arange(n - 2, dtype=float)
     W = np.zeros((n - 1, n - 1))
-    # log of W[k-1, j+1] / W[k-1, j]: L = log(k r + w (j+1)) minus L
-    # reversed in both axes, log((n-k) r + w (n-2-j)). That difference
-    # is odd under the reversal (x - y is exactly -(y - x)), so half of
-    # it is formed in place and mirrored, negated, onto the other half.
+    # The log-odds step of row k at j is L[k-1, j] - L[n-k-1, n-3-j]
+    # with L = log(k r + w (j+1)). L fills W, and the rows k < n/2
+    # subtract the reversed rows n-k below them. The middle row of an
+    # even n subtracts its own reverse on its own: in the block its
+    # overlap would make numpy copy the whole reversed block.
     L = W[:, 1:]
     np.add(k * r, w * (j + 1.0), out=L)
     np.log(L, out=L)
     h = (n - 1) // 2
-    g = n - 2 - h
-    for a, b in ((L[:h], L[g + 1:]), (L[h:g + 1, :g], L[h:g + 1, h:])):
-        a -= b[::-1, ::-1]
-        np.negative(a[::-1, ::-1], out=b)
-    L += np.log((n - 2.0 - j) / (j + 1.0))
-    np.cumsum(W, axis=1, out=W)
-    W -= W.max(axis=1, keepdims=True)
-    np.exp(W, out=W)
-    W *= u_norm0(n, rho) / W.sum(axis=1, keepdims=True)
+    L[:h] -= L[::-1, ::-1][:h]
+    even = n % 2 == 0
+    if even:
+        L[h] -= L[h, ::-1].copy()
+    upper = _binomial_pmf(W[:n // 2], 1)
+    upper *= u_norm0(n, rho)
+    if even:
+        W[h] = 0.5 * (W[h] + W[h, ::-1])
+    W[n // 2:] = W[:h][::-1, ::-1]
     W.flags.writeable = False
     return W
 

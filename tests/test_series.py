@@ -343,16 +343,16 @@ class TestTransferEngines:
             assert np.max(np.abs(W.sum(axis=1) - u_norm0(n, rho))) < 1e-13
 
     def test_rows_against_mpmath_reference(self):
-        # nine rows from both ends and the middle; measured 2.2e-14,
-        # 7.0e-14 and 5.4e-14
+        # nine rows from both ends and the middle; measured 2.5e-15,
+        # 1.5e-15, 4.4e-15 and 5.7e-15
         import mpmath
-        for n, rho, bound in ((1024, 10.0, 5e-14), (512, 1e4, 1.5e-13),
-                              (1024, math.inf, 1.1e-13)):
+        for n, rho in ((1024, 10.0), (512, 1e4), (1024, math.inf),
+                       (4096, math.inf)):
             W = _cofactor_transfer(n, rho)
             for k in (1, 2, 3, n // 4, n // 3, n // 2, 2 * n // 3, n - 2,
                       n - 1):
                 want = _mp_transfer_row(mpmath, n, k, rho)
-                assert np.max(np.abs(W[k - 1] - want)) < bound
+                assert np.max(np.abs(W[k - 1] - want)) < 1e-14
 
     def test_sampling_rows_are_bernstein_samples(self):
         # at rho = inf row k - 1 is (n-1)/n times the degree n-2
@@ -362,27 +362,14 @@ class TestTransferEngines:
             B = (n - 1.0) / n * bernstein_basis(n - 2, np.arange(1, n) / n).T
             assert np.max(np.abs(W - B)) < bound
 
-    @pytest.mark.parametrize("rho", [1e-4, 1.0, 10.0, math.inf])
-    def test_same_bits_as_the_out_of_place_build(self, rho):
-        # the mirrored in-place subtraction against the build that
-        # formed both log matrices whole
-        def out_of_place(n):
-            r, w = _homogeneous(rho)
-            k = np.arange(1, n, dtype=float)[:, None]
-            j = np.arange(n - 2, dtype=float)
-            W = np.zeros((n - 1, n - 1))
-            W[:, 1:] = np.log(k * r + w * (j + 1.0))
-            W[:, 1:] -= np.log((n - k) * r + w * (n - 2.0 - j))
-            W[:, 1:] += np.log((n - 2.0 - j) / (j + 1.0))
-            np.cumsum(W, axis=1, out=W)
-            W -= W.max(axis=1, keepdims=True)
-            np.exp(W, out=W)
-            W *= (n - 1.0) * r / (n * r + w) / W.sum(axis=1, keepdims=True)
-            return W
-
-        for n in (2, 3, 4, 5, 17, 18, 64, 65, 2048):
-            _cofactor_transfer.cache_clear()
-            assert np.array_equal(_cofactor_transfer(n, rho), out_of_place(n))
+    def test_transfer_is_exactly_centrosymmetric(self):
+        # row n - k is row k reversed, bit for bit, at odd and even n
+        for n in (2, 3, 4, 5, 6, 17, 18, 64, 65, 1024, 1025):
+            for rho in (1e-4, 0.1, 1.0, 10.0, 1e4, math.inf):
+                W = _cofactor_transfer(n, rho)
+                assert np.array_equal(W, W[::-1, ::-1])
+                assert np.all(W >= 0)
+                assert np.max(np.abs(W.sum(axis=1) - u_norm0(n, rho))) < 1e-13
 
     def test_build_peaks_near_one_matrix(self):
         # the whole log matrices peaked at three times the result;
@@ -397,14 +384,14 @@ class TestTransferEngines:
             tracemalloc.stop()
         assert peak <= 1.25 * W.nbytes
 
-    def test_cache_keeps_two_matrices(self):
+    def test_cache_keeps_one_matrix(self):
         # each matrix holds (n-1)^2 floats, so distinct (n, rho) must
         # not pile up
         _cofactor_transfer.cache_clear()
         f = C0Function(np.cos)
         for rho in (0.5, 1.0, 2.0):
             apply_series(64, rho, f)
-        assert _cofactor_transfer.cache_info().currsize == 2
+        assert _cofactor_transfer.cache_info().currsize == 1
 
     def test_transfer_route_matches_monomial_route(self):
         # both engines on one polynomial cofactor at large n rho, where
